@@ -20,7 +20,17 @@ from .evaluate import (
 from .fsdh import DatasetFingerprint, HashModel, encode, load_model, optimal_weights, save_model, train_fsdh
 from .index import CodeIndex, PackedCodes, hamming, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
-from .sdh import ObjectiveBreakdown, SdhState, b_step, f_step, magnitude_report, objective, train_sdh, w_step
+from .sdh import (
+    ObjectiveBreakdown,
+    ProjectionSolver,
+    SdhState,
+    b_step,
+    f_step,
+    magnitude_report,
+    objective,
+    train_sdh,
+    w_step,
+)
 
 __version__ = "0.1.0"
 
@@ -35,6 +45,7 @@ __all__ = [
     "KernelMap",
     "ObjectiveBreakdown",
     "PackedCodes",
+    "ProjectionSolver",
     "RawDataset",
     "SdhState",
     "b_step",

@@ -175,7 +175,6 @@ def solve_branch_and_bound(problem: BiqpProblem,
     # prefix's exact objective contribution; free_pair_mass = sum of |Q_lm|
     # over distinct free pairs (both orders).
     coupling = np.zeros(bits)
-    free = np.ones(bits, dtype=bool)
     free_pair_mass = float(abs_q.sum())
 
     def visit(depth: int, fixed_val: float, coupling: np.ndarray,

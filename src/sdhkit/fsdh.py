@@ -8,9 +8,11 @@ assumptions are named throughout the package:
   A3: each sample carries a single label,
   A4: the code-fitting bias term is negligible (it is dropped).
 
-Under A1-A3 the optimal class codes are columns of a Hadamard matrix, so
-training reduces to expanding one code per class across the samples and one
-regularized least-squares solve for the projection.
+Under A1-A3 the optimal class codes are columns of a Hadamard matrix, and
+the code matrix is B = C Y for the (L, C) class codes C and the (C, N)
+one-hot label matrix Y. Training therefore reduces to one regularized
+least-squares solve against Y, independent of the code length L, and one
+(M, C) x (C, L) product for the projection.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import index
-from .codes import ClassCodes, expand_codes, is_power_of_two, pick_class_codes, sylvester
+from .codes import ClassCodes, is_power_of_two, pick_class_codes, sylvester
 from .kernelmap import KernelMap, transform
-from .sdh import DEFAULT_LAMBDA, _spd_solve, default_jitter
+from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
 
 MODEL_MAGIC = b"FSDH"
 MODEL_VERSION = 1
@@ -77,9 +79,12 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
                bits: int, jitter: float | None = None) -> tuple[np.ndarray, ClassCodes]:
     """Closed-form training on already kernel-transformed features.
 
-    Builds the per-class Hadamard codes, expands them by label, and solves
-    (X X^T + jitter*I) P = X B^T. No iteration and no randomness: repeated
-    calls return bit-identical projections.
+    Builds the per-class Hadamard codes C and returns the solution P of
+    (X X^T + jitter*I) P = X B^T for the per-sample codes B = C Y, in the
+    factored form P = [(X X^T + jitter*I)^-1 X Y^T] C^T. The solve runs
+    against the C class indicators Y (assumption A3) rather than the L-bit
+    codes, so its cost does not depend on L. No iteration and no randomness:
+    repeated calls return bit-identical projections.
     """
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -95,14 +100,9 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     if labels.shape[0] != x.shape[1]:
         raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
     class_codes = pick_class_codes(sylvester(bits), class_count)
-    b = expand_codes(class_codes, labels).astype(np.float64)
-    if jitter is None:
-        jitter = default_jitter(x)
-    lhs = x @ x.T
-    if jitter:
-        lhs = lhs + jitter * np.eye(x.shape[0])
-    projection = _spd_solve(lhs, x @ b.T, "projection solve")
-    return projection, class_codes
+    indicators = one_hot(labels, class_count)
+    per_class = ProjectionSolver(x, jitter).solve(indicators)
+    return per_class @ class_codes.codes.astype(np.float64).T, class_codes
 
 
 def optimal_weights(class_codes: ClassCodes, lam: float = DEFAULT_LAMBDA) -> np.ndarray:

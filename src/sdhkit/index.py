@@ -75,10 +75,12 @@ def pack(signs: np.ndarray) -> PackedCodes:
         raise ValueError("signs must contain only -1 and +1")
     bits, count = signs.shape
     nwords = -(-bits // WORD_BITS)
-    positive = (signs.T > 0).astype(np.uint64)  # (count, bits)
-    words = np.zeros((count, nwords), dtype=np.uint64)
-    for j in range(bits):
-        words[:, j // WORD_BITS] |= positive[:, j] << np.uint64(j % WORD_BITS)
+    positive = np.zeros((count, nwords * WORD_BITS), dtype=bool)
+    positive[:, :bits] = signs.T > 0
+    # Little-endian bit order within bytes and bytes within a word puts bit
+    # j at position j % 64 of word j // 64; the zero padding keeps tail bits clear.
+    octets = np.packbits(positive, axis=1, bitorder="little")
+    words = octets.view("<u8")
     return PackedCodes(words=words, bits=bits)
 
 

@@ -73,7 +73,12 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return y
 
 
-def _spd_solve(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+def _cho_factor(a: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of a symmetric positive definite system matrix.
+
+    Raises ValueError naming `context` when the matrix is singular or so
+    ill-conditioned that the factor cannot be trusted.
+    """
     try:
         factor = scipy.linalg.cho_factor(a)
     except scipy.linalg.LinAlgError as exc:
@@ -84,7 +89,7 @@ def _spd_solve(a: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     pivots = np.abs(np.diag(factor[0]))
     if (pivots.min() / pivots.max()) ** 2 < 1e-14:
         raise ValueError(f"{context}: system matrix is numerically singular")
-    return scipy.linalg.cho_solve(factor, rhs)
+    return factor
 
 
 def w_step(codes: np.ndarray, labels: np.ndarray, class_count: int,
@@ -93,7 +98,7 @@ def w_step(codes: np.ndarray, labels: np.ndarray, class_count: int,
     b = np.asarray(codes, dtype=np.float64)
     y = one_hot(labels, class_count)
     lhs = b @ b.T + lam * np.eye(b.shape[0])
-    return _spd_solve(lhs, b @ y.T, "classifier step")
+    return scipy.linalg.cho_solve(_cho_factor(lhs, "classifier step"), b @ y.T)
 
 
 def default_jitter(features: np.ndarray) -> float:
@@ -103,17 +108,42 @@ def default_jitter(features: np.ndarray) -> float:
     return 1e-8 * float((x * x).sum()) / x.shape[0]
 
 
+class ProjectionSolver:
+    """Least-squares projections onto one feature matrix X.
+
+    Builds X X^T + jitter*I and factors it once; every `solve` then costs a
+    single (M, N) x (N, k) product and two triangular solves. The factor does
+    not depend on the targets, so the alternating trainer reuses it across
+    iterations and the closed-form trainer solves against its C class
+    indicators instead of the L-bit codes. `jitter=None` uses
+    `default_jitter(X)`; a singular system raises ValueError at construction.
+    """
+
+    def __init__(self, features: np.ndarray, jitter: float | None = None):
+        x = np.asarray(features, dtype=np.float64)
+        if jitter is None:
+            jitter = default_jitter(x)
+        lhs = x @ x.T
+        if jitter:
+            lhs = lhs + jitter * np.eye(x.shape[0])
+        self._features = x
+        self._factor = _cho_factor(lhs, "projection step")
+
+    def solve(self, targets: np.ndarray) -> np.ndarray:
+        """(M, k) projection P solving (X X^T + jitter*I) P = X T^T for a
+        (k, N) target matrix T."""
+        t = np.asarray(targets, dtype=np.float64)
+        return scipy.linalg.cho_solve(self._factor, self._features @ t.T)
+
+
 def f_step(features: np.ndarray, codes: np.ndarray,
            jitter: float | None = None) -> np.ndarray:
-    """Least-squares projection: solve (X X^T + jitter*I) P = X B^T."""
-    x = np.asarray(features, dtype=np.float64)
-    b = np.asarray(codes, dtype=np.float64)
-    if jitter is None:
-        jitter = default_jitter(x)
-    lhs = x @ x.T
-    if jitter:
-        lhs = lhs + jitter * np.eye(x.shape[0])
-    return _spd_solve(lhs, x @ b.T, "projection step")
+    """Least-squares projection: solve (X X^T + jitter*I) P = X B^T.
+
+    A one-shot `ProjectionSolver`; callers solving repeatedly against the
+    same features should build the solver once instead.
+    """
+    return ProjectionSolver(features, jitter).solve(codes)
 
 
 def b_step(state: SdhState, features: np.ndarray, labels: np.ndarray,
@@ -208,9 +238,10 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     """Run the alternating optimization from a random code initialization.
 
     Each iteration runs the projection step, the classifier step, and the
-    code step in that order, then records an objective breakdown. The run is
-    deterministic for a fixed seed, and different seeds generally reach
-    different local minima.
+    code step in that order, then records an objective breakdown. The
+    projection system depends on the features only, so it is factored once
+    before the first iteration. The run is deterministic for a fixed seed,
+    and different seeds generally reach different local minima.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
@@ -233,9 +264,10 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         lam=float(lam),
         nu=float(nu),
     )
+    projection_solver = ProjectionSolver(x, jitter)
     trajectory: list[ObjectiveBreakdown] = []
     for it in range(max_iters):
-        state.projection = f_step(x, state.codes, jitter)
+        state.projection = projection_solver.solve(state.codes)
         state.weights = w_step(state.codes, labels, class_count, lam)
         state.codes, _ = b_step(state, x, labels, solver,
                                 sweeps=sweeps, budget_nodes=budget_nodes)

@@ -28,6 +28,19 @@ def hamming_loop(signs_a: np.ndarray, signs_b: np.ndarray) -> int:
     return int(sum(1 for x, y in zip(signs_a, signs_b) if x != y))
 
 
+def pack_loop(signs: np.ndarray) -> np.ndarray:
+    """Packed words from the layout definition, one bit at a time: bit j of
+    code i is set in word j // 64 at position j % 64 when signs[j, i] is +1."""
+    bits, count = signs.shape
+    nwords = -(-bits // 64)
+    words = [[0] * nwords for _ in range(count)]
+    for i in range(count):
+        for j in range(bits):
+            if signs[j, i] == 1:
+                words[i][j // 64] |= 1 << (j % 64)
+    return np.array(words, dtype=np.uint64).reshape(count, nwords)
+
+
 def sign_distances(db_signs: np.ndarray, query_signs: np.ndarray) -> np.ndarray:
     """Distances of one query column against all database columns, computed
     from unpacked sign matrices."""

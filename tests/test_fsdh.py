@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sdhkit import codes, dataset, fsdh, index, kernelmap, sdh
 
@@ -80,6 +81,50 @@ class TestTrainFsdh:
                                      nu=0.0, seed=seed)
             run = sdh.objective(state, x, labels)
             assert closed_form <= run.classification_term + run.regularizer + 1e-9
+
+
+class TestFactoredSolve:
+    """train_fsdh solves against the class indicators and multiplies by the
+    class codes; these compare it with the direct solve against the
+    expanded (L, N) code matrix."""
+
+    @staticmethod
+    def direct_projection(x, labels, class_codes):
+        jitter = 1e-8 * float((x * x).sum()) / x.shape[0]
+        b = codes.expand_codes(class_codes, labels).astype(np.float64)
+        return scipy.linalg.solve(x @ x.T + jitter * np.eye(x.shape[0]), x @ b.T)
+
+    @staticmethod
+    def blob_features():
+        data = dataset.normalize(dataset.synth_blobs(10, 60, 16, 0.3, seed=3))
+        kmap = kernelmap.fit_anchors(data, 100, 0.4, seed=4)
+        held_out = np.arange(data.sample_count) % 6 == 0
+        x = kernelmap.transform(kmap, data.features)
+        return x[:, ~held_out], data.labels[~held_out], x[:, held_out]
+
+    @pytest.mark.parametrize("bits", [32, 512])
+    def test_matches_direct_solve(self, bits):
+        x, labels, _ = self.blob_features()
+        projection, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
+        direct = self.direct_projection(x, labels, class_codes)
+        assert (np.linalg.norm(projection - direct)
+                <= 1e-9 * np.linalg.norm(direct))
+
+    @pytest.mark.parametrize("bits", [32, 512])
+    def test_codes_match_direct_solve(self, bits):
+        x, labels, held_out = self.blob_features()
+        projection, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
+        direct = self.direct_projection(x, labels, class_codes)
+        for samples in (x, held_out):
+            assert np.array_equal(projection.T @ samples >= 0,
+                                  direct.T @ samples >= 0)
+
+    def test_singular_without_jitter(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 12))
+        x[-1] = x[0]  # a repeated row makes X X^T singular
+        with pytest.raises(ValueError, match="singular"):
+            fsdh.train_fsdh(x, np.arange(12) % 2, 2, 4, jitter=0.0)
 
 
 class TestOptimalWeights:

@@ -32,6 +32,13 @@ class TestPack:
         signs = random_signs(rng, 128, 50)
         assert np.array_equal(index.unpack(index.pack(signs)), signs)
 
+    @pytest.mark.parametrize("bits", [1, 63, 64, 65, 512])
+    def test_matches_per_bit_definition(self, bits):
+        signs = random_signs(np.random.default_rng(bits), bits, 7)
+        packed = index.pack(signs)
+        assert packed.words.dtype == np.uint64
+        assert np.array_equal(packed.words, oracles.pack_loop(signs))
+
     def test_rejects_invalid_entries(self):
         with pytest.raises(ValueError, match="-1 and \\+1"):
             index.pack(np.array([[0], [1]]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sdhkit import biqp, codes, sdh
 
@@ -11,6 +12,12 @@ def toy_problem(rng, features=5, samples=8, classes=2, bits=4):
     labels = rng.integers(0, classes, samples)
     labels[:classes] = np.arange(classes)  # every class present
     return x, labels.astype(np.int64), classes, bits
+
+
+def rank_deficient_features(rng, features=3, samples=12):
+    x = rng.standard_normal((features, samples))
+    x[-1] = x[0]  # a repeated row makes X X^T singular
+    return x
 
 
 class TestWStep:
@@ -113,6 +120,11 @@ class TestFStep:
                 bumped[i, j] += delta
                 assert fit(bumped) >= base
 
+    def test_singular_without_jitter(self):
+        x = rank_deficient_features(np.random.default_rng(21))
+        with pytest.raises(ValueError, match="singular"):
+            sdh.f_step(x, np.ones((2, x.shape[1]), dtype=np.int8), jitter=0.0)
+
 
 class TestBStep:
     def test_zero_weights_reduce_to_projection_sign(self):
@@ -214,6 +226,46 @@ class TestTrainSdh:
         x, labels, classes, bits = toy_problem(rng)
         _, traj = sdh.train_sdh(x, labels, classes, bits, max_iters=4, seed=0)
         assert len(traj) == 4
+
+    @pytest.mark.parametrize("solver", ["dcc", "exhaustive"])
+    def test_matches_loop_that_refactors_every_iteration(self, solver):
+        # Reference: the Gram matrix is rebuilt and factored in every
+        # iteration, without the package's projection solver.
+        rng = np.random.default_rng(22)
+        x, labels, classes, bits = toy_problem(rng, features=6, samples=30,
+                                               classes=3, bits=8)
+        lam, nu, iters, seed = 1.0, 1e-2, 4, 5
+        state, trajectory = sdh.train_sdh(x, labels, classes, bits, lam=lam,
+                                          nu=nu, max_iters=iters, seed=seed,
+                                          solver=solver)
+
+        init_rng = np.random.default_rng(seed)
+        ref = sdh.SdhState(
+            codes=(2 * init_rng.integers(0, 2, size=(bits, x.shape[1])) - 1).astype(np.int8),
+            weights=np.zeros((bits, classes)),
+            projection=np.zeros((x.shape[0], bits)), lam=lam, nu=nu)
+        jitter = 1e-8 * float((x * x).sum()) / x.shape[0]
+        ref_trajectory = []
+        for _ in range(iters):
+            gram = x @ x.T + jitter * np.eye(x.shape[0])
+            factor = scipy.linalg.cho_factor(gram)
+            ref.projection = scipy.linalg.cho_solve(
+                factor, x @ ref.codes.astype(np.float64).T)
+            ref.weights = sdh.w_step(ref.codes, labels, classes, lam)
+            ref.codes, _ = sdh.b_step(ref, x, labels, solver)
+            ref_trajectory.append(sdh.objective(ref, x, labels))
+
+        assert np.array_equal(state.projection, ref.projection)
+        assert np.array_equal(state.weights, ref.weights)
+        assert np.array_equal(state.codes, ref.codes)
+        assert trajectory == ref_trajectory
+
+    def test_singular_without_jitter(self):
+        rng = np.random.default_rng(23)
+        x = rank_deficient_features(rng)
+        labels = np.arange(x.shape[1]) % 2
+        with pytest.raises(ValueError, match="singular"):
+            sdh.train_sdh(x, labels, 2, 4, jitter=0.0)
 
 
 class TestObjective:
