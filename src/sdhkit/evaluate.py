@@ -5,6 +5,11 @@ a fixed Hamming radius; MAP averages precision over the full Hamming
 ranking. Queries that retrieve nothing score precision 0 by default (the
 conservative convention); a flag switches to skipping them for sensitivity
 analysis since either reading is defensible.
+
+Every retrieval metric comes from one streaming pass, `retrieval_counts`,
+which computes each block of query distances once; the public metric
+functions are views of it, so memory stays O(n_queries * bits + block *
+database size) however many queries there are.
 """
 from __future__ import annotations
 
@@ -21,6 +26,11 @@ from .sdh import SdhState, one_hot, w_step
 
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
 BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
+# Scratch bytes one evaluation block may hold, and the bytes it holds per
+# (query, database item) pair: distance, int64 ranking, ranked class id,
+# relevance flag, and the kernel's uint64 XOR.
+EVAL_BLOCK_BYTES = 8 << 20
+EVAL_PAIR_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -57,33 +67,103 @@ def _check_query_inputs(index: CodeIndex, queries: PackedCodes,
     return query_labels
 
 
-def precision_recall_at_radius(index: CodeIndex, queries: PackedCodes,
-                               query_labels: np.ndarray, radius: int,
-                               zero_retrieval: str = "zero") -> tuple[float, float]:
-    """Mean per-query precision and recall of radius-limited retrieval."""
+def _check_options(zero_retrieval: str, radius: int = 0) -> None:
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if zero_retrieval not in ZERO_RETRIEVAL_MODES:
         raise ValueError(f"zero_retrieval must be one of {ZERO_RETRIEVAL_MODES}")
-    query_labels = _check_query_inputs(index, queries, query_labels)
-    dist = hamming_matrix(index.codes, queries)
-    within = dist <= radius
-    match = index.labels[None, :] == query_labels[:, None]
-    retrieved = within.sum(axis=1)
-    relevant_retrieved = (within & match).sum(axis=1)
-    class_sizes = match.sum(axis=1)
-    if np.any(class_sizes == 0):
-        bad = int(query_labels[np.argmax(class_sizes == 0)])
-        raise ValueError(f"query label {bad} absent from database")
 
-    nonzero = retrieved > 0
-    precision_per_query = np.zeros(queries.count)
-    precision_per_query[nonzero] = relevant_retrieved[nonzero] / retrieved[nonzero]
-    if zero_retrieval == "skip":
-        precision = float(precision_per_query[nonzero].mean()) if nonzero.any() else 0.0
-    else:
-        precision = float(precision_per_query.mean())
-    recall = float((relevant_retrieved / class_sizes).mean())
+
+@dataclass(frozen=True)
+class RetrievalCounts:
+    """Per-query outcome of one retrieval pass over the database.
+
+    Column t of `retrieved` and `relevant` counts the database items within
+    Hamming distance t of the query, and those of them sharing its label,
+    for t = 0..L.
+    """
+
+    retrieved: np.ndarray    # (n_queries, bits + 1) int64
+    relevant: np.ndarray     # (n_queries, bits + 1) int64
+    class_sizes: np.ndarray  # (n_queries,) database items sharing the query label
+    ap: np.ndarray           # (n_queries,) average precision of the full ranking
+
+    def point(self, threshold: int, zero_retrieval: str) -> tuple[float, float]:
+        """Mean (recall, precision) over queries at one distance threshold."""
+        retrieved = self.retrieved[:, threshold]
+        relevant = self.relevant[:, threshold]
+        nonzero = retrieved > 0
+        precision_per_query = np.zeros(retrieved.shape[0])
+        precision_per_query[nonzero] = relevant[nonzero] / retrieved[nonzero]
+        if zero_retrieval == "skip":
+            precision = float(precision_per_query[nonzero].mean()) if nonzero.any() else 0.0
+        else:
+            precision = float(precision_per_query.mean())
+        recall = float((relevant / self.class_sizes).mean())
+        return recall, precision
+
+    def curve(self, zero_retrieval: str) -> list[tuple[float, float]]:
+        """`point` at every threshold 0..L."""
+        return [self.point(t, zero_retrieval) for t in range(self.retrieved.shape[1])]
+
+
+def retrieval_counts(index: CodeIndex, queries: PackedCodes,
+                     query_labels: np.ndarray) -> RetrievalCounts:
+    """Score every query against the database in one streaming pass.
+
+    Queries go through in blocks sized so that a block's distances, ranking
+    and relevance masks stay within EVAL_BLOCK_BYTES; memory is
+    O(n_queries * bits + block * count). Each block's distances are computed
+    once, ranked by a stable sort (ties by ascending database id), and the
+    ranks of the relevant items give both average precision and the
+    relevant counts at every threshold.
+    """
+    query_labels = _check_query_inputs(index, queries, query_labels)
+    classes, db_class, class_counts = np.unique(
+        index.labels, return_inverse=True, return_counts=True)
+    slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
+    present = classes[slot] == query_labels
+    if not present.all():
+        bad = int(query_labels[np.argmin(present)])
+        raise ValueError(f"query label {bad} absent from database")
+    # Narrow class ids keep the per-block gather of ranked labels small.
+    db_class = db_class.astype(np.min_scalar_type(classes.size - 1))
+    query_class = slot.astype(db_class.dtype)
+    class_sizes = class_counts[slot]
+
+    count, bits = index.codes.count, index.codes.bits
+    retrieved = np.empty((queries.count, bits + 1), dtype=np.int64)
+    relevant = np.empty_like(retrieved)
+    ap = np.empty(queries.count)
+    block = max(1, EVAL_BLOCK_BYTES // (EVAL_PAIR_BYTES * count))
+    for start in range(0, queries.count, block):
+        rows = PackedCodes(words=queries.words[start:start + block], bits=queries.bits)
+        dist = hamming_matrix(index.codes, rows)
+        order = np.argsort(dist, axis=1, kind="stable")
+        hit = db_class[order] == query_class[start:start + block, None]
+        # Relevant positions in each ranking, 0-based, row after row.
+        flat = np.flatnonzero(hit)
+        end = 0
+        for row in range(rows.count):
+            qi = start + row
+            total = int(class_sizes[qi])
+            positions = flat[end:end + total] - row * count
+            end += total
+            ap[qi] = float((np.arange(1, total + 1) / (positions + 1)).sum() / total)
+            retrieved[qi] = np.cumsum(np.bincount(dist[row], minlength=bits + 1))
+            # Within threshold t lie exactly the first retrieved[t] ranks.
+            relevant[qi] = np.searchsorted(positions, retrieved[qi])
+    return RetrievalCounts(retrieved=retrieved, relevant=relevant,
+                           class_sizes=class_sizes, ap=ap)
+
+
+def precision_recall_at_radius(index: CodeIndex, queries: PackedCodes,
+                               query_labels: np.ndarray, radius: int,
+                               zero_retrieval: str = "zero") -> tuple[float, float]:
+    """Mean per-query precision and recall of radius-limited retrieval."""
+    _check_options(zero_retrieval, radius)
+    counts = retrieval_counts(index, queries, query_labels)
+    recall, precision = counts.point(min(radius, index.codes.bits), zero_retrieval)
     return precision, recall
 
 
@@ -94,19 +174,7 @@ def average_precisions(index: CodeIndex, queries: PackedCodes,
     The ranking sorts by distance with ties broken by ascending database id,
     so the values are deterministic.
     """
-    query_labels = _check_query_inputs(index, queries, query_labels)
-    dist = hamming_matrix(index.codes, queries)
-    ranks = np.arange(1, index.codes.count + 1)
-    ap = np.empty(queries.count)
-    for qi in range(queries.count):
-        order = np.argsort(dist[qi], kind="stable")
-        relevant = index.labels[order] == query_labels[qi]
-        total = int(relevant.sum())
-        if total == 0:
-            raise ValueError(f"query label {int(query_labels[qi])} absent from database")
-        hits = np.cumsum(relevant)
-        ap[qi] = float((hits[relevant] / ranks[relevant]).sum() / total)
-    return ap
+    return retrieval_counts(index, queries, query_labels).ap
 
 
 def mean_average_precision(index: CodeIndex, queries: PackedCodes,
@@ -122,53 +190,29 @@ def pr_curve(index: CodeIndex, queries: PackedCodes, query_labels: np.ndarray,
     Sweeping distance thresholds matches Hamming-ranking semantics; recall
     is non-decreasing in the threshold and reaches 1 at threshold L.
     """
-    if zero_retrieval not in ZERO_RETRIEVAL_MODES:
-        raise ValueError(f"zero_retrieval must be one of {ZERO_RETRIEVAL_MODES}")
-    query_labels = _check_query_inputs(index, queries, query_labels)
-    bits = index.codes.bits
-    dist = hamming_matrix(index.codes, queries)
-    match = index.labels[None, :] == query_labels[:, None]
-    class_sizes = match.sum(axis=1)
-    if np.any(class_sizes == 0):
-        bad = int(query_labels[np.argmax(class_sizes == 0)])
-        raise ValueError(f"query label {bad} absent from database")
-
-    # Per query: histogram distances once, cumulative sums give counts at
-    # every threshold in one pass.
-    retrieved_at = np.zeros((queries.count, bits + 1))
-    relevant_at = np.zeros((queries.count, bits + 1))
-    for qi in range(queries.count):
-        retrieved_at[qi] = np.cumsum(np.bincount(dist[qi], minlength=bits + 1))
-        relevant_at[qi] = np.cumsum(
-            np.bincount(dist[qi][match[qi]], minlength=bits + 1))
-    curve = []
-    for t in range(bits + 1):
-        nonzero = retrieved_at[:, t] > 0
-        prec = np.zeros(queries.count)
-        prec[nonzero] = relevant_at[nonzero, t] / retrieved_at[nonzero, t]
-        if zero_retrieval == "skip":
-            precision = float(prec[nonzero].mean()) if nonzero.any() else 0.0
-        else:
-            precision = float(prec.mean())
-        recall = float((relevant_at[:, t] / class_sizes).mean())
-        curve.append((recall, precision))
-    return curve
+    _check_options(zero_retrieval)
+    return retrieval_counts(index, queries, query_labels).curve(zero_retrieval)
 
 
 def evaluate_retrieval(index: CodeIndex, queries: PackedCodes,
                        query_labels: np.ndarray, radius: int = 2,
                        zero_retrieval: str = "zero") -> EvalReport:
-    """Precision/recall at the given radius, MAP, and the full PR curve."""
-    precision, recall = precision_recall_at_radius(
-        index, queries, query_labels, radius, zero_retrieval)
-    ap = average_precisions(index, queries, query_labels)
+    """Precision/recall at the given radius, MAP, and the full PR curve.
+
+    Everything comes from one `retrieval_counts` pass. Precision and recall
+    at radius r are point min(r, L) of the PR curve.
+    """
+    _check_options(zero_retrieval, radius)
+    counts = retrieval_counts(index, queries, query_labels)
+    curve = counts.curve(zero_retrieval)
+    recall, precision = curve[min(radius, index.codes.bits)]
     return EvalReport(
         precision_at_radius=precision,
         recall_at_radius=recall,
-        map=float(ap.mean()),
-        pr_curve=pr_curve(index, queries, query_labels, zero_retrieval),
+        map=float(counts.ap.mean()),
+        pr_curve=curve,
         radius=radius,
-        per_query=ap,
+        per_query=counts.ap,
     )
 
 

@@ -6,6 +6,11 @@ a set bit encodes +1 and a clear bit encodes -1, and unused high bits of the
 last word are always zero. Search is a straight scan over the packed words;
 at the database sizes this toolkit targets, a popcount scan is the honest
 baseline and no acceleration structure is layered on top.
+
+One kernel, `hamming_matrix`, computes every distance: `radius_search`,
+`rank_all` and the evaluation pass all go through it. Distances come back in
+the narrowest unsigned dtype that holds the code length (uint8 up to 255
+bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
 """
 from __future__ import annotations
 
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
+# Bytes of uint64 XOR scratch `hamming_matrix` holds at once by default.
+SCRATCH_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -101,19 +108,52 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
-def hamming_matrix(database: PackedCodes, queries: PackedCodes,
-                   *, block: int = 256) -> np.ndarray:
-    """All query-to-database distances as an (n_queries, count) int32 matrix."""
-    if database.bits != queries.bits:
+def hamming_matrix(database: PackedCodes, queries: PackedCodes | np.ndarray,
+                   *, block: int | None = None) -> np.ndarray:
+    """All query-to-database distances as an (n_queries, count) matrix.
+
+    `queries` is a PackedCodes or a 2-D array of word rows; either must have
+    the database's code length. The result has the narrowest unsigned dtype
+    that holds `bits`. Query rows are processed `block` at a time, by default
+    as many as keep the uint64 XOR scratch within SCRATCH_BYTES.
+    """
+    count, nwords = database.words.shape
+    if not isinstance(queries, PackedCodes):
+        words = np.asarray(queries, dtype=np.uint64)
+        if words.ndim != 2 or words.shape[1] != nwords:
+            raise ValueError(
+                f"code length mismatch: database codes have {nwords} words, "
+                f"query rows have shape {words.shape[1:]}"
+            )
+        # Set tail bits would count as distance and could overflow the dtype.
+        queries = PackedCodes(words=words, bits=database.bits)
+    if queries.bits != database.bits:
         raise ValueError(
             f"code length mismatch: database {database.bits} vs queries {queries.bits}"
         )
-    out = np.empty((queries.count, database.count), dtype=np.int32)
-    for start in range(0, queries.count, block):
-        chunk = queries.words[start:start + block]
-        xor = chunk[:, None, :] ^ database.words[None, :, :]
-        out[start:start + block] = np.bitwise_count(xor).sum(axis=2, dtype=np.int32)
+    words = queries.words
+    if block is None:
+        block = max(1, SCRATCH_BYTES // (8 * max(count, 1)))
+    # One contiguous column per word, so each XOR streams the database once.
+    columns = np.ascontiguousarray(database.words.T)
+    out = np.empty((words.shape[0], count), dtype=np.min_scalar_type(database.bits))
+    xor = np.empty((min(block, words.shape[0]), count), dtype=np.uint64)
+    for start in range(0, words.shape[0], block):
+        rows = words[start:start + block]
+        dist = out[start:start + block]
+        scratch = xor[:rows.shape[0]]
+        for j in range(nwords):
+            np.bitwise_xor(rows[:, j, None], columns[j], out=scratch)
+            if j == 0:
+                np.bitwise_count(scratch, out=dist)
+            else:
+                dist += np.bitwise_count(scratch)
     return out
+
+
+def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
+    """Distances from one word row to every database code."""
+    return hamming_matrix(index.codes, np.asarray(query, dtype=np.uint64)[None])[0]
 
 
 def radius_search(index: CodeIndex, query: np.ndarray,
@@ -121,15 +161,12 @@ def radius_search(index: CodeIndex, query: np.ndarray,
     """All (id, distance) pairs within the radius, ascending by (distance, id)."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    dist = np.bitwise_count(index.codes.words ^ np.asarray(query, dtype=np.uint64))
-    dist = dist.sum(axis=1, dtype=np.int32)
+    dist = _query_distances(index, query)
     hits = np.flatnonzero(dist <= radius)
     order = hits[np.argsort(dist[hits], kind="stable")]
-    return [(int(i), int(dist[i])) for i in order]
+    return list(zip(order.tolist(), dist[order].tolist()))
 
 
 def rank_all(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """All database ids sorted ascending by distance, ties by ascending id."""
-    dist = np.bitwise_count(index.codes.words ^ np.asarray(query, dtype=np.uint64))
-    dist = dist.sum(axis=1, dtype=np.int32)
-    return np.argsort(dist, kind="stable")
+    return np.argsort(_query_distances(index, query), kind="stable")

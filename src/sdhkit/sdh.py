@@ -156,6 +156,14 @@ def b_step(state: SdhState, features: np.ndarray, labels: np.ndarray,
     label only, so just one problem per class is solved and the result is
     broadcast to all samples of that class. Returns (codes, exact).
     """
+    projected = None
+    if state.nu != 0.0:
+        projected = state.projection.T @ np.asarray(features, dtype=np.float64)
+    return _b_step(state, projected, labels, solver, sweeps, budget_nodes)
+
+
+def _b_step(state, projected, labels, solver, sweeps, budget_nodes):
+    """`b_step` given P^T X (`projected`, unused when nu = 0)."""
     if solver not in B_STEP_SOLVERS:
         raise ValueError(f"unknown b-step solver {solver!r}; expected one of {B_STEP_SOLVERS}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -174,9 +182,8 @@ def b_step(state: SdhState, features: np.ndarray, labels: np.ndarray,
             exact = exact and solved_exact
         return new_codes, exact
 
-    x = np.asarray(features, dtype=np.float64)
     y = one_hot(labels, w.shape[1])
-    f_all = -2.0 * (w @ y + state.nu * (state.projection.T @ x))
+    f_all = -2.0 * (w @ y + state.nu * projected)
     if solver == "dcc":
         return biqp.dcc_batch(q, f_all, state.codes, max_sweeps=sweeps), False
     new_codes = np.empty_like(state.codes)
@@ -202,12 +209,18 @@ def _solve_one(q, f, init, solver, sweeps, budget_nodes):
 def objective(state: SdhState, features: np.ndarray,
               labels: np.ndarray) -> ObjectiveBreakdown:
     """Evaluate every term of the training objective at the current state."""
+    projected = state.projection.T @ np.asarray(features, dtype=np.float64)
+    return _objective(state, projected, labels)
+
+
+def _objective(state: SdhState, projected: np.ndarray,
+               labels: np.ndarray) -> ObjectiveBreakdown:
+    """`objective` given P^T X (`projected`)."""
     b = state.codes.astype(np.float64)
     y = one_hot(labels, state.weights.shape[1])
     classification = float(((y - state.weights.T @ b) ** 2).sum())
     regularizer = state.lam * float((state.weights ** 2).sum())
-    fit = b - state.projection.T @ np.asarray(features, dtype=np.float64)
-    p_loss = float((fit ** 2).sum())
+    p_loss = float(((b - projected) ** 2).sum())
     bias = state.nu * p_loss
     return ObjectiveBreakdown(
         classification_term=classification,
@@ -269,10 +282,11 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     for it in range(max_iters):
         state.projection = projection_solver.solve(state.codes)
         state.weights = w_step(state.codes, labels, class_count, lam)
-        state.codes, _ = b_step(state, x, labels, solver,
-                                sweeps=sweeps, budget_nodes=budget_nodes)
+        # One P^T X per iteration feeds both the code step and the objective.
+        projected = state.projection.T @ x
+        state.codes, _ = _b_step(state, projected, labels, solver, sweeps, budget_nodes)
         state.iteration = it + 1
-        trajectory.append(objective(state, x, labels))
+        trajectory.append(_objective(state, projected, labels))
     return state, trajectory
 
 

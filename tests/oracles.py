@@ -103,6 +103,72 @@ def average_precision_reference(relevance_in_rank_order) -> float:
     return acc / total
 
 
+def retrieval_three_pass(db_signs: np.ndarray, db_labels: np.ndarray,
+                         query_signs: np.ndarray, query_labels: np.ndarray,
+                         radius: int, zero_retrieval: str = "zero") -> dict:
+    """Retrieval metrics in three separate passes of per-query loops, each
+    recounting distances from the unpacked sign matrices: precision and
+    recall at `radius`, then average precision of the (distance, id)
+    ranking, then (recall, precision) at every threshold 0..L.
+
+    Per-query values are plain Python divisions collected into float64
+    arrays; every mean, and each query's sum of hits / rank, is NumPy's sum
+    of such an array, so the results can be compared bit for bit. A query
+    label absent from the database raises ValueError naming it.
+    """
+    bits, query_count = query_signs.shape
+    count = db_signs.shape[1]
+    ids = np.arange(count)
+
+    def distances(qi):
+        return sign_distances(db_signs, query_signs[:, qi])
+
+    def class_size(qi):
+        size = int((db_labels == query_labels[qi]).sum())
+        if size == 0:
+            raise ValueError(f"query label {int(query_labels[qi])} absent from database")
+        return size
+
+    def averages(counts):
+        # counts: per query (retrieved, relevant retrieved, class size)
+        precisions = [rel / ret if ret else 0.0 for ret, rel, _ in counts]
+        if zero_retrieval == "skip":
+            kept = [p for p, (ret, _, _) in zip(precisions, counts) if ret]
+            precision = float(np.array(kept).mean()) if kept else 0.0
+        else:
+            precision = float(np.array(precisions).mean())
+        recall = float(np.array([rel / size for _, rel, size in counts]).mean())
+        return recall, precision
+
+    at_radius = []
+    for qi in range(query_count):
+        hits = np.flatnonzero(distances(qi) <= radius)
+        matching = int((db_labels[hits] == query_labels[qi]).sum())
+        at_radius.append((len(hits), matching, class_size(qi)))
+    recall, precision = averages(at_radius)
+
+    per_query = []
+    for qi in range(query_count):
+        order = np.lexsort((ids, distances(qi)))
+        relevant_ranks = np.flatnonzero(db_labels[order] == query_labels[qi]) + 1
+        ratios = [hit / int(rank) for hit, rank in enumerate(relevant_ranks, start=1)]
+        per_query.append(float(np.array(ratios).sum() / class_size(qi)))
+
+    curve = []
+    all_distances = [distances(qi) for qi in range(query_count)]
+    for t in range(bits + 1):
+        counts = []
+        for qi in range(query_count):
+            within = all_distances[qi] <= t
+            matching = int((within & (db_labels == query_labels[qi])).sum())
+            counts.append((int(within.sum()), matching, class_size(qi)))
+        curve.append(averages(counts))
+
+    per_query = np.array(per_query)
+    return {"precision_at_radius": precision, "recall_at_radius": recall,
+            "map": float(per_query.mean()), "per_query": per_query, "pr_curve": curve}
+
+
 def grid_simplex_min_3(fn, total: float, step: float):
     """Grid-search min of fn(x1)+fn(x2)+fn(x3) over the simplex
     x1+x2+x3 = total, xi >= 0."""

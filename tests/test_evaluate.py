@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,100 @@ class TestPrCurve:
         curve = evaluate.pr_curve(idx, pack_signs(signs[:, :12]), labels[:12])
         recalls = [r for r, _ in curve]
         assert all(b >= a for a, b in zip(recalls, recalls[1:]))
+
+
+def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
+    """Codes scattered around one random prototype per class, so radius
+    retrieval finds neighbours at every code length."""
+    prototypes = 2 * rng.integers(0, 2, (bits, classes)) - 1
+    labels = rng.integers(0, classes, count + query_count)
+    labels[:classes] = np.arange(classes)
+    flips = np.where(rng.random((bits, count + query_count)) < flip, -1, 1)
+    signs = (prototypes[:, labels] * flips).astype(np.int8)
+    return (signs[:, :count], labels[:count], signs[:, count:], labels[count:])
+
+
+def limit_block(monkeypatch, count, rows):
+    """Make `retrieval_counts` score `rows` queries per block."""
+    monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", evaluate.EVAL_PAIR_BYTES * count * rows)
+
+
+class TestStreamingPass:
+    @pytest.mark.parametrize("bits", [1, 64, 255, 256, 512])
+    @pytest.mark.parametrize("zero_retrieval", ["zero", "skip"])
+    def test_bitwise_equal_to_three_pass_oracle(self, bits, zero_retrieval, monkeypatch):
+        rng = np.random.default_rng(bits)
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, bits, 150, 23)
+        limit_block(monkeypatch, 150, 5)  # 23 queries: four full blocks and one of 3
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        queries = pack_signs(q_signs)
+        for radius in (0, max(1, bits // 10), bits, bits + 7):
+            report = evaluate.evaluate_retrieval(idx, queries, q_labels, radius,
+                                                 zero_retrieval)
+            expected = oracles.retrieval_three_pass(db_signs, db_labels, q_signs, q_labels,
+                                                    radius, zero_retrieval)
+            assert report.precision_at_radius == expected["precision_at_radius"]
+            assert report.recall_at_radius == expected["recall_at_radius"]
+            assert report.map == expected["map"]
+            assert report.pr_curve == expected["pr_curve"]
+            assert np.array_equal(report.per_query, expected["per_query"])
+            assert report.radius == radius
+
+    def test_views_agree_with_the_report(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, 48, 90, 11)
+        limit_block(monkeypatch, 90, 4)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        queries = pack_signs(q_signs)
+        report = evaluate.evaluate_retrieval(idx, queries, q_labels, 3, "skip")
+        assert evaluate.precision_recall_at_radius(idx, queries, q_labels, 3, "skip") == (
+            report.precision_at_radius, report.recall_at_radius)
+        assert evaluate.pr_curve(idx, queries, q_labels, "skip") == report.pr_curve
+        assert np.array_equal(evaluate.average_precisions(idx, queries, q_labels),
+                              report.per_query)
+        assert evaluate.mean_average_precision(idx, queries, q_labels) == report.map
+
+    def test_absent_label_in_a_later_block_is_named(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, 32, 80, 12)
+        limit_block(monkeypatch, 80, 4)
+        q_labels[9], q_labels[11] = 98, 99  # only the third block holds them
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        with pytest.raises(ValueError, match="query label 98 absent from database"):
+            evaluate.evaluate_retrieval(idx, pack_signs(q_signs), q_labels)
+        with pytest.raises(ValueError, match="query label 98 absent from database"):
+            oracles.retrieval_three_pass(db_signs, db_labels, q_signs, q_labels, 2)
+
+    def test_rejects_bad_options_before_scoring(self):
+        rng = np.random.default_rng(32)
+        idx, signs, labels = small_instance(rng)
+        queries = pack_signs(signs[:, :3])
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate.evaluate_retrieval(idx, queries, labels[:3], radius=-1)
+        with pytest.raises(ValueError, match="zero_retrieval"):
+            evaluate.evaluate_retrieval(idx, queries, labels[:3], zero_retrieval="none")
+
+    def test_peak_memory_is_flat_in_the_query_count(self):
+        # The default block budget against a database large enough that
+        # the larger query set's Q x N distances alone would exceed it.
+        rng = np.random.default_rng(33)
+        count, bits = 20_000, 16
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, bits, count, 1280)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        queries = pack_signs(q_signs)
+
+        def peak(query_count):
+            subset = index.PackedCodes(words=queries.words[:query_count], bits=bits)
+            tracemalloc.start()
+            try:
+                evaluate.evaluate_retrieval(idx, subset, q_labels[:query_count])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(80), peak(1280)
+        assert large < 1.2 * small
+        assert large < 1280 * count  # below even a uint8 Q x N distance matrix
 
 
 class TestBiasDiagnostics:

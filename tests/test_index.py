@@ -182,3 +182,77 @@ def test_hamming_matrix_matches_pairwise():
     for qi in range(7):
         for di in range(40):
             assert matrix[qi, di] == index.hamming(queries.code(qi), db.code(di))
+
+
+@pytest.mark.parametrize("bits,dtype", [(1, np.uint8), (64, np.uint8), (255, np.uint8),
+                                        (256, np.uint16), (512, np.uint16)])
+def test_hamming_matrix_narrow_dtype_matches_sign_oracle(bits, dtype):
+    rng = np.random.default_rng(bits)
+    db_signs = random_signs(rng, bits, 50)
+    q_signs = random_signs(rng, bits, 9)
+    db, queries = index.pack(db_signs), index.pack(q_signs)
+    for block in (None, 4):
+        matrix = index.hamming_matrix(db, queries, block=block)
+        assert matrix.dtype == dtype
+        for qi in range(9):
+            assert np.array_equal(matrix[qi], oracles.sign_distances(db_signs, q_signs[:, qi]))
+    rows = index.hamming_matrix(db, queries.words)
+    assert np.array_equal(rows, index.hamming_matrix(db, queries))
+
+
+def test_hamming_matrix_rejects_other_code_lengths():
+    db = index.pack(random_signs(np.random.default_rng(10), 64, 5))
+    with pytest.raises(ValueError, match="code length mismatch"):
+        index.hamming_matrix(db, index.pack(random_signs(np.random.default_rng(11), 32, 2)))
+    with pytest.raises(ValueError, match="code length mismatch"):
+        index.hamming_matrix(db, np.zeros((2, 2), dtype=np.uint64))
+
+
+class TestQueryWordCount:
+    """A query row with the wrong number of words used to broadcast against
+    the database and return distances over the wrong bits."""
+
+    def make_index(self, bits):
+        signs = random_signs(np.random.default_rng(bits), bits, 30)
+        return index.CodeIndex(codes=index.pack(signs), labels=np.zeros(30, dtype=np.int64))
+
+    def test_two_words_against_a_64_bit_index(self):
+        idx = self.make_index(64)
+        query = np.zeros(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match="code length mismatch"):
+            index.radius_search(idx, query, 2)
+        with pytest.raises(ValueError, match="code length mismatch"):
+            index.rank_all(idx, query)
+
+    def test_set_tail_bits_are_rejected(self):
+        idx = self.make_index(255)
+        query = idx.codes.code(0).copy()
+        query[-1] |= np.uint64(1 << 63)
+        with pytest.raises(ValueError, match="tail bits"):
+            index.radius_search(idx, query, 2)
+
+    def test_one_word_against_a_128_bit_index(self):
+        idx = self.make_index(128)
+        query = idx.codes.code(0)[:1]
+        with pytest.raises(ValueError, match="code length mismatch"):
+            index.radius_search(idx, query, 2)
+        with pytest.raises(ValueError, match="code length mismatch"):
+            index.rank_all(idx, query)
+
+
+def test_search_at_sixteen_bit_distances_matches_oracle():
+    rng = np.random.default_rng(12)
+    signs = random_signs(rng, 300, 120)
+    signs[:, 5] = signs[:, 0]
+    signs[:40, 9] = -signs[:40, 0]
+    signs[40:, 9] = signs[40:, 0]
+    idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(120, dtype=np.int64))
+    expected = oracles.sign_distances(signs, signs[:, 0])
+    hits = index.radius_search(idx, idx.codes.code(0), 280)
+    within = np.flatnonzero(expected <= 280)
+    assert hits == sorted(((int(i), int(expected[i])) for i in within),
+                          key=lambda hit: (hit[1], hit[0]))
+    assert hits[:2] == [(0, 0), (5, 0)] and (9, 40) in hits
+    assert all(type(i) is int and type(d) is int for i, d in hits)
+    assert np.array_equal(index.rank_all(idx, idx.codes.code(0)),
+                          np.lexsort((np.arange(120), expected)))
