@@ -17,9 +17,10 @@ from .evaluate import (
     pr_curve,
     precision_recall_at_radius,
 )
-from .fsdh import DatasetFingerprint, HashModel, encode, load_model, optimal_weights, save_model, train_fsdh
+from .fsdh import optimal_weights, train_fsdh
 from .index import CodeIndex, PackedCodes, hamming, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
+from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 from .sdh import (
     ObjectiveBreakdown,
     ProjectionSolver,

@@ -18,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import codes, dataset, evaluate, fsdh, index, kernelmap, sdh
+from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 FIGURES = ("fig1", "bitscale", "losses", "biasmap")
+METHODS = ("fsdh", "sdh")
 
 DEFAULTS = {
     "source": "synth",
@@ -52,6 +54,18 @@ DEFAULTS = {
     "fig1_samples": "10",
     "losses_bits_list": "16,32,64",
     "biasmap_anchors": "100",
+}
+
+# The keys that describe one dataset; `eval` reads one such block per role,
+# with the `db_` and `query_` prefixes.
+DATASET_KEYS = ("source", "limit", "normalize", "images", "labels", "features")
+KNOWN_KEYS = frozenset(DEFAULTS).union(
+    ("outdir", "model", "images", "labels", "features"),
+    (role + key for role in ("db_", "query_") for key in DATASET_KEYS))
+CHOICES = {
+    "method": METHODS,
+    "solver": sdh.B_STEP_SOLVERS,
+    "zero_retrieval": evaluate.ZERO_RETRIEVAL_MODES,
 }
 
 
@@ -97,7 +111,29 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         cfg[key.strip()] = value.strip()
     if getattr(args, "outdir", None):
         cfg["outdir"] = args.outdir
+    _check_config(cfg)
     return cfg
+
+
+def _check_config(cfg: dict[str, str]) -> None:
+    """Reject misspelled keys and option values before any data loads."""
+    unknown = sorted(set(cfg) - KNOWN_KEYS)
+    if unknown:
+        raise StageError("config", f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    for key, choices in CHOICES.items():
+        _check_choice(key, cfg[key], choices)
+    for method in _bitscale_methods(cfg):
+        _check_choice("bitscale_methods", method, METHODS)
+
+
+def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise StageError("config",
+                         f"key {key!r} must be one of {', '.join(choices)}, got {value!r}")
+
+
+def _bitscale_methods(cfg: dict[str, str]) -> list[str]:
+    return [m.strip() for m in cfg["bitscale_methods"].split(",") if m.strip()]
 
 
 def _cfg_int(cfg, key):
@@ -119,6 +155,13 @@ def _cfg_int_list(cfg, key):
         return [int(v) for v in cfg[key].split(",") if v.strip()]
     except (KeyError, ValueError):
         raise StageError("config", f"key {key!r} must be comma-separated integers")
+
+
+def _sdh_options(cfg) -> dict:
+    """Keyword arguments of `sdh.train_sdh` from the config."""
+    return {"lam": _cfg_float(cfg, "lambda"), "nu": _cfg_float(cfg, "nu"),
+            "max_iters": _cfg_int(cfg, "iters"), "seed": _cfg_int(cfg, "seed"),
+            "solver": cfg["solver"], "sweeps": _cfg_int(cfg, "sweeps")}
 
 
 def _require(cfg, key, stage_name="config"):
@@ -145,10 +188,10 @@ def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
         return f"{prefix}{k}" if prefix else k
 
     source = cfg.get(key("source"), cfg.get("source", "synth"))
-    limit_raw = cfg.get(key("limit"), "")
-    limit = int(limit_raw) if limit_raw else None
+    limit = _cfg_int(cfg, key("limit")) if cfg.get(key("limit")) else None
     with stage("dataset"):
         if source == "mnist":
+            # The loader truncates the raw pixels before the float conversion.
             data = dataset.load_mnist(_require(cfg, key("images"), "dataset"),
                                       _require(cfg, key("labels"), "dataset"),
                                       limit=limit)
@@ -163,21 +206,38 @@ def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
                 spread=_cfg_float(cfg, "spread"),
                 seed=_cfg_int(cfg, "data_seed"),
             )
-            if limit is not None:
-                if limit == 0:
-                    raise ValueError("empty dataset requested (limit=0)")
-                if limit < 0:
-                    raise ValueError(f"limit must be positive, got {limit}")
-                data = dataset.RawDataset(features=data.features[:, :limit],
-                                          labels=data.labels[:limit],
-                                          class_count=data.class_count)
         else:
             raise ValueError(f"unknown dataset source {source!r}")
+        data = dataset.truncate(data, limit)
     mode = cfg.get(key("normalize"), cfg.get("normalize", "unit_norm"))
     if mode != "none":
         with stage("normalize"):
             data = dataset.normalize(data, mode)
     return data
+
+
+def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
+                 data: dataset.RawDataset, bits: int,
+                 options: dict) -> tuple[HashModel, float, list | None]:
+    """Train `method` on the kernel features of `data` and assemble its model.
+
+    Returns the model, the trainer's wall time in seconds, and the sdh
+    objective trajectory (None for fsdh).
+    """
+    fingerprint = DatasetFingerprint(sample_count=data.sample_count, dim=data.dim,
+                                     class_count=data.class_count, seed=options["seed"])
+    start = time.perf_counter()
+    if method == "fsdh":
+        projection, class_codes = fsdh.train_fsdh(features, data.labels, data.class_count, bits)
+        trajectory = None
+    else:
+        state, trajectory = sdh.train_sdh(features, data.labels, data.class_count, bits,
+                                          **options)
+        projection, class_codes = state.projection, None
+    elapsed = time.perf_counter() - start
+    model = HashModel(kernel=kmap, projection=projection, class_codes=class_codes,
+                      lam=options["lam"], trained_on=fingerprint)
+    return model, elapsed, trajectory
 
 
 def cmd_train(cfg: dict[str, str]) -> int:
@@ -186,53 +246,31 @@ def cmd_train(cfg: dict[str, str]) -> int:
     data = _load_dataset(cfg)
     method = cfg["method"]
     bits = _cfg_int(cfg, "bits")
-    lam = _cfg_float(cfg, "lambda")
-    seed = _cfg_int(cfg, "seed")
+    options = _sdh_options(cfg)
 
     with stage("dataset"):
         dataset.validate_training_labels(data)
     with stage("kernel"):
         kmap = kernelmap.fit_anchors(data, _cfg_int(cfg, "anchors"),
-                                     _cfg_float(cfg, "sigma"), seed)
+                                     _cfg_float(cfg, "sigma"), options["seed"])
     with stage("transform"):
         features = kernelmap.transform(kmap, data.features)
 
-    fingerprint = fsdh.DatasetFingerprint(
-        sample_count=data.sample_count, dim=data.dim,
-        class_count=data.class_count, seed=seed)
     log_lines = [f"method={method}", f"bits={bits}",
                  f"samples={data.sample_count}", f"classes={data.class_count}",
                  f"anchors={kmap.anchor_count}"]
 
     with stage("train"):
-        start = time.perf_counter()
-        if method == "fsdh":
-            projection, class_codes = fsdh.train_fsdh(
-                features, data.labels, data.class_count, bits)
-            elapsed = time.perf_counter() - start
-            model = fsdh.HashModel(kernel=kmap, projection=projection,
-                                   class_codes=class_codes, lam=lam,
-                                   trained_on=fingerprint)
-        elif method == "sdh":
-            state, trajectory = sdh.train_sdh(
-                features, data.labels, data.class_count, bits,
-                lam=lam, nu=_cfg_float(cfg, "nu"),
-                max_iters=_cfg_int(cfg, "iters"), seed=seed,
-                solver=cfg["solver"], sweeps=_cfg_int(cfg, "sweeps"))
-            elapsed = time.perf_counter() - start
-            model = fsdh.HashModel(kernel=kmap, projection=state.projection,
-                                   class_codes=None, lam=lam,
-                                   trained_on=fingerprint)
+        model, elapsed, trajectory = _train_model(method, kmap, features, data, bits, options)
+        if trajectory is not None:
             sdh.write_trajectory_csv(out / "trajectory.csv", trajectory)
             final = trajectory[-1]
             log_lines += [f"final_total={final.total!r}",
                           f"final_classification_term={final.classification_term!r}",
                           f"final_p_loss={final.p_loss!r}"]
-        else:
-            raise ValueError(f"unknown method {method!r}; expected fsdh or sdh")
 
     with stage("save"):
-        fsdh.save_model(model, out / "model.fsdh")
+        save_model(model, out / "model.fsdh")
         log_lines.append(f"learning_time_s={elapsed:.3f}")
         (out / "train_log.txt").write_text("\n".join(log_lines) + "\n")
     print(f"learning_time_s={elapsed:.3f}")
@@ -244,12 +282,12 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     out = _outdir(cfg)
     _write_config_copy(cfg, out)
     with stage("model"):
-        model = fsdh.load_model(_require(cfg, "model", "model"))
+        model = load_model(_require(cfg, "model", "model"))
     database = _load_dataset(cfg, prefix="db_")
     queries = _load_dataset(cfg, prefix="query_")
     with stage("encode"):
-        db_codes = fsdh.encode(model, database.features)
-        query_codes = fsdh.encode(model, queries.features)
+        db_codes = encode(model, database.features)
+        query_codes = encode(model, queries.features)
     with stage("index"):
         code_index = index.CodeIndex(codes=db_codes, labels=database.labels)
     with stage("evaluate"):
@@ -332,38 +370,22 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
 def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
     bits_list = _cfg_int_list(cfg, "bits_list")
     test_per_class = _cfg_int(cfg, "test_per_class")
-    methods = [m.strip() for m in cfg["bitscale_methods"].split(",") if m.strip()]
+    methods = _bitscale_methods(cfg)
+    options = _sdh_options(cfg)
     data = _load_dataset(cfg)
     train, test = _split_train_test(data, test_per_class)
     kmap = kernelmap.fit_anchors(train, min(_cfg_int(cfg, "anchors"), train.sample_count),
-                                 _cfg_float(cfg, "sigma"), _cfg_int(cfg, "seed"))
+                                 _cfg_float(cfg, "sigma"), options["seed"])
     features = kernelmap.transform(kmap, train.features)
     radius = _cfg_int(cfg, "radius")
-    lam = _cfg_float(cfg, "lambda")
-    fingerprint = fsdh.DatasetFingerprint(train.sample_count, train.dim,
-                                          train.class_count, _cfg_int(cfg, "seed"))
 
     rows = []
     for bits in bits_list:
         for method in methods:
-            start = time.perf_counter()
-            if method == "fsdh":
-                projection, class_codes = fsdh.train_fsdh(
-                    features, train.labels, train.class_count, bits)
-            else:
-                state, _ = sdh.train_sdh(features, train.labels, train.class_count,
-                                         bits, lam=lam, nu=_cfg_float(cfg, "nu"),
-                                         max_iters=_cfg_int(cfg, "iters"),
-                                         seed=_cfg_int(cfg, "seed"), solver=cfg["solver"],
-                                         sweeps=_cfg_int(cfg, "sweeps"))
-                projection, class_codes = state.projection, None
-            elapsed = time.perf_counter() - start
-            model = fsdh.HashModel(kernel=kmap, projection=projection,
-                                   class_codes=class_codes, lam=lam,
-                                   trained_on=fingerprint)
-            code_index = index.CodeIndex(codes=fsdh.encode(model, train.features),
+            model, elapsed, _ = _train_model(method, kmap, features, train, bits, options)
+            code_index = index.CodeIndex(codes=encode(model, train.features),
                                          labels=train.labels)
-            query_codes = fsdh.encode(model, test.features)
+            query_codes = encode(model, test.features)
             precision, _ = evaluate.precision_recall_at_radius(
                 code_index, query_codes, test.labels, radius)
             rows.append([method, bits, f"{elapsed:.3f}", repr(precision)])
@@ -377,25 +399,15 @@ def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
 
 def _figure_losses(cfg: dict[str, str], out: Path) -> None:
     bits_list = _cfg_int_list(cfg, "losses_bits_list")
+    options = _sdh_options(cfg)
     data = _load_dataset(cfg)
     kmap = kernelmap.fit_anchors(data, min(_cfg_int(cfg, "anchors"), data.sample_count),
-                                 _cfg_float(cfg, "sigma"), _cfg_int(cfg, "seed"))
+                                 _cfg_float(cfg, "sigma"), options["seed"])
     features = kernelmap.transform(kmap, data.features)
-    lam = _cfg_float(cfg, "lambda")
-    fingerprint = fsdh.DatasetFingerprint(data.sample_count, data.dim,
-                                          data.class_count, _cfg_int(cfg, "seed"))
     rows = []
     for bits in bits_list:
-        state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits,
-                                 lam=lam, nu=_cfg_float(cfg, "nu"),
-                                 max_iters=_cfg_int(cfg, "iters"),
-                                 seed=_cfg_int(cfg, "seed"), solver=cfg["solver"],
-                                 sweeps=_cfg_int(cfg, "sweeps"))
-        projection, class_codes = fsdh.train_fsdh(features, data.labels,
-                                                  data.class_count, bits)
-        model = fsdh.HashModel(kernel=kmap, projection=projection,
-                               class_codes=class_codes, lam=lam,
-                               trained_on=fingerprint)
+        state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits, **options)
+        model, _, _ = _train_model("fsdh", kmap, features, data, bits, options)
         row = evaluate.loss_table(state, model, features, data.labels)
         rows.append([row.bits, repr(row.sdh_w_loss), repr(row.sdh_p_loss),
                      repr(row.fsdh_w_loss), repr(row.fsdh_p_loss)])
@@ -456,10 +468,10 @@ def cmd_bench(cfg: dict[str, str]) -> int:
     repeats = _cfg_int(cfg, "repeats")
     bits_list = _cfg_int_list(cfg, "bits_list")
     method = cfg["method"]
-    seed = _cfg_int(cfg, "seed")
+    options = _sdh_options(cfg)
     with stage("kernel"):
         kmap = kernelmap.fit_anchors(data, min(_cfg_int(cfg, "anchors"), data.sample_count),
-                                     _cfg_float(cfg, "sigma"), seed)
+                                     _cfg_float(cfg, "sigma"), options["seed"])
 
     def median_time(fn):
         times = []
@@ -489,10 +501,7 @@ def cmd_bench(cfg: dict[str, str]) -> int:
                 total = transform_s + code_s + solve_s
             else:
                 train_s = median_time(lambda: sdh.train_sdh(
-                    features, data.labels, data.class_count, bits,
-                    lam=_cfg_float(cfg, "lambda"), nu=_cfg_float(cfg, "nu"),
-                    max_iters=_cfg_int(cfg, "iters"), seed=seed,
-                    solver=cfg["solver"], sweeps=_cfg_int(cfg, "sweeps")))
+                    features, data.labels, data.class_count, bits, **options))
                 rows.append([method, bits, "train", f"{train_s:.3f}"])
                 total = transform_s + train_s
             rows.append([method, bits, "total", f"{total:.3f}"])

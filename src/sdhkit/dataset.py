@@ -157,6 +157,22 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
         f.write(labels.astype(np.uint8).tobytes())
 
 
+def _check_limit(limit: int) -> None:
+    if limit == 0:
+        raise ValueError("empty dataset requested (limit=0)")
+    if limit < 0:
+        raise ValueError(f"limit must be positive, got {limit}")
+
+
+def truncate(dataset: RawDataset, limit: int | None) -> RawDataset:
+    """Keep the first `limit` samples in order; None keeps every sample."""
+    if limit is None:
+        return dataset
+    _check_limit(limit)
+    return RawDataset(features=dataset.features[:, :limit], labels=dataset.labels[:limit],
+                      class_count=dataset.class_count)
+
+
 def load_mnist(images_path: str | Path, labels_path: str | Path,
                limit: int | None = None) -> RawDataset:
     """Load an MNIST-style IDX image/label pair as a 10-class dataset.
@@ -172,10 +188,7 @@ def load_mnist(images_path: str | Path, labels_path: str | Path,
             f"(byte offset 4) but {labels_path} declares {labels.shape[0]} labels (byte offset 4)"
         )
     if limit is not None:
-        if limit == 0:
-            raise ValueError("empty dataset requested (limit=0)")
-        if limit < 0:
-            raise ValueError(f"limit must be positive, got {limit}")
+        _check_limit(limit)
         images = images[:limit]
         labels = labels[:limit]
     if labels.size and labels.max() > 9:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .codes import expand_codes
-from .fsdh import HashModel
 from .index import CodeIndex, PackedCodes, hamming_matrix
+from .model import HashModel
 from .sdh import SdhState, one_hot, w_step
 
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
@@ -40,8 +40,7 @@ class EvalReport:
     map: float
     pr_curve: list[tuple[float, float]]  # (recall, precision) per threshold
     radius: int
-    per_query: np.ndarray | None = None      # per-query average precision
-    losses: "LossRow | None" = None          # paired-run losses, when computed
+    per_query: np.ndarray | None = None  # per-query average precision
 
     def __post_init__(self):
         for name in ("precision_at_radius", "recall_at_radius", "map"):

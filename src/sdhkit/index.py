@@ -52,10 +52,6 @@ class PackedCodes:
     def count(self) -> int:
         return self.words.shape[0]
 
-    def code(self, i: int) -> np.ndarray:
-        """Word row of code i."""
-        return self.words[i]
-
 
 @dataclass(frozen=True)
 class CodeIndex:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sdhkit import biqp, codes, dataset, evaluate, fsdh, index, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel, encode
 
 import oracles
 
@@ -29,13 +30,13 @@ def _train_eval_mnist_fsdh(mnist_paths, seed, bits=32, anchors=1000,
     features = kernelmap.transform(kmap, train.features)
     projection, class_codes = fsdh.train_fsdh(features, train.labels,
                                               train.class_count, bits)
-    model = fsdh.HashModel(
+    model = HashModel(
         kernel=kmap, projection=projection, class_codes=class_codes, lam=1.0,
-        trained_on=fsdh.DatasetFingerprint(train.sample_count, train.dim,
-                                           train.class_count, seed))
-    idx = index.CodeIndex(codes=fsdh.encode(model, train.features),
+        trained_on=DatasetFingerprint(train.sample_count, train.dim,
+                                      train.class_count, seed))
+    idx = index.CodeIndex(codes=encode(model, train.features),
                           labels=train.labels)
-    queries = fsdh.encode(model, test.features)
+    queries = encode(model, test.features)
     precision, _ = evaluate.precision_recall_at_radius(idx, queries, test.labels, 2)
     map_value = evaluate.mean_average_precision(idx, queries, test.labels)
     return precision, map_value
@@ -74,13 +75,13 @@ def test_criterion_2_bit_scalability():
         start = time.perf_counter()
         projection, class_codes = fsdh.train_fsdh(features, train.labels, 10, bits)
         times[bits] = time.perf_counter() - start
-        model = fsdh.HashModel(
+        model = HashModel(
             kernel=kmap, projection=projection, class_codes=class_codes, lam=1.0,
-            trained_on=fsdh.DatasetFingerprint(10000, 32, 10, 0))
-        idx = index.CodeIndex(codes=fsdh.encode(model, train.features),
+            trained_on=DatasetFingerprint(10000, 32, 10, 0))
+        idx = index.CodeIndex(codes=encode(model, train.features),
                               labels=train.labels)
         precision, _ = evaluate.precision_recall_at_radius(
-            idx, fsdh.encode(model, test.features), test.labels, 2)
+            idx, encode(model, test.features), test.labels, 2)
         precisions[bits] = precision
 
     ratio = times[512] / times[32]
@@ -103,13 +104,13 @@ def test_criterion_3_bias_term_is_negligible(mnist_paths):
     for nu in (1e-5, 0.0):
         state, _ = sdh.train_sdh(features, train.labels, train.class_count, 32,
                                  lam=1.0, nu=nu, max_iters=5, seed=0, solver="dcc")
-        model = fsdh.HashModel(
+        model = HashModel(
             kernel=kmap, projection=state.projection, class_codes=None, lam=1.0,
-            trained_on=fsdh.DatasetFingerprint(2000, train.dim, 10, 0))
-        idx = index.CodeIndex(codes=fsdh.encode(model, train.features),
+            trained_on=DatasetFingerprint(2000, train.dim, 10, 0))
+        idx = index.CodeIndex(codes=encode(model, train.features),
                               labels=train.labels)
         maps[nu] = evaluate.mean_average_precision(
-            idx, fsdh.encode(model, test.features), test.labels)
+            idx, encode(model, test.features), test.labels)
     gap = abs(maps[1e-5] - maps[0.0])
     ok = gap <= 0.02
     _report(3, ok, f"map(nu=1e-5)={maps[1e-5]:.4f} map(nu=0)={maps[0.0]:.4f} "
@@ -175,12 +176,12 @@ def test_criterion_6_retrieval_engine_oracle_equivalence():
         ids = np.arange(2000)
         for qi in range(1000):
             expected_dist = oracles.sign_distances(db_signs, q_signs[:, qi])
-            hits = index.radius_search(idx, queries.code(qi), 2)
+            hits = index.radius_search(idx, queries.words[qi], 2)
             expected_ids = np.flatnonzero(expected_dist <= 2)
             got_ids = np.array([i for i, _ in hits], dtype=np.int64)
             ok &= bool(np.array_equal(np.sort(got_ids), expected_ids))
             ok &= all(d == expected_dist[i] for i, d in hits)
-            order = index.rank_all(idx, queries.code(qi))
+            order = index.rank_all(idx, queries.words[qi])
             expected_order = np.lexsort((ids, expected_dist))
             ok &= bool(np.array_equal(order, expected_order))
         if not ok:
@@ -230,10 +231,10 @@ def _paired_w_losses(features, labels, class_count, bits_list, kmap, seed):
                                  lam=1.0, nu=1e-5, max_iters=5, seed=seed)
         projection, class_codes = fsdh.train_fsdh(features, labels,
                                                   class_count, bits)
-        model = fsdh.HashModel(
+        model = HashModel(
             kernel=kmap, projection=projection, class_codes=class_codes, lam=1.0,
-            trained_on=fsdh.DatasetFingerprint(features.shape[1], kmap.source_dim,
-                                               class_count, seed))
+            trained_on=DatasetFingerprint(features.shape[1], kmap.source_dim,
+                                          class_count, seed))
         rows.append(evaluate.loss_table(state, model, features, labels))
     return rows
 

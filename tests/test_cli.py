@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdhkit import cli, dataset, fsdh
+from sdhkit import cli, dataset, fsdh, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel, load_model, save_model
 
 
 SYNTH_KEYS = ("source = synth\nclasses = 4\nper_class = 30\ndim = 8\n"
@@ -28,7 +29,7 @@ class TestTrain:
         assert (tmp_path / "run" / "config.txt").exists()
         log = (tmp_path / "run" / "train_log.txt").read_text()
         assert "learning_time_s=" in log
-        model = fsdh.load_model(tmp_path / "run" / "model.fsdh")
+        model = load_model(tmp_path / "run" / "model.fsdh")
         assert model.bits == 16
         assert model.trained_on.class_count == 4
 
@@ -38,7 +39,7 @@ class TestTrain:
                         f"outdir = {tmp_path / 'run'}\n")
         assert run(["train", "--config", cfg]) == 0
         assert (tmp_path / "run" / "trajectory.csv").exists()
-        model = fsdh.load_model(tmp_path / "run" / "model.fsdh")
+        model = load_model(tmp_path / "run" / "model.fsdh")
         assert model.bits == 24
         assert model.class_codes is None
 
@@ -62,7 +63,7 @@ class TestTrain:
                         SYNTH_KEYS + f"method = fsdh\nbits = 16\noutdir = {tmp_path / 'a'}\n")
         assert run(["train", "--config", cfg, "--set", "bits=32",
                     "--outdir", str(tmp_path / "b")]) == 0
-        model = fsdh.load_model(tmp_path / "b" / "model.fsdh")
+        model = load_model(tmp_path / "b" / "model.fsdh")
         assert model.bits == 32
         copied = (tmp_path / "b" / "config.txt").read_text()
         assert "bits = 32" in copied
@@ -274,3 +275,89 @@ def test_inputs_are_not_mutated(tmp_path):
                     f"method = fsdh\nbits = 2\noutdir = {tmp_path / 'run'}\n")
     assert run(["train", "--config", cfg]) == 0
     assert (features.read_bytes(), labels.read_bytes()) == before
+
+
+@pytest.mark.parametrize("method", ["fsdh", "sdh"])
+def test_cli_and_library_build_the_same_model(tmp_path, method):
+    cfg = write_cfg(tmp_path / "train.cfg",
+                    SYNTH_KEYS + f"method = {method}\nbits = 16\niters = 2\nseed = 5\n"
+                    f"outdir = {tmp_path / 'run'}\n")
+    assert run(["train", "--config", cfg]) == 0
+
+    data = dataset.normalize(dataset.synth_blobs(4, 30, 8, 0.2, seed=3), "unit_norm")
+    kmap = kernelmap.fit_anchors(data, 24, 0.4, 5)
+    features = kernelmap.transform(kmap, data.features)
+    if method == "fsdh":
+        projection, class_codes = fsdh.train_fsdh(features, data.labels, 4, 16)
+    else:
+        state, _ = sdh.train_sdh(features, data.labels, 4, 16, lam=1.0, nu=1e-5,
+                                 max_iters=2, seed=5, solver="dcc", sweeps=3)
+        projection, class_codes = state.projection, None
+    model = HashModel(kernel=kmap, projection=projection, class_codes=class_codes, lam=1.0,
+                      trained_on=DatasetFingerprint(120, 8, 4, 5))
+    save_model(model, tmp_path / "library.fsdh")
+    assert ((tmp_path / "run" / "model.fsdh").read_bytes()
+            == (tmp_path / "library.fsdh").read_bytes())
+
+
+class TestLimit:
+    def csv_train_cfg(self, tmp_path, extra=""):
+        # 200 samples with the classes interleaved, so any prefix of 4 or
+        # more samples holds every class.
+        data = dataset.synth_blobs(4, 50, 6, 0.2, seed=8)
+        order = np.argsort(np.arange(200) % 50, kind="stable")
+        np.savetxt(tmp_path / "features.csv", data.features[:, order].T, delimiter=",")
+        np.savetxt(tmp_path / "labels.csv", data.labels[order][:, None], fmt="%d")
+        return write_cfg(tmp_path / "train.cfg",
+                         f"source = csv\nfeatures = {tmp_path / 'features.csv'}\n"
+                         f"labels = {tmp_path / 'labels.csv'}\n"
+                         "anchors = 30\nsigma = 0.4\nmethod = sdh\nbits = 16\niters = 1\n"
+                         f"{extra}outdir = {tmp_path / 'run'}\n")
+
+    def test_csv_source_honours_limit(self, tmp_path):
+        cfg = self.csv_train_cfg(tmp_path, "limit = 50\n")
+        assert run(["train", "--config", cfg]) == 0
+        assert load_model(tmp_path / "run" / "model.fsdh").trained_on.sample_count == 50
+        assert "samples=50" in (tmp_path / "run" / "train_log.txt").read_text()
+
+    def test_csv_source_rejects_zero_limit(self, tmp_path, capsys):
+        cfg = self.csv_train_cfg(tmp_path, "limit = 0\n")
+        assert run(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error [dataset]" in err and "limit=0" in err
+
+    def test_non_integer_limit_is_a_config_error(self, tmp_path, capsys):
+        assert run(["train", "--set", "limit=abc", "--outdir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "'limit'" in err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command, key, value", [
+        (["train"], "method", "fsdhh"),
+        (["train"], "solver", "dccc"),
+        (["eval"], "zero_retrieval", "skp"),
+        (["figures", "bitscale"], "bitscale_methods", "fsdh,sdhh"),
+    ])
+    def test_bad_option_fails_before_any_data_loads(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "run"
+        assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
+                              "--set", "model=/nonexistent/model", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err
+        assert repr(value.split(",")[-1]) in err
+        assert not out.exists()
+
+    def test_unknown_keys_are_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--set", "bitz=64", "--set", "methd=sdh",
+                    "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "'bitz'" in err and "'methd'" in err
+        assert not out.exists()
+
+    def test_unknown_key_in_a_config_file_is_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "train.cfg",
+                        SYNTH_KEYS + f"query_sorce = synth\noutdir = {tmp_path / 'run'}\n")
+        assert run(["eval", "--config", cfg]) == 2
+        assert "'query_sorce'" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdhkit import codes, dataset, evaluate, fsdh, index, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel
 
 import oracles
 
@@ -351,9 +352,9 @@ class TestLossTable:
         x = kernelmap.transform(kmap, data.features)
         state, _ = sdh.train_sdh(x, data.labels, 4, bits, seed=0)
         projection, class_codes = fsdh.train_fsdh(x, data.labels, 4, bits)
-        model = fsdh.HashModel(kernel=kmap, projection=projection,
-                               class_codes=class_codes, lam=1.0,
-                               trained_on=fsdh.DatasetFingerprint(100, 8, 4, 0))
+        model = HashModel(kernel=kmap, projection=projection,
+                          class_codes=class_codes, lam=1.0,
+                          trained_on=DatasetFingerprint(100, 8, 4, 0))
         return state, model, x, data
 
     def test_fsdh_w_loss_is_lower(self):
@@ -374,9 +375,9 @@ class TestLossTable:
         state, model, x, data = self.make_pair(rng)
         row1 = evaluate.loss_table(state, model, x, data.labels)
         projection, class_codes = fsdh.train_fsdh(x, data.labels, 4, 16)
-        model2 = fsdh.HashModel(kernel=model.kernel, projection=projection,
-                                class_codes=class_codes, lam=1.0,
-                                trained_on=model.trained_on)
+        model2 = HashModel(kernel=model.kernel, projection=projection,
+                           class_codes=class_codes, lam=1.0,
+                           trained_on=model.trained_on)
         row2 = evaluate.loss_table(state, model2, x, data.labels)
         assert row1.fsdh_w_loss == pytest.approx(row2.fsdh_w_loss, abs=1e-9)
         assert row1.fsdh_p_loss == pytest.approx(row2.fsdh_p_loss, abs=1e-9)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from sdhkit import codes, dataset, fsdh, index, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 import oracles
 
@@ -13,10 +14,10 @@ def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
     features = kernelmap.transform(kmap, data.features)
     projection, class_codes = fsdh.train_fsdh(features, data.labels,
                                               data.class_count, bits)
-    model = fsdh.HashModel(
+    model = HashModel(
         kernel=kmap, projection=projection, class_codes=class_codes, lam=1.0,
-        trained_on=fsdh.DatasetFingerprint(data.sample_count, data.dim,
-                                           data.class_count, seed))
+        trained_on=DatasetFingerprint(data.sample_count, data.dim,
+                                      data.class_count, seed))
     return model, data, features
 
 
@@ -51,10 +52,10 @@ class TestTrainFsdh:
         kmap = kernelmap.fit_anchors(data, 64, 0.4, seed=2)
         features = kernelmap.transform(kmap, data.features)
         projection, class_codes = fsdh.train_fsdh(features, data.labels, 10, 32)
-        model = fsdh.HashModel(
+        model = HashModel(
             kernel=kmap, projection=projection, class_codes=class_codes,
-            lam=1.0, trained_on=fsdh.DatasetFingerprint(1000, 16, 10, 2))
-        packed = fsdh.encode(model, data.features)
+            lam=1.0, trained_on=DatasetFingerprint(1000, 16, 10, 2))
+        packed = encode(model, data.features)
         # Brute-force Hamming retrieval at radius 2 from the sign matrix.
         signs = index.unpack(packed)
         precisions = []
@@ -158,10 +159,10 @@ class TestEncode:
         features = kernelmap.transform(kmap, data.features)
         projection, class_codes = fsdh.train_fsdh(features, data.labels, 2, 2,
                                                   jitter=0.0)
-        model = fsdh.HashModel(kernel=kmap, projection=projection,
-                               class_codes=class_codes, lam=1.0,
-                               trained_on=fsdh.DatasetFingerprint(2, 4, 2, 0))
-        packed = fsdh.encode(model, data.features)
+        model = HashModel(kernel=kmap, projection=projection,
+                          class_codes=class_codes, lam=1.0,
+                          trained_on=DatasetFingerprint(2, 4, 2, 0))
+        packed = encode(model, data.features)
         assert np.array_equal(index.unpack(packed),
                               codes.expand_codes(class_codes, data.labels))
 
@@ -169,14 +170,14 @@ class TestEncode:
         rng = np.random.default_rng(7)
         model, data, _ = toy_model(rng)
         sample = data.features[:, [3]]
-        a = fsdh.encode(model, np.hstack([sample, sample]))
+        a = encode(model, np.hstack([sample, sample]))
         assert np.array_equal(a.words[0], a.words[1])
 
     def test_matches_unpacked_sign_oracle(self):
         rng = np.random.default_rng(8)
         model, data, _ = toy_model(rng)
         samples = rng.standard_normal((data.dim, 100))
-        packed = fsdh.encode(model, samples)
+        packed = encode(model, samples)
         scores = model.projection.T @ oracles.rbf_loop(
             model.kernel.anchors, samples, model.kernel.sigma)
         expected = np.where(scores >= 0, 1, -1).astype(np.int8)
@@ -186,13 +187,13 @@ class TestEncode:
         rng = np.random.default_rng(9)
         model, _, _ = toy_model(rng)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fsdh.encode(model, np.zeros((99, 1)))
+            encode(model, np.zeros((99, 1)))
 
     def test_training_codes_close_to_targets(self):
         # The fit is not exact in general; record the distance, don't demand 0.
         rng = np.random.default_rng(10)
         model, data, features = toy_model(rng, per_class=30)
-        packed = fsdh.encode(model, data.features)
+        packed = encode(model, data.features)
         target = codes.expand_codes(model.class_codes, data.labels)
         mismatch = (index.unpack(packed) != target).mean()
         assert mismatch < 0.2
@@ -203,8 +204,8 @@ class TestModelFile:
         rng = np.random.default_rng(11)
         model, _, _ = toy_model(rng)
         path = tmp_path / "model.fsdh"
-        fsdh.save_model(model, path)
-        loaded = fsdh.load_model(path)
+        save_model(model, path)
+        loaded = load_model(path)
         assert np.array_equal(loaded.projection, model.projection)
         assert np.array_equal(loaded.kernel.anchors, model.kernel.anchors)
         assert loaded.kernel.sigma == model.kernel.sigma
@@ -215,18 +216,18 @@ class TestModelFile:
     def test_round_trip_without_class_codes(self, tmp_path):
         rng = np.random.default_rng(12)
         model, _, _ = toy_model(rng)
-        stripped = fsdh.HashModel(kernel=model.kernel, projection=model.projection,
-                                  class_codes=None, lam=model.lam,
-                                  trained_on=model.trained_on)
+        stripped = HashModel(kernel=model.kernel, projection=model.projection,
+                             class_codes=None, lam=model.lam,
+                             trained_on=model.trained_on)
         path = tmp_path / "model.fsdh"
-        fsdh.save_model(stripped, path)
-        assert fsdh.load_model(path).class_codes is None
+        save_model(stripped, path)
+        assert load_model(path).class_codes is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="bad magic.*FSDH"):
-            fsdh.load_model(path)
+            load_model(path)
 
     def test_version_bump(self, tmp_path):
         import struct
@@ -235,30 +236,30 @@ class TestModelFile:
         rng = np.random.default_rng(13)
         model, _, _ = toy_model(rng)
         path = tmp_path / "model.fsdh"
-        fsdh.save_model(model, path)
+        save_model(model, path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 4, 99)
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="unsupported version 99"):
-            fsdh.load_model(path)
+            load_model(path)
 
     def test_corruption_fails_checksum(self, tmp_path):
         rng = np.random.default_rng(14)
         model, _, _ = toy_model(rng)
         path = tmp_path / "model.fsdh"
-        fsdh.save_model(model, path)
+        save_model(model, path)
         blob = bytearray(path.read_bytes())
         blob[40] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum failure"):
-            fsdh.load_model(path)
+            load_model(path)
 
     def test_truncation(self, tmp_path):
         rng = np.random.default_rng(15)
         model, _, _ = toy_model(rng)
         path = tmp_path / "model.fsdh"
-        fsdh.save_model(model, path)
+        save_model(model, path)
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError, match="truncated"):
-            fsdh.load_model(path)
+            load_model(path)

@@ -59,12 +59,12 @@ class TestPack:
 class TestHamming:
     def test_identical_codes(self):
         packed = index.pack(random_signs(np.random.default_rng(1), 32, 1))
-        assert index.hamming(packed.code(0), packed.code(0)) == 0
+        assert index.hamming(packed.words[0], packed.words[0]) == 0
 
     def test_hand_count(self):
         a = index.pack(np.array([[-1], [1], [-1], [1]], dtype=np.int8))  # 0b1010
         b = index.pack(np.array([[-1], [1], [1], [-1]], dtype=np.int8))  # 0b0110
-        assert index.hamming(a.code(0), b.code(0)) == 2
+        assert index.hamming(a.words[0], b.words[0]) == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -76,7 +76,7 @@ class TestHamming:
         packed = index.pack(signs)
         for _ in range(1000):
             i, j = rng.integers(0, 200, 2)
-            assert (index.hamming(packed.code(i), packed.code(j))
+            assert (index.hamming(packed.words[i], packed.words[j])
                     == oracles.hamming_loop(signs[:, i], signs[:, j]))
 
     def test_triangle_inequality(self):
@@ -85,9 +85,9 @@ class TestHamming:
         packed = index.pack(signs)
         for _ in range(300):
             i, j, k = rng.integers(0, 60, 3)
-            dij = index.hamming(packed.code(i), packed.code(j))
-            djk = index.hamming(packed.code(j), packed.code(k))
-            dik = index.hamming(packed.code(i), packed.code(k))
+            dij = index.hamming(packed.words[i], packed.words[j])
+            djk = index.hamming(packed.words[j], packed.words[k])
+            dik = index.hamming(packed.words[i], packed.words[k])
             assert dik <= dij + djk
 
 
@@ -108,13 +108,13 @@ class TestSearch:
                 signs[0, c] = -signs[0, c]
         packed = index.pack(signs)
         idx = index.CodeIndex(codes=packed, labels=np.zeros(40, dtype=np.int64))
-        hits = index.radius_search(idx, packed.code(7), 0)
+        hits = index.radius_search(idx, packed.words[7], 0)
         assert hits == [(7, 0)]
 
     def test_radius_full_returns_everything(self):
         rng = np.random.default_rng(5)
         idx, _ = self.make_index(rng, bits=16, count=30)
-        hits = index.radius_search(idx, idx.codes.code(0), 16)
+        hits = index.radius_search(idx, idx.codes.words[0], 16)
         assert len(hits) == 30
 
     def test_matches_naive_oracle(self):
@@ -122,7 +122,7 @@ class TestSearch:
         idx, signs = self.make_index(rng, bits=32, count=500)
         for qi in range(20):
             expected = oracles.sign_distances(signs, signs[:, qi])
-            hits = index.radius_search(idx, idx.codes.code(qi), 2)
+            hits = index.radius_search(idx, idx.codes.words[qi], 2)
             expected_ids = set(np.flatnonzero(expected <= 2))
             assert {i for i, _ in hits} == expected_ids
             assert all(d == expected[i] for i, d in hits)
@@ -131,7 +131,7 @@ class TestSearch:
     def test_nested_in_radius(self):
         rng = np.random.default_rng(7)
         idx, _ = self.make_index(rng, bits=24, count=100)
-        query = idx.codes.code(3)
+        query = idx.codes.words[3]
         previous = set()
         for radius in range(0, 25, 4):
             current = {i for i, _ in index.radius_search(idx, query, radius)}
@@ -144,7 +144,7 @@ class TestRankAll:
         signs = np.ones((8, 10), dtype=np.int8)
         idx = index.CodeIndex(codes=index.pack(signs),
                               labels=np.zeros(10, dtype=np.int64))
-        order = index.rank_all(idx, idx.codes.code(0))
+        order = index.rank_all(idx, idx.codes.words[0])
         assert np.array_equal(order, np.arange(10))
 
     def test_hand_built_distances(self):
@@ -158,7 +158,7 @@ class TestRankAll:
         ], dtype=np.int8)
         idx = index.CodeIndex(codes=index.pack(signs),
                               labels=np.zeros(3, dtype=np.int64))
-        query = index.pack(query_signs[:, None]).code(0)
+        query = index.pack(query_signs[:, None]).words[0]
         assert np.array_equal(index.rank_all(idx, query), [1, 2, 0])
 
     def test_matches_sort_oracle_and_is_permutation(self):
@@ -167,7 +167,7 @@ class TestRankAll:
         idx = index.CodeIndex(codes=index.pack(signs),
                               labels=np.zeros(200, dtype=np.int64))
         for qi in range(10):
-            order = index.rank_all(idx, idx.codes.code(qi))
+            order = index.rank_all(idx, idx.codes.words[qi])
             assert np.array_equal(np.sort(order), np.arange(200))
             dist = oracles.sign_distances(signs, signs[:, qi])
             expected = np.lexsort((np.arange(200), dist))
@@ -181,7 +181,7 @@ def test_hamming_matrix_matches_pairwise():
     matrix = index.hamming_matrix(db, queries, block=3)
     for qi in range(7):
         for di in range(40):
-            assert matrix[qi, di] == index.hamming(queries.code(qi), db.code(di))
+            assert matrix[qi, di] == index.hamming(queries.words[qi], db.words[di])
 
 
 @pytest.mark.parametrize("bits,dtype", [(1, np.uint8), (64, np.uint8), (255, np.uint8),
@@ -226,14 +226,14 @@ class TestQueryWordCount:
 
     def test_set_tail_bits_are_rejected(self):
         idx = self.make_index(255)
-        query = idx.codes.code(0).copy()
+        query = idx.codes.words[0].copy()
         query[-1] |= np.uint64(1 << 63)
         with pytest.raises(ValueError, match="tail bits"):
             index.radius_search(idx, query, 2)
 
     def test_one_word_against_a_128_bit_index(self):
         idx = self.make_index(128)
-        query = idx.codes.code(0)[:1]
+        query = idx.codes.words[0][:1]
         with pytest.raises(ValueError, match="code length mismatch"):
             index.radius_search(idx, query, 2)
         with pytest.raises(ValueError, match="code length mismatch"):
@@ -248,11 +248,11 @@ def test_search_at_sixteen_bit_distances_matches_oracle():
     signs[40:, 9] = signs[40:, 0]
     idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(120, dtype=np.int64))
     expected = oracles.sign_distances(signs, signs[:, 0])
-    hits = index.radius_search(idx, idx.codes.code(0), 280)
+    hits = index.radius_search(idx, idx.codes.words[0], 280)
     within = np.flatnonzero(expected <= 280)
     assert hits == sorted(((int(i), int(expected[i])) for i in within),
                           key=lambda hit: (hit[1], hit[0]))
     assert hits[:2] == [(0, 0), (5, 0)] and (9, 40) in hits
     assert all(type(i) is int and type(d) is int for i, d in hits)
-    assert np.array_equal(index.rank_all(idx, idx.codes.code(0)),
+    assert np.array_equal(index.rank_all(idx, idx.codes.words[0]),
                           np.lexsort((np.arange(120), expected)))
