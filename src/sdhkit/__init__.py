@@ -18,7 +18,7 @@ from .evaluate import (
     precision_recall_at_radius,
 )
 from .fsdh import optimal_weights, train_fsdh
-from .index import CodeIndex, PackedCodes, hamming, pack, radius_search, rank_all, unpack
+from .index import CodeIndex, PackedCodes, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
 from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 from .sdh import (
@@ -57,7 +57,6 @@ __all__ = [
     "f_step",
     "fit_anchors",
     "fsdh_objective_oracle",
-    "hamming",
     "load_csv",
     "load_mnist",
     "load_model",

@@ -4,7 +4,9 @@ Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b. Three
 solvers are provided: greedy cyclic coordinate descent, exhaustive search,
 and depth-first branch-and-bound with an absolute-mass interval bound. The
 eigenvalue relaxation bound is useless here because Q = W W^T is rank
-deficient whenever L > C, so its smallest eigenvalue is zero.
+deficient whenever L > C, so its smallest eigenvalue is zero. `solve_batch`
+solves many problems sharing one Q with any of the three, as the
+alternating trainer's code step does.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
 EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
 
@@ -220,3 +223,30 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
         if x != y:
             return x < y
     return False
+
+
+def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
+                solver: str = "dcc", *, max_sweeps: int = 3,
+                budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
+    """Solve one problem per column of `linear`, all sharing `quadratic`.
+
+    DCC runs every problem at once from the columns of `init`; the exact
+    solvers take the problems one at a time and ignore `init`. Returns the
+    (bits, problems) int8 solutions and whether every one is proven optimal,
+    which DCC never claims.
+    """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if solver == "dcc":
+        return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
+    codes = np.empty(linear.shape, dtype=np.int8)
+    exact = True
+    for k in range(codes.shape[1]):
+        problem = BiqpProblem(quadratic=quadratic, linear=linear[:, k])
+        if solver == "exhaustive":
+            sol = solve_exhaustive(problem)
+        else:
+            sol = solve_branch_and_bound(problem, budget_nodes=budget_nodes)
+        codes[:, k] = sol.assignment
+        exact = exact and sol.exact
+    return codes, exact

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codes, dataset, evaluate, fsdh, index, kernelmap, sdh
+from . import biqp, codes, dataset, evaluate, fsdh, index, kernelmap, sdh
 from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 FIGURES = ("fig1", "bitscale", "losses", "biasmap")
@@ -57,14 +57,16 @@ DEFAULTS = {
 }
 
 # The keys that describe one dataset; `eval` reads one such block per role,
-# with the `db_` and `query_` prefixes.
+# with the `db_` and `query_` prefixes, each key falling back to its
+# unprefixed form.
 DATASET_KEYS = ("source", "limit", "normalize", "images", "labels", "features")
-KNOWN_KEYS = frozenset(DEFAULTS).union(
-    ("outdir", "model", "images", "labels", "features"),
-    (role + key for role in ("db_", "query_") for key in DATASET_KEYS))
+EVAL_ONLY_KEYS = frozenset(("model",)).union(
+    role + key for role in ("db_", "query_") for key in DATASET_KEYS)
+KNOWN_KEYS = frozenset(DEFAULTS).union(("outdir", "images", "labels", "features"),
+                                       EVAL_ONLY_KEYS)
 CHOICES = {
     "method": METHODS,
-    "solver": sdh.B_STEP_SOLVERS,
+    "solver": biqp.SOLVERS,
     "zero_retrieval": evaluate.ZERO_RETRIEVAL_MODES,
 }
 
@@ -111,12 +113,13 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         cfg[key.strip()] = value.strip()
     if getattr(args, "outdir", None):
         cfg["outdir"] = args.outdir
-    _check_config(cfg)
+    _check_config(cfg, args.command)
     return cfg
 
 
-def _check_config(cfg: dict[str, str]) -> None:
-    """Reject misspelled keys and option values before any data loads."""
+def _check_config(cfg: dict[str, str], command: str) -> None:
+    """Reject misspelled keys, option values and keys the command does not
+    read, before any data loads."""
     unknown = sorted(set(cfg) - KNOWN_KEYS)
     if unknown:
         raise StageError("config", f"unknown config key(s): {', '.join(map(repr, unknown))}")
@@ -124,6 +127,10 @@ def _check_config(cfg: dict[str, str]) -> None:
         _check_choice(key, cfg[key], choices)
     for method in _bitscale_methods(cfg):
         _check_choice("bitscale_methods", method, METHODS)
+    unread = sorted(set(cfg) & EVAL_ONLY_KEYS) if command != "eval" else []
+    if unread:
+        raise StageError("config", f"key(s) {', '.join(map(repr, unread))} "
+                                   f"are read by 'eval' only, not by {command!r}")
 
 
 def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
@@ -185,10 +192,12 @@ def _write_config_copy(cfg: dict[str, str], out: Path) -> None:
 
 def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
     def key(k):
-        return f"{prefix}{k}" if prefix else k
+        return prefix + k
 
-    source = cfg.get(key("source"), cfg.get("source", "synth"))
-    limit = _cfg_int(cfg, key("limit")) if cfg.get(key("limit")) else None
+    # Each dataset key in its `prefix`ed form, or else in its unprefixed form.
+    cfg = {**cfg, **{key(k): cfg.get(key(k), cfg.get(k, "")) for k in DATASET_KEYS}}
+    source = cfg[key("source")]
+    limit = _cfg_int(cfg, key("limit")) if cfg[key("limit")] else None
     with stage("dataset"):
         if source == "mnist":
             # The loader truncates the raw pixels before the float conversion.
@@ -209,7 +218,7 @@ def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
         else:
             raise ValueError(f"unknown dataset source {source!r}")
         data = dataset.truncate(data, limit)
-    mode = cfg.get(key("normalize"), cfg.get("normalize", "unit_norm"))
+    mode = cfg[key("normalize")]
     if mode != "none":
         with stage("normalize"):
             data = dataset.normalize(data, mode)

@@ -95,15 +95,6 @@ def unpack(packed: PackedCodes) -> np.ndarray:
     return (2 * bit.T.astype(np.int8) - 1)
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two word rows of equal length."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ValueError(f"code length mismatch: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(a ^ b).sum())
-
-
 def hamming_matrix(database: PackedCodes, queries: PackedCodes | np.ndarray,
                    *, block: int | None = None) -> np.ndarray:
     """All query-to-database distances as an (n_queries, count) matrix.

@@ -18,8 +18,6 @@ import scipy.linalg
 
 from . import biqp
 
-B_STEP_SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
-
 DEFAULT_LAMBDA = 1.0
 DEFAULT_NU = 1e-5
 DEFAULT_MAX_ITERS = 5
@@ -146,76 +144,40 @@ def f_step(features: np.ndarray, codes: np.ndarray,
     return ProjectionSolver(features, jitter).solve(codes)
 
 
-def b_step(state: SdhState, features: np.ndarray, labels: np.ndarray,
-           solver: str = "dcc", *, sweeps: int = DEFAULT_SWEEPS,
+def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
+           projected: np.ndarray, sweeps: int = DEFAULT_SWEEPS,
            budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
-    """Update the binary codes with W and P fixed.
+    """Update the binary codes with W and P fixed, given P^T X (`projected`).
 
-    The per-sample problem has Q = W W^T and linear term f_i =
-    -2*(W y_i + nu * P^T x_i). With nu = 0 the linear term depends on the
-    label only, so just one problem per class is solved and the result is
-    broadcast to all samples of that class. Returns (codes, exact).
+    Sample i's problem has Q = W W^T and linear term f_i =
+    -2*(W y_i + nu * P^T x_i), and all of them go to one `biqp.solve_batch`
+    call. With nu = 0 the linear term depends on the label only, so one
+    problem per class present is solved, started from the code of its first
+    sample, and broadcast to every sample of that class. Returns
+    (codes, exact).
     """
-    projected = None
-    if state.nu != 0.0:
-        projected = state.projection.T @ np.asarray(features, dtype=np.float64)
-    return _b_step(state, projected, labels, solver, sweeps, budget_nodes)
-
-
-def _b_step(state, projected, labels, solver, sweeps, budget_nodes):
-    """`b_step` given P^T X (`projected`, unused when nu = 0)."""
-    if solver not in B_STEP_SOLVERS:
-        raise ValueError(f"unknown b-step solver {solver!r}; expected one of {B_STEP_SOLVERS}")
     labels = np.asarray(labels, dtype=np.int64)
     w = state.weights
-    q = w @ w.T
-    exact = True
-
     if state.nu == 0.0:
-        new_codes = np.empty_like(state.codes)
-        for cls in np.unique(labels):
-            cols = np.flatnonzero(labels == cls)
-            f_cls = -2.0 * w[:, cls]
-            init = state.codes[:, cols[0]]
-            code, solved_exact = _solve_one(q, f_cls, init, solver, sweeps, budget_nodes)
-            new_codes[:, cols] = code[:, None]
-            exact = exact and solved_exact
-        return new_codes, exact
-
-    y = one_hot(labels, w.shape[1])
-    f_all = -2.0 * (w @ y + state.nu * projected)
-    if solver == "dcc":
-        return biqp.dcc_batch(q, f_all, state.codes, max_sweeps=sweeps), False
-    new_codes = np.empty_like(state.codes)
-    for i in range(f_all.shape[1]):
-        code, solved_exact = _solve_one(q, f_all[:, i], state.codes[:, i],
-                                        solver, sweeps, budget_nodes)
-        new_codes[:, i] = code
-        exact = exact and solved_exact
-    return new_codes, exact
-
-
-def _solve_one(q, f, init, solver, sweeps, budget_nodes):
-    problem = biqp.BiqpProblem(quadratic=q, linear=f)
-    if solver == "dcc":
-        sol = biqp.solve_dcc(problem, init, max_sweeps=sweeps)
-    elif solver == "exhaustive":
-        sol = biqp.solve_exhaustive(problem)
+        classes, first, problem_of = np.unique(labels, return_index=True,
+                                               return_inverse=True)
+        linear = -2.0 * w[:, classes]
+        init = state.codes[:, first]
     else:
-        sol = biqp.solve_branch_and_bound(problem, budget_nodes=budget_nodes)
-    return sol.assignment, sol.exact
+        problem_of = np.arange(labels.shape[0])
+        linear = -2.0 * (w @ one_hot(labels, w.shape[1]) + state.nu * projected)
+        init = state.codes
+    codes, exact = biqp.solve_batch(w @ w.T, linear, init, solver,
+                                    max_sweeps=sweeps, budget_nodes=budget_nodes)
+    # np.take returns C order; a Fortran-ordered code matrix would change the
+    # rounding of every later sum over it.
+    return np.take(codes, problem_of, axis=1), exact
 
 
-def objective(state: SdhState, features: np.ndarray,
-              labels: np.ndarray) -> ObjectiveBreakdown:
-    """Evaluate every term of the training objective at the current state."""
-    projected = state.projection.T @ np.asarray(features, dtype=np.float64)
-    return _objective(state, projected, labels)
-
-
-def _objective(state: SdhState, projected: np.ndarray,
-               labels: np.ndarray) -> ObjectiveBreakdown:
-    """`objective` given P^T X (`projected`)."""
+def objective(state: SdhState, labels: np.ndarray, *,
+              projected: np.ndarray) -> ObjectiveBreakdown:
+    """Evaluate every term of the training objective at the current state,
+    given P^T X (`projected`)."""
     b = state.codes.astype(np.float64)
     y = one_hot(labels, state.weights.shape[1])
     classification = float(((y - state.weights.T @ b) ** 2).sum())
@@ -284,9 +246,10 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         state.weights = w_step(state.codes, labels, class_count, lam)
         # One P^T X per iteration feeds both the code step and the objective.
         projected = state.projection.T @ x
-        state.codes, _ = _b_step(state, projected, labels, solver, sweeps, budget_nodes)
+        state.codes, _ = b_step(state, labels, solver, projected=projected,
+                                sweeps=sweeps, budget_nodes=budget_nodes)
         state.iteration = it + 1
-        trajectory.append(_objective(state, projected, labels))
+        trajectory.append(objective(state, labels, projected=projected))
     return state, trajectory
 
 

@@ -164,3 +164,39 @@ def test_solution_objective_recomputes_from_assignment():
                 biqp.solve_branch_and_bound(problem)):
         assert sol.objective == pytest.approx(
             biqp.objective_value(problem, sol.assignment), abs=1e-9)
+
+
+class TestSolveBatch:
+    """One call solves every column's problem with the named solver."""
+
+    def batch(self, rng, bits=6, problems=5):
+        problem = random_psd_problem(rng, bits)
+        linears = rng.standard_normal((bits, problems))
+        inits = (2 * rng.integers(0, 2, (bits, problems)) - 1).astype(np.int8)
+        return problem.quadratic, linears, inits
+
+    @pytest.mark.parametrize("solver", biqp.SOLVERS)
+    def test_matches_one_solver_call_per_problem(self, solver):
+        q, linears, inits = self.batch(np.random.default_rng(11))
+        codes, exact = biqp.solve_batch(q, linears, inits, solver, max_sweeps=2)
+        assert codes.dtype == np.int8 and codes.shape == linears.shape
+        for k in range(linears.shape[1]):
+            problem = biqp.BiqpProblem(quadratic=q, linear=linears[:, k])
+            if solver == "dcc":
+                expected = biqp.solve_dcc(problem, inits[:, k], max_sweeps=2)
+            elif solver == "exhaustive":
+                expected = biqp.solve_exhaustive(problem)
+            else:
+                expected = biqp.solve_branch_and_bound(problem)
+            assert np.array_equal(codes[:, k], expected.assignment), k
+        assert exact == (solver != "dcc")
+
+    def test_exhausted_budget_clears_exact(self):
+        q, linears, inits = self.batch(np.random.default_rng(12))
+        _, exact = biqp.solve_batch(q, linears, inits, "branch_and_bound", budget_nodes=1)
+        assert not exact
+
+    def test_unknown_solver(self):
+        q, linears, inits = self.batch(np.random.default_rng(13))
+        with pytest.raises(ValueError, match="unknown solver 'dccc'"):
+            biqp.solve_batch(q, linears, inits, "dccc")

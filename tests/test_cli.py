@@ -326,6 +326,20 @@ class TestLimit:
         err = capsys.readouterr().err
         assert "error [dataset]" in err and "limit=0" in err
 
+    def test_eval_falls_back_to_unprefixed_limit(self, tmp_path):
+        # Every dataset key resolves one way: its db_/query_ form, or else
+        # the unprefixed key. `limit` used to be read in its prefixed form only.
+        cfg = write_cfg(tmp_path / "train.cfg",
+                        SYNTH_KEYS + f"method = fsdh\nbits = 16\noutdir = {tmp_path / 'run'}\n")
+        assert run(["train", "--config", cfg]) == 0
+        assert run(["eval", "--config", cfg, "--set", f"model={tmp_path / 'run' / 'model.fsdh'}",
+                    "--set", "limit=50", "--set", "db_limit=100",
+                    "--outdir", str(tmp_path / "eval")]) == 0
+        summary = dict(line.split("=", 1) for line in
+                       (tmp_path / "eval" / "summary.txt").read_text().splitlines())
+        assert summary["database_size"] == "100"
+        assert summary["query_count"] == "50"
+
     def test_non_integer_limit_is_a_config_error(self, tmp_path, capsys):
         assert run(["train", "--set", "limit=abc", "--outdir", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
@@ -346,6 +360,21 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "error [config]" in err
         assert repr(value.split(",")[-1]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        (["train"], "db_limit", "50"),
+        (["train"], "model", "/nonexistent/model"),
+        (["figures", "fig1"], "query_source", "synth"),
+        (["bench"], "db_normalize", "none"),
+        (["synth"], "query_limit", "5"),
+    ])
+    def test_eval_only_keys_fail_outside_eval(self, tmp_path, capsys, command, key, value):
+        # `train --set db_limit=50` used to train on every sample.
+        out = tmp_path / "run"
+        assert run(command + ["--set", f"{key}={value}", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and repr(key) in err and "'eval'" in err
         assert not out.exists()
 
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):

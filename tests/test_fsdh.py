@@ -80,7 +80,7 @@ class TestTrainFsdh:
         for seed in range(5):
             state, _ = sdh.train_sdh(x, labels, classes, bits, lam=lam,
                                      nu=0.0, seed=seed)
-            run = sdh.objective(state, x, labels)
+            run = sdh.objective(state, labels, projected=state.projection.T @ x)
             assert closed_form <= run.classification_term + run.regularizer + 1e-9
 
 

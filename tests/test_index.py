@@ -59,36 +59,30 @@ class TestPack:
 class TestHamming:
     def test_identical_codes(self):
         packed = index.pack(random_signs(np.random.default_rng(1), 32, 1))
-        assert index.hamming(packed.words[0], packed.words[0]) == 0
+        assert index.hamming_matrix(packed, packed)[0, 0] == 0
 
     def test_hand_count(self):
         a = index.pack(np.array([[-1], [1], [-1], [1]], dtype=np.int8))  # 0b1010
         b = index.pack(np.array([[-1], [1], [1], [-1]], dtype=np.int8))  # 0b0110
-        assert index.hamming(a.words[0], b.words[0]) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            index.hamming(np.zeros(1, dtype=np.uint64), np.zeros(2, dtype=np.uint64))
+        assert index.hamming_matrix(a, b)[0, 0] == 2
 
     def test_against_bit_loop_oracle(self):
         rng = np.random.default_rng(2)
         signs = random_signs(rng, 70, 200)
         packed = index.pack(signs)
+        dist = index.hamming_matrix(packed, packed)
         for _ in range(1000):
             i, j = rng.integers(0, 200, 2)
-            assert (index.hamming(packed.words[i], packed.words[j])
-                    == oracles.hamming_loop(signs[:, i], signs[:, j]))
+            assert dist[i, j] == oracles.hamming_loop(signs[:, i], signs[:, j])
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(3)
         signs = random_signs(rng, 48, 60)
         packed = index.pack(signs)
+        dist = index.hamming_matrix(packed, packed).astype(np.int64)
         for _ in range(300):
             i, j, k = rng.integers(0, 60, 3)
-            dij = index.hamming(packed.words[i], packed.words[j])
-            djk = index.hamming(packed.words[j], packed.words[k])
-            dik = index.hamming(packed.words[i], packed.words[k])
-            assert dik <= dij + djk
+            assert dist[i, k] <= dist[i, j] + dist[j, k]
 
 
 class TestSearch:
@@ -176,12 +170,12 @@ class TestRankAll:
 
 def test_hamming_matrix_matches_pairwise():
     rng = np.random.default_rng(9)
-    db = index.pack(random_signs(rng, 65, 40))
-    queries = index.pack(random_signs(rng, 65, 7))
-    matrix = index.hamming_matrix(db, queries, block=3)
+    db_signs = random_signs(rng, 65, 40)
+    q_signs = random_signs(rng, 65, 7)
+    matrix = index.hamming_matrix(index.pack(db_signs), index.pack(q_signs), block=3)
     for qi in range(7):
         for di in range(40):
-            assert matrix[qi, di] == index.hamming(queries.words[qi], db.words[di])
+            assert matrix[qi, di] == oracles.hamming_loop(q_signs[:, qi], db_signs[:, di])
 
 
 @pytest.mark.parametrize("bits,dtype", [(1, np.uint8), (64, np.uint8), (255, np.uint8),

@@ -20,6 +20,25 @@ def rank_deficient_features(rng, features=3, samples=12):
     return x
 
 
+def per_class_code_step(state, labels, solver):
+    """The nu = 0 code step one class at a time: each class's problem goes to
+    its own solver call (DCC starts from the class's first sample), and the
+    solution is copied into a C-ordered code matrix."""
+    q = state.weights @ state.weights.T
+    codes = np.empty(state.codes.shape, dtype=np.int8, order="C")
+    for cls in np.unique(labels):
+        cols = np.flatnonzero(labels == cls)
+        problem = biqp.BiqpProblem(quadratic=q, linear=-2.0 * state.weights[:, cls])
+        if solver == "dcc":
+            solution = biqp.solve_dcc(problem, state.codes[:, cols[0]])
+        elif solver == "exhaustive":
+            solution = biqp.solve_exhaustive(problem)
+        else:
+            solution = biqp.solve_branch_and_bound(problem)
+        codes[:, cols] = solution.assignment[:, None]
+    return codes
+
+
 class TestWStep:
     def test_hadamard_codes_one_sample_per_class(self):
         bits, classes, lam = 16, 10, 1.0
@@ -135,7 +154,7 @@ class TestBStep:
         state = sdh.SdhState(codes=np.ones((4, 12), dtype=np.int8),
                              weights=np.zeros((4, 2)), projection=p,
                              lam=1.0, nu=0.5)
-        b, _ = sdh.b_step(state, x, labels, "dcc")
+        b, _ = sdh.b_step(state, labels, "dcc", projected=p.T @ x)
         assert np.array_equal(b, np.sign(p.T @ x).astype(np.int8))
 
     def test_nu_zero_yields_one_code_per_class(self):
@@ -146,7 +165,7 @@ class TestBStep:
                              weights=rng.standard_normal((8, 2)),
                              projection=rng.standard_normal((6, 8)),
                              lam=1.0, nu=0.0)
-        b, _ = sdh.b_step(state, x, labels, "dcc")
+        b, _ = sdh.b_step(state, labels, "dcc", projected=state.projection.T @ x)
         assert len(np.unique(b.T, axis=0)) == 2
         for cls in (0, 1):
             block = b[:, labels == cls]
@@ -161,7 +180,7 @@ class TestBStep:
         p = rng.standard_normal((5, bits))
         state = sdh.SdhState(codes=np.ones((bits, samples), dtype=np.int8),
                              weights=w, projection=p, lam=1.0, nu=1e-3)
-        b, exact = sdh.b_step(state, x, labels, "exhaustive")
+        b, exact = sdh.b_step(state, labels, "exhaustive", projected=p.T @ x)
         assert exact
         q = w @ w.T
         y = sdh.one_hot(labels, classes)
@@ -178,8 +197,23 @@ class TestBStep:
                              lam=1.0, nu=0.0)
         x = rng.standard_normal((3, 4))
         labels = np.array([0, 1, 0, 1])
-        _, exact = sdh.b_step(state, x, labels, "branch_and_bound", budget_nodes=1)
+        _, exact = sdh.b_step(state, labels, "branch_and_bound",
+                              projected=state.projection.T @ x, budget_nodes=1)
         assert not exact
+
+    def test_features_are_not_accepted_positionally(self):
+        # P^T X is keyword-only: an (L, N) feature matrix passed where the
+        # features used to go must not be read as P^T X.
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 6))
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        state = sdh.SdhState(codes=np.ones((4, 6), dtype=np.int8),
+                             weights=rng.standard_normal((4, 2)),
+                             projection=rng.standard_normal((4, 4)), lam=1.0, nu=1e-2)
+        with pytest.raises(TypeError):
+            sdh.objective(state, x, labels)
+        with pytest.raises(TypeError):
+            sdh.b_step(state, x, labels, "dcc")
 
 
 class TestTrainSdh:
@@ -215,10 +249,11 @@ class TestTrainSdh:
         x, labels, classes, bits = toy_problem(rng, samples=10)
         state, _ = sdh.train_sdh(x, labels, classes, bits, nu=1e-3,
                                  max_iters=1, seed=1, solver="exhaustive")
-        before = sdh.objective(state, x, labels)
-        new_codes, _ = sdh.b_step(state, x, labels, "exhaustive")
+        projected = state.projection.T @ x
+        before = sdh.objective(state, labels, projected=projected)
+        new_codes, _ = sdh.b_step(state, labels, "exhaustive", projected=projected)
         state.codes = new_codes
-        after = sdh.objective(state, x, labels)
+        after = sdh.objective(state, labels, projected=projected)
         assert after.total <= before.total + 1e-9
 
     def test_trajectory_is_recorded_per_iteration(self):
@@ -227,14 +262,24 @@ class TestTrainSdh:
         _, traj = sdh.train_sdh(x, labels, classes, bits, max_iters=4, seed=0)
         assert len(traj) == 4
 
-    @pytest.mark.parametrize("solver", ["dcc", "exhaustive"])
-    def test_matches_loop_that_refactors_every_iteration(self, solver):
+    @pytest.mark.parametrize("solver, nu, shape", [
+        pytest.param("dcc", 1e-2, (6, 30, 3, 8), id="dcc"),
+        pytest.param("exhaustive", 1e-2, (6, 30, 3, 8), id="exhaustive"),
+        # In this shape a code matrix in Fortran order changes the rounding
+        # of the next classifier and projection steps.
+        pytest.param("dcc", 0.0, (8, 24, 4, 12), id="dcc-nu0"),
+        pytest.param("exhaustive", 0.0, (8, 24, 4, 12), id="exhaustive-nu0"),
+        pytest.param("branch_and_bound", 0.0, (8, 24, 4, 12), id="branch_and_bound-nu0"),
+    ])
+    def test_matches_loop_that_refactors_every_iteration(self, solver, nu, shape):
         # Reference: the Gram matrix is rebuilt and factored in every
-        # iteration, without the package's projection solver.
+        # iteration, without the package's projection solver. At nu = 0 the
+        # code step does not go through `b_step` either.
+        features, samples, classes, bits = shape
         rng = np.random.default_rng(22)
-        x, labels, classes, bits = toy_problem(rng, features=6, samples=30,
-                                               classes=3, bits=8)
-        lam, nu, iters, seed = 1.0, 1e-2, 4, 5
+        x, labels, classes, bits = toy_problem(rng, features=features, samples=samples,
+                                               classes=classes, bits=bits)
+        lam, iters, seed = 1.0, 4, 5
         state, trajectory = sdh.train_sdh(x, labels, classes, bits, lam=lam,
                                           nu=nu, max_iters=iters, seed=seed,
                                           solver=solver)
@@ -252,8 +297,12 @@ class TestTrainSdh:
             ref.projection = scipy.linalg.cho_solve(
                 factor, x @ ref.codes.astype(np.float64).T)
             ref.weights = sdh.w_step(ref.codes, labels, classes, lam)
-            ref.codes, _ = sdh.b_step(ref, x, labels, solver)
-            ref_trajectory.append(sdh.objective(ref, x, labels))
+            projected = ref.projection.T @ x
+            if nu == 0.0:
+                ref.codes = per_class_code_step(ref, labels, solver)
+            else:
+                ref.codes, _ = sdh.b_step(ref, labels, solver, projected=projected)
+            ref_trajectory.append(sdh.objective(ref, labels, projected=projected))
 
         assert np.array_equal(state.projection, ref.projection)
         assert np.array_equal(state.weights, ref.weights)
@@ -276,7 +325,7 @@ class TestObjective:
         state = sdh.SdhState(codes=np.ones((4, n), dtype=np.int8),
                              weights=np.zeros((4, 3)),
                              projection=np.zeros((2, 4)), lam=1.0, nu=0.0)
-        breakdown = sdh.objective(state, np.ones((2, n)), labels)
+        breakdown = sdh.objective(state, labels, projected=np.zeros((4, n)))
         assert breakdown.classification_term == pytest.approx(n)
         assert breakdown.total == pytest.approx(n)
 
@@ -289,7 +338,7 @@ class TestObjective:
             codes=codes.expand_codes(cc, labels),
             weights=cc.codes / (bits + lam),
             projection=np.zeros((classes, bits)), lam=lam, nu=0.0)
-        breakdown = sdh.objective(state, x, labels)
+        breakdown = sdh.objective(state, labels, projected=state.projection.T @ x)
         # The brute-force code oracle confirmed C*lam/(L+lam) as the optimum
         # of this quantity, not L/(L+lam).
         expected = classes * lam / (bits + lam)
@@ -300,7 +349,7 @@ class TestObjective:
         rng = np.random.default_rng(17)
         x, labels, classes, bits = toy_problem(rng)
         state, _ = sdh.train_sdh(x, labels, classes, bits, seed=0)
-        breakdown = sdh.objective(state, x, labels)
+        breakdown = sdh.objective(state, labels, projected=state.projection.T @ x)
         assert breakdown.total >= 0
         assert breakdown.total == pytest.approx(
             breakdown.classification_term + breakdown.regularizer + breakdown.bias_term)
