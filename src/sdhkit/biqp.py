@@ -6,7 +6,10 @@ and depth-first branch-and-bound with an absolute-mass interval bound. The
 eigenvalue relaxation bound is useless here because Q = W W^T is rank
 deficient whenever L > C, so its smallest eigenvalue is zero. `solve_batch`
 solves many problems sharing one Q with any of the three, as the
-alternating trainer's code step does.
+alternating trainer's code step does. DCC and exhaustive search take the
+whole set at once; the enumeration computes b^T Q b once per assignment
+for all the problems. Branch-and-bound takes them one at a time. Every
+term must be finite.
 """
 from __future__ import annotations
 
@@ -26,14 +29,7 @@ class BiqpProblem:
     linear: np.ndarray     # (bits,)
 
     def __post_init__(self):
-        q = np.asarray(self.quadratic, dtype=np.float64)
-        f = np.asarray(self.linear, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError(f"quadratic must be square, got shape {q.shape}")
-        if f.shape != (q.shape[0],):
-            raise ValueError(f"linear term shape {f.shape} does not match {q.shape[0]} bits")
-        if q.size and np.abs(q - q.T).max() > 1e-12:
-            raise ValueError("quadratic matrix must be symmetric within 1e-12")
+        q, f = _checked_terms(self.quadratic, self.linear, problems=False)
         object.__setattr__(self, "quadratic", q)
         object.__setattr__(self, "linear", f)
 
@@ -49,6 +45,23 @@ class BiqpSolution:
     solver_tag: str         # dcc | exhaustive | branch_and_bound
     exact: bool
     nodes: int = 0          # branch-and-bound nodes visited (0 otherwise)
+
+
+def _checked_terms(quadratic, linear, *, problems: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Both terms as float64 arrays, `linear` holding one problem or, with
+    `problems`, one per column. NaN or inf would void every comparison the
+    solvers make, so they are rejected."""
+    q = np.asarray(quadratic, dtype=np.float64)
+    f = np.asarray(linear, dtype=np.float64)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise ValueError(f"quadratic must be square, got shape {q.shape}")
+    if f.ndim != 1 + problems or f.shape[0] != q.shape[0]:
+        raise ValueError(f"linear term shape {f.shape} does not match {q.shape[0]} bits")
+    if not (np.isfinite(q).all() and np.isfinite(f).all()):
+        raise ValueError("quadratic and linear terms must be finite")
+    if q.size and np.abs(q - q.T).max() > 1e-12:
+        raise ValueError("quadratic matrix must be symmetric within 1e-12")
+    return q, f
 
 
 def objective_value(problem: BiqpProblem, assignment: np.ndarray) -> float:
@@ -105,15 +118,47 @@ def solve_dcc(problem: BiqpProblem, init: np.ndarray,
                         solver_tag="dcc", exact=False)
 
 
-@lru_cache(maxsize=4)
-def _sign_columns(bits: int, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop of the lexicographic {-1,+1}^bits enumeration
-    (bit 0 most significant, -1 < +1). Cached because the code step solves
-    many problems of one size; callers must not mutate the result."""
-    idx = np.arange(start, stop, dtype=np.uint64)
+def _signs(bits: int, idx: np.ndarray) -> np.ndarray:
+    """Assignment number idx of the lexicographic {-1,+1}^bits enumeration
+    (bit 0 most significant, -1 < +1), one column per entry of idx."""
     shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
     flat = ((idx[None, :] >> shifts[:, None]) & 1).astype(np.float64)
     return 2.0 * flat - 1.0
+
+
+@lru_cache(maxsize=4)
+def _sign_columns(bits: int, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop of the enumeration. Cached because the code step
+    solves many problem sets of one size; callers must not mutate it."""
+    return _signs(bits, np.arange(start, stop, dtype=np.uint64))
+
+
+def _enumerate(quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
+    """Global minimizer of every column's problem over all 2^bits assignments.
+
+    All problems share Q, so b^T Q b is computed once per chunk of
+    assignments; each problem adds its own f^T b and keeps the first
+    minimum, which makes ties go to the lexicographically smallest
+    assignment. Returns the (bits, problems) int8 minimizers.
+    """
+    bits, problems = linear.shape
+    if bits > EXHAUSTIVE_MAX_BITS:
+        raise ValueError(
+            f"exhaustive search over {bits} bits exceeds the {EXHAUSTIVE_MAX_BITS}-bit budget"
+        )
+    best_val = [np.inf] * problems
+    best_idx = np.zeros(problems, dtype=np.uint64)
+    total = 1 << bits
+    for start in range(0, total, _ENUM_CHUNK):
+        cols = _sign_columns(bits, start, min(start + _ENUM_CHUNK, total))
+        shared = np.einsum("ln,ln->n", cols, quadratic @ cols)
+        for k in range(problems):
+            vals = shared + linear[:, k] @ cols
+            i = int(np.argmin(vals))
+            if vals[i] < best_val[k]:
+                best_val[k] = float(vals[i])
+                best_idx[k] = start + i
+    return _signs(bits, best_idx).astype(np.int8)
 
 
 def solve_exhaustive(problem: BiqpProblem) -> BiqpSolution:
@@ -121,24 +166,7 @@ def solve_exhaustive(problem: BiqpProblem) -> BiqpSolution:
 
     Ties are broken by the lexicographically smallest assignment (-1 < +1).
     """
-    bits = problem.bits
-    if bits > EXHAUSTIVE_MAX_BITS:
-        raise ValueError(
-            f"exhaustive search over {bits} bits exceeds the {EXHAUSTIVE_MAX_BITS}-bit budget"
-        )
-    q = problem.quadratic
-    f = problem.linear
-    best_val = np.inf
-    best_idx = -1
-    total = 1 << bits
-    for start in range(0, total, _ENUM_CHUNK):
-        cols = _sign_columns(bits, start, min(start + _ENUM_CHUNK, total))
-        vals = np.einsum("ln,ln->n", cols, q @ cols) + f @ cols
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_idx = start + i
-    assignment = _sign_columns(bits, best_idx, best_idx + 1)[:, 0].astype(np.int8)
+    assignment = _enumerate(problem.quadratic, problem.linear[:, None])[:, 0]
     return BiqpSolution(assignment=assignment,
                         objective=objective_value(problem, assignment),
                         solver_tag="exhaustive", exact=True)
@@ -173,6 +201,15 @@ def solve_branch_and_bound(problem: BiqpProblem,
     best_b = incumbent.copy()
     nodes = 0
 
+    # Per-depth constants, each built by the expression the bound would
+    # otherwise evaluate at every node, so every bound rounds the same.
+    diag_at = [float(x) for x in diag]
+    f_at = [float(x) for x in f]
+    f_free = [f[d + 1:] for d in range(bits)]
+    diag_free = [float(diag[d + 1:].sum()) for d in range(bits)]
+    row_mass = [float(2.0 * abs_q[d, d + 1:].sum()) for d in range(bits)]
+    coupling_step = [{sign: 2.0 * sign * q[:, d] for sign in (-1, 1)} for d in range(bits)]
+
     prefix = np.zeros(bits, dtype=np.int8)
     # coupling[l] = 2 * sum_{j fixed} Q_{l,j} b_j for free l; fixed_val is the
     # prefix's exact objective contribution; free_pair_mass = sum of |Q_lm|
@@ -192,17 +229,21 @@ def solve_branch_and_bound(problem: BiqpProblem,
                 best_val = val
                 best_b = prefix.copy()
             return
+        child_mass = free_pair_mass - row_mass[depth]
+        base = fixed_val + diag_at[depth]
+        pull = f_at[depth] + float(coupling[depth])
         children = []
         for sign in (-1, 1):
-            child_fixed = fixed_val + diag[depth] + sign * (f[depth] + coupling[depth])
-            child_coupling = coupling + 2.0 * sign * q[:, depth]
-            child_mass = free_pair_mass - 2.0 * abs_q[depth, depth + 1:].sum()
-            child_bound = (child_fixed + diag[depth + 1:].sum()
-                           - np.abs(f[depth + 1:] + child_coupling[depth + 1:]).sum()
+            child_fixed = base + sign * pull
+            child_coupling = coupling + coupling_step[depth][sign]
+            child_bound = (child_fixed + diag_free[depth]
+                           - float(np.abs(f_free[depth] + child_coupling[depth + 1:]).sum())
                            - child_mass)
-            children.append((child_bound, sign, child_fixed, child_coupling, child_mass))
-        children.sort(key=lambda c: (c[0], c[1]))
-        for child_bound, sign, child_fixed, child_coupling, child_mass in children:
+            children.append((child_bound, sign, child_fixed, child_coupling))
+        # The lower bound goes first; -1 wins a tie.
+        if children[1][0] < children[0][0]:
+            children.reverse()
+        for child_bound, sign, child_fixed, child_coupling in children:
             if child_bound > best_val:
                 continue
             prefix[depth] = sign
@@ -230,23 +271,25 @@ def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
                 budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
     """Solve one problem per column of `linear`, all sharing `quadratic`.
 
-    DCC runs every problem at once from the columns of `init`; the exact
-    solvers take the problems one at a time and ignore `init`. Returns the
-    (bits, problems) int8 solutions and whether every one is proven optimal,
-    which DCC never claims.
+    DCC runs every problem at once from the columns of `init`. Exhaustive
+    search enumerates the assignments once for the whole set, and
+    branch-and-bound takes the problems one at a time; both ignore `init`.
+    Returns the (bits, problems) int8 solutions and whether every one is
+    proven optimal, which DCC never claims. Terms that are non-finite,
+    misshapen or asymmetric raise ValueError before any solver runs.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    quadratic, linear = _checked_terms(quadratic, linear, problems=True)
     if solver == "dcc":
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
+    if solver == "exhaustive":
+        return _enumerate(quadratic, linear), True
     codes = np.empty(linear.shape, dtype=np.int8)
     exact = True
     for k in range(codes.shape[1]):
-        problem = BiqpProblem(quadratic=quadratic, linear=linear[:, k])
-        if solver == "exhaustive":
-            sol = solve_exhaustive(problem)
-        else:
-            sol = solve_branch_and_bound(problem, budget_nodes=budget_nodes)
+        sol = solve_branch_and_bound(BiqpProblem(quadratic=quadratic, linear=linear[:, k]),
+                                     budget_nodes=budget_nodes)
         codes[:, k] = sol.assignment
         exact = exact and sol.exact
     return codes, exact

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdhkit import biqp
+from sdhkit import biqp, sdh
 
 import oracles
 
@@ -20,6 +20,16 @@ class TestProblemValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             biqp.BiqpProblem(quadratic=np.zeros((2, 2)), linear=np.zeros(3))
+
+    @pytest.mark.parametrize("term", ["quadratic", "linear"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, term, value):
+        # A NaN reads as symmetric and voids every comparison a solver makes.
+        terms = {"quadratic": np.eye(3), "linear": np.ones(3)}
+        terms[term] = terms[term].copy()
+        terms[term][(1, 1) if term == "quadratic" else 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            biqp.BiqpProblem(**terms)
 
 
 class TestDcc:
@@ -119,7 +129,48 @@ class TestExhaustive:
         assert np.array_equal(sol.assignment, [-1, -1, -1, -1])
 
 
+def fig1_like_problems():
+    """The fig1 study's first code step: random codes, one sample per
+    class, W from the classifier step and f = -2 w_c (nu = 0). Q = W W^T is
+    rank deficient at 12 and 16 bits with 10 classes (8 bits use 5)."""
+    rng = np.random.default_rng(0)
+    for bits, classes in ((8, 5), (12, 10), (16, 10)):
+        b = (2 * rng.integers(0, 2, (bits, classes)) - 1).astype(np.int8)
+        w = sdh.w_step(b, np.arange(classes), classes, 1.0)
+        for c in range(classes):
+            yield biqp.BiqpProblem(quadratic=w @ w.T, linear=-2.0 * w[:, c])
+
+
+# (bits, nodes, assignment as its enumeration index) for each of
+# fig1_like_problems(). Reassociating the bound's sum moves node counts here.
+FIG1_LIKE_BB = [
+    (8, 17, 0x00b7), (8, 30, 0x00bc), (8, 21, 0x00b8), (8, 11, 0x0036),
+    (8, 12, 0x0074), (12, 84, 0x069e), (12, 68, 0x02e6), (12, 59, 0x021f),
+    (12, 58, 0x0403), (12, 83, 0x07fc), (12, 82, 0x0df5), (12, 65, 0x0a99),
+    (12, 60, 0x0f0b), (12, 88, 0x07bc), (12, 54, 0x0e40), (16, 889, 0xb0a1),
+    (16, 1902, 0xf72d), (16, 1108, 0x6725), (16, 884, 0x6179), (16, 957, 0x7ab5),
+    (16, 1066, 0xdebc), (16, 1012, 0x041c), (16, 1225, 0xb9b3), (16, 1004, 0x0dde),
+    (16, 1476, 0x7604),
+]
+
+
+def enumeration_index(assignment):
+    """Position in the lexicographic enumeration, bit 0 most significant."""
+    return int("".join("1" if v > 0 else "0" for v in assignment), 2)
+
+
 class TestBranchAndBound:
+    def test_fig1_like_node_counts_are_pinned(self):
+        problems = list(fig1_like_problems())
+        assert len(problems) == len(FIG1_LIKE_BB)
+        for problem, (bits, nodes, index) in zip(problems, FIG1_LIKE_BB):
+            sol = biqp.solve_branch_and_bound(problem)
+            assert problem.bits == bits
+            assert sol.exact
+            assert sol.nodes == nodes, (bits, index)
+            assert enumeration_index(sol.assignment) == index
+            assert np.array_equal(sol.assignment, biqp.solve_exhaustive(problem).assignment)
+
     def test_matches_exhaustive_on_small_instances(self):
         rng = np.random.default_rng(6)
         for bits in (2, 5, 8, 12):
@@ -200,3 +251,65 @@ class TestSolveBatch:
         q, linears, inits = self.batch(np.random.default_rng(13))
         with pytest.raises(ValueError, match="unknown solver 'dccc'"):
             biqp.solve_batch(q, linears, inits, "dccc")
+
+    @pytest.mark.parametrize("solver", biqp.SOLVERS)
+    @pytest.mark.parametrize("term", ["quadratic", "linear"])
+    def test_rejects_non_finite(self, solver, term):
+        q, linears, inits = self.batch(np.random.default_rng(14))
+        if term == "quadratic":
+            q = q.copy()
+            q[2, 2] = np.inf
+        else:
+            linears[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            biqp.solve_batch(q, linears, inits, solver)
+
+    def test_exhaustive_set_spans_enumeration_chunks(self):
+        # 17 bits enumerate in two chunks; bit 0 is the most significant, so
+        # the second chunk holds every assignment with b_0 = +1. Problem 0's
+        # optimum lies there. Problem 1 has f = 0, so b and -b tie exactly,
+        # one in each chunk, and the first chunk's must win.
+        bits = 17
+        assert 1 << bits == 2 * biqp._ENUM_CHUNK
+        rng = np.random.default_rng(15)
+        g = rng.standard_normal((bits, bits)) / bits
+        q = g @ g.T
+        second_chunk = rng.standard_normal(bits)
+        second_chunk[0] = -20.0
+        linears = np.column_stack([second_chunk, np.zeros(bits), rng.standard_normal(bits)])
+        codes, exact = biqp.solve_batch(q, linears, None, "exhaustive")
+        assert exact
+        for k in range(linears.shape[1]):
+            expected, _ = oracles.biqp_brute_force(q, linears[:, k])
+            assert np.array_equal(codes[:, k], expected), k
+        assert codes[0, 0] == 1
+        assert codes[0, 1] == -1
+        tied = biqp.BiqpProblem(quadratic=q, linear=linears[:, 1])
+        assert (biqp.objective_value(tied, codes[:, 1])
+                == biqp.objective_value(tied, -codes[:, 1]))
+
+    def test_exhaustive_set_matches_one_call_per_problem(self):
+        # One shared Q, and linear terms of several kinds: nu = 0 class
+        # columns, perturbed ones, zeros (all ties), and terms much larger
+        # and much smaller than Q.
+        rng = np.random.default_rng(16)
+        bits = 10
+        w = rng.standard_normal((bits, 4))
+        q = w @ w.T
+        linears = np.column_stack([-2.0 * w, -2.0 * w[:, :2] + rng.standard_normal((bits, 2)),
+                                   np.zeros(bits), 100.0 * rng.standard_normal(bits),
+                                   rng.standard_normal((bits, 3)) * 1e-3])
+        codes, exact = biqp.solve_batch(q, linears, None, "exhaustive")
+        assert exact and codes.flags.c_contiguous
+        for k in range(linears.shape[1]):
+            alone = biqp.solve_exhaustive(biqp.BiqpProblem(quadratic=q, linear=linears[:, k]))
+            assert np.array_equal(codes[:, k], alone.assignment), k
+
+    def test_exhaustive_bit_guard_precedes_enumeration(self, monkeypatch):
+        def enumerate_columns(*args):
+            raise AssertionError("enumerated past the bit budget")
+
+        monkeypatch.setattr(biqp, "_sign_columns", enumerate_columns)
+        bits = biqp.EXHAUSTIVE_MAX_BITS + 1
+        with pytest.raises(ValueError, match="budget"):
+            biqp.solve_batch(np.zeros((bits, bits)), np.zeros((bits, 2)), None, "exhaustive")

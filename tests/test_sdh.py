@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sdhkit import biqp, codes, sdh
+from sdhkit import biqp, codes, dataset, kernelmap, sdh
 
 import oracles
 
@@ -200,6 +200,33 @@ class TestBStep:
         _, exact = sdh.b_step(state, labels, "branch_and_bound",
                               projected=state.projection.T @ x, budget_nodes=1)
         assert not exact
+
+    def test_dcc_code_does_not_depend_on_batch(self, monkeypatch):
+        # dcc_batch computes each bit's argument as one product over every
+        # problem in the batch, which may round differently from a
+        # one-column product. On trained problem sets (kernel features,
+        # L = 64, nu > 0: one problem per sample) each problem solved alone
+        # must still match its column of the batched solve.
+        data = dataset.normalize(dataset.synth_blobs(10, 50, 32, 1.5, 7))
+        kmap = kernelmap.fit_anchors(data, 100, 0.4, 0)
+        features = kernelmap.transform(kmap, data.features)
+        problem_sets = []
+        solve_batch = biqp.solve_batch
+
+        def record(quadratic, linear, init, solver, **options):
+            problem_sets.append((quadratic, linear, init, options["max_sweeps"]))
+            return solve_batch(quadratic, linear, init, solver, **options)
+
+        monkeypatch.setattr(biqp, "solve_batch", record)
+        sdh.train_sdh(features, data.labels, 10, 64, nu=1e-5, max_iters=2, solver="dcc")
+        assert len(problem_sets) == 2
+        for q, linear, init, sweeps in problem_sets:
+            assert linear.shape == (64, 500)
+            batched = biqp.dcc_batch(q, linear, init, max_sweeps=sweeps)
+            for k in range(linear.shape[1]):
+                alone = biqp.dcc_batch(q, linear[:, k:k + 1], init[:, k:k + 1],
+                                       max_sweeps=sweeps)
+                assert np.array_equal(alone[:, 0], batched[:, k]), k
 
     def test_features_are_not_accepted_positionally(self):
         # P^T X is keyword-only: an (L, N) feature matrix passed where the
