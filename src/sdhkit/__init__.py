@@ -8,15 +8,7 @@ baseline, and evaluates retrieval with a packed-code Hamming engine.
 from .biqp import BiqpProblem, BiqpSolution, solve_branch_and_bound, solve_dcc, solve_exhaustive
 from .codes import ClassCodes, expand_codes, fsdh_objective_oracle, pick_class_codes, sylvester
 from .dataset import RawDataset, load_csv, load_mnist, normalize, synth_blobs
-from .evaluate import (
-    EvalReport,
-    bias_term_diagnostics,
-    evaluate_retrieval,
-    loss_table,
-    mean_average_precision,
-    pr_curve,
-    precision_recall_at_radius,
-)
+from .evaluate import EvalReport, bias_term_diagnostics, evaluate_retrieval, loss_table
 from .fsdh import optimal_weights, train_fsdh
 from .index import CodeIndex, PackedCodes, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
@@ -26,7 +18,6 @@ from .sdh import (
     ProjectionSolver,
     SdhState,
     b_step,
-    f_step,
     magnitude_report,
     objective,
     train_sdh,
@@ -54,7 +45,6 @@ __all__ = [
     "encode",
     "evaluate_retrieval",
     "expand_codes",
-    "f_step",
     "fit_anchors",
     "fsdh_objective_oracle",
     "load_csv",
@@ -62,14 +52,11 @@ __all__ = [
     "load_model",
     "loss_table",
     "magnitude_report",
-    "mean_average_precision",
     "normalize",
     "objective",
     "optimal_weights",
     "pack",
     "pick_class_codes",
-    "pr_curve",
-    "precision_recall_at_radius",
     "radius_search",
     "rank_all",
     "save_model",

@@ -42,7 +42,6 @@ class BiqpProblem:
 class BiqpSolution:
     assignment: np.ndarray  # (bits,) int8 in {-1, +1}
     objective: float
-    solver_tag: str         # dcc | exhaustive | branch_and_bound
     exact: bool
     nodes: int = 0          # branch-and-bound nodes visited (0 otherwise)
 
@@ -114,8 +113,7 @@ def solve_dcc(problem: BiqpProblem, init: np.ndarray,
         raise ValueError(f"init shape {init.shape} does not match {problem.bits} bits")
     b = dcc_batch(problem.quadratic, problem.linear[:, None], init[:, None],
                   max_sweeps=max_sweeps)[:, 0]
-    return BiqpSolution(assignment=b, objective=objective_value(problem, b),
-                        solver_tag="dcc", exact=False)
+    return BiqpSolution(assignment=b, objective=objective_value(problem, b), exact=False)
 
 
 def _signs(bits: int, idx: np.ndarray) -> np.ndarray:
@@ -168,8 +166,7 @@ def solve_exhaustive(problem: BiqpProblem) -> BiqpSolution:
     """
     assignment = _enumerate(problem.quadratic, problem.linear[:, None])[:, 0]
     return BiqpSolution(assignment=assignment,
-                        objective=objective_value(problem, assignment),
-                        solver_tag="exhaustive", exact=True)
+                        objective=objective_value(problem, assignment), exact=True)
 
 
 class _BudgetExhausted(Exception):
@@ -255,8 +252,8 @@ def solve_branch_and_bound(problem: BiqpProblem,
         visit(0, 0.0, coupling, free_pair_mass)
     except _BudgetExhausted:
         exact = False
-    return BiqpSolution(assignment=best_b, objective=float(best_val),
-                        solver_tag="branch_and_bound", exact=exact, nodes=nodes)
+    return BiqpSolution(assignment=best_b, objective=float(best_val), exact=exact,
+                        nodes=nodes)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:

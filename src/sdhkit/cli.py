@@ -150,6 +150,13 @@ def _cfg_int(cfg, key):
         raise StageError("config", f"key {key!r} must be an integer, got {cfg.get(key)!r}")
 
 
+def _cfg_positive_int(cfg, key):
+    value = _cfg_int(cfg, key)
+    if value < 1:
+        raise StageError("config", f"key {key!r} must be a positive integer, got {value}")
+    return value
+
+
 def _cfg_float(cfg, key):
     try:
         return float(cfg[key])
@@ -159,9 +166,12 @@ def _cfg_float(cfg, key):
 
 def _cfg_int_list(cfg, key):
     try:
-        return [int(v) for v in cfg[key].split(",") if v.strip()]
+        values = [int(v) for v in cfg[key].split(",") if v.strip()]
     except (KeyError, ValueError):
         raise StageError("config", f"key {key!r} must be comma-separated integers")
+    if not values:
+        raise StageError("config", f"key {key!r} must list at least one integer")
+    return values
 
 
 def _sdh_options(cfg) -> dict:
@@ -378,7 +388,7 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
 
 def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
     bits_list = _cfg_int_list(cfg, "bits_list")
-    test_per_class = _cfg_int(cfg, "test_per_class")
+    test_per_class = _cfg_positive_int(cfg, "test_per_class")
     methods = _bitscale_methods(cfg)
     options = _sdh_options(cfg)
     data = _load_dataset(cfg)
@@ -395,8 +405,8 @@ def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
             code_index = index.CodeIndex(codes=encode(model, train.features),
                                          labels=train.labels)
             query_codes = encode(model, test.features)
-            precision, _ = evaluate.precision_recall_at_radius(
-                code_index, query_codes, test.labels, radius)
+            precision = evaluate.evaluate_retrieval(
+                code_index, query_codes, test.labels, radius).precision_at_radius
             rows.append([method, bits, f"{elapsed:.3f}", repr(precision)])
             print(f"bitscale method={method} bits={bits} "
                   f"train_seconds={elapsed:.3f} precision={precision:.4f}")
@@ -471,13 +481,13 @@ def cmd_figures(cfg: dict[str, str], figure: str) -> int:
 
 
 def cmd_bench(cfg: dict[str, str]) -> int:
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
-    data = _load_dataset(cfg)
-    repeats = _cfg_int(cfg, "repeats")
+    repeats = _cfg_positive_int(cfg, "repeats")
     bits_list = _cfg_int_list(cfg, "bits_list")
     method = cfg["method"]
     options = _sdh_options(cfg)
+    out = _outdir(cfg)
+    _write_config_copy(cfg, out)
+    data = _load_dataset(cfg)
     with stage("kernel"):
         kmap = kernelmap.fit_anchors(data, min(_cfg_int(cfg, "anchors"), data.sample_count),
                                      _cfg_float(cfg, "sigma"), options["seed"])
@@ -499,20 +509,15 @@ def cmd_bench(cfg: dict[str, str]) -> int:
             if method == "fsdh":
                 code_s = median_time(lambda: codes.pick_class_codes(
                     codes.sylvester(bits), data.class_count))
-                class_codes = codes.pick_class_codes(codes.sylvester(bits), data.class_count)
-                # The factored solve that train_fsdh runs: one solve against
-                # the class indicators, then the product with the class codes.
-                solve_s = median_time(lambda: sdh.ProjectionSolver(features).solve(
-                    sdh.one_hot(data.labels, data.class_count))
-                    @ class_codes.codes.astype(np.float64).T)
                 rows.append([method, bits, "code_construction", f"{code_s:.3f}"])
-                rows.append([method, bits, "linear_solve", f"{solve_s:.3f}"])
-                total = transform_s + code_s + solve_s
-            else:
-                train_s = median_time(lambda: sdh.train_sdh(
-                    features, data.labels, data.class_count, bits, **options))
-                rows.append([method, bits, "train", f"{train_s:.3f}"])
-                total = transform_s + train_s
+            # The trainer builds its own class codes, so they are not added
+            # to the total; fsdh's trainer is one linear solve.
+            train_s = float(np.median([
+                _train_model(method, kmap, features, data, bits, options)[1]
+                for _ in range(repeats)]))
+            rows.append([method, bits, "linear_solve" if method == "fsdh" else "train",
+                         f"{train_s:.3f}"])
+            total = transform_s + train_s
             rows.append([method, bits, "total", f"{total:.3f}"])
             print(f"bench method={method} bits={bits} total_seconds={total:.3f}")
     with open(out / "bench.csv", "w", newline="") as f:

@@ -7,9 +7,10 @@ conservative convention); a flag switches to skipping them for sensitivity
 analysis since either reading is defensible.
 
 Every retrieval metric comes from one streaming pass, `retrieval_counts`,
-which computes each block of query distances once; the public metric
-functions are views of it, so memory stays O(n_queries * bits + block *
-database size) however many queries there are.
+which computes each block of query distances once; `evaluate_retrieval`
+reads precision and recall at a radius, MAP, the per-query average
+precisions and the PR curve from it, so memory stays O(n_queries * bits +
+block * database size) however many queries there are.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ def _check_query_inputs(index: CodeIndex, queries: PackedCodes,
     return query_labels
 
 
-def _check_options(zero_retrieval: str, radius: int = 0) -> None:
+def _check_options(zero_retrieval: str, radius: int) -> None:
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if zero_retrieval not in ZERO_RETRIEVAL_MODES:
@@ -156,50 +157,16 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                            class_sizes=class_sizes, ap=ap)
 
 
-def precision_recall_at_radius(index: CodeIndex, queries: PackedCodes,
-                               query_labels: np.ndarray, radius: int,
-                               zero_retrieval: str = "zero") -> tuple[float, float]:
-    """Mean per-query precision and recall of radius-limited retrieval."""
-    _check_options(zero_retrieval, radius)
-    counts = retrieval_counts(index, queries, query_labels)
-    recall, precision = counts.point(min(radius, index.codes.bits), zero_retrieval)
-    return precision, recall
-
-
-def average_precisions(index: CodeIndex, queries: PackedCodes,
-                       query_labels: np.ndarray) -> np.ndarray:
-    """Per-query average precision along the full Hamming ranking.
-
-    The ranking sorts by distance with ties broken by ascending database id,
-    so the values are deterministic.
-    """
-    return retrieval_counts(index, queries, query_labels).ap
-
-
-def mean_average_precision(index: CodeIndex, queries: PackedCodes,
-                           query_labels: np.ndarray) -> float:
-    """Mean over queries of average precision along the full Hamming ranking."""
-    return float(average_precisions(index, queries, query_labels).mean())
-
-
-def pr_curve(index: CodeIndex, queries: PackedCodes, query_labels: np.ndarray,
-             zero_retrieval: str = "zero") -> list[tuple[float, float]]:
-    """Averaged (recall, precision) at every integer Hamming threshold 0..L.
-
-    Sweeping distance thresholds matches Hamming-ranking semantics; recall
-    is non-decreasing in the threshold and reaches 1 at threshold L.
-    """
-    _check_options(zero_retrieval)
-    return retrieval_counts(index, queries, query_labels).curve(zero_retrieval)
-
-
 def evaluate_retrieval(index: CodeIndex, queries: PackedCodes,
                        query_labels: np.ndarray, radius: int = 2,
                        zero_retrieval: str = "zero") -> EvalReport:
     """Precision/recall at the given radius, MAP, and the full PR curve.
 
-    Everything comes from one `retrieval_counts` pass. Precision and recall
-    at radius r are point min(r, L) of the PR curve.
+    Everything comes from one `retrieval_counts` pass. The PR curve holds
+    the mean (recall, precision) at every Hamming threshold 0..L; its recall
+    is non-decreasing and reaches 1 at L. Precision and recall at radius r
+    are point min(r, L) of it. `per_query` holds each query's average
+    precision along the full ranking, ties broken by ascending database id.
     """
     _check_options(zero_retrieval, radius)
     counts = retrieval_counts(index, queries, query_labels)

@@ -134,16 +134,6 @@ class ProjectionSolver:
         return scipy.linalg.cho_solve(self._factor, self._features @ t.T)
 
 
-def f_step(features: np.ndarray, codes: np.ndarray,
-           jitter: float | None = None) -> np.ndarray:
-    """Least-squares projection: solve (X X^T + jitter*I) P = X B^T.
-
-    A one-shot `ProjectionSolver`; callers solving repeatedly against the
-    same features should build the solver once instead.
-    """
-    return ProjectionSolver(features, jitter).solve(codes)
-
-
 def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
            projected: np.ndarray, sweeps: int = DEFAULT_SWEEPS,
            budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:

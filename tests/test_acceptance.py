@@ -37,9 +37,8 @@ def _train_eval_mnist_fsdh(mnist_paths, seed, bits=32, anchors=1000,
     idx = index.CodeIndex(codes=encode(model, train.features),
                           labels=train.labels)
     queries = encode(model, test.features)
-    precision, _ = evaluate.precision_recall_at_radius(idx, queries, test.labels, 2)
-    map_value = evaluate.mean_average_precision(idx, queries, test.labels)
-    return precision, map_value
+    report = evaluate.evaluate_retrieval(idx, queries, test.labels, 2)
+    return report.precision_at_radius, report.map
 
 
 def test_criterion_1_mnist_reproduction(mnist_paths):
@@ -80,9 +79,8 @@ def test_criterion_2_bit_scalability():
             trained_on=DatasetFingerprint(10000, 32, 10, 0))
         idx = index.CodeIndex(codes=encode(model, train.features),
                               labels=train.labels)
-        precision, _ = evaluate.precision_recall_at_radius(
-            idx, encode(model, test.features), test.labels, 2)
-        precisions[bits] = precision
+        precisions[bits] = evaluate.evaluate_retrieval(
+            idx, encode(model, test.features), test.labels, 2).precision_at_radius
 
     ratio = times[512] / times[32]
     spread = max(precisions.values()) - min(precisions.values())
@@ -109,8 +107,8 @@ def test_criterion_3_bias_term_is_negligible(mnist_paths):
             trained_on=DatasetFingerprint(2000, train.dim, 10, 0))
         idx = index.CodeIndex(codes=encode(model, train.features),
                               labels=train.labels)
-        maps[nu] = evaluate.mean_average_precision(
-            idx, encode(model, test.features), test.labels)
+        maps[nu] = evaluate.evaluate_retrieval(
+            idx, encode(model, test.features), test.labels).map
     gap = abs(maps[1e-5] - maps[0.0])
     ok = gap <= 0.02
     _report(3, ok, f"map(nu=1e-5)={maps[1e-5]:.4f} map(nu=0)={maps[0.0]:.4f} "
@@ -201,7 +199,7 @@ def test_criterion_7_fit_error_trace_identity():
         bits = int(rng.integers(2, 7))
         x = rng.standard_normal((m, n))
         b = (2 * rng.integers(0, 2, (bits, n)) - 1).astype(np.float64)
-        p = sdh.f_step(x, b, jitter=0.0)
+        p = sdh.ProjectionSolver(x, jitter=0.0).solve(b)
         direct = ((b - p.T @ x) ** 2).sum()
         gram = x.T @ np.linalg.solve(x @ x.T, x)
         identity = np.trace(b.T @ b) - np.einsum("ln,nm,lm->", b, gram, b)

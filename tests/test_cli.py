@@ -192,6 +192,15 @@ class TestBenchAndSynth:
         rows3 = (tmp_path / "b3" / "bench.csv").read_text().strip().splitlines()
         assert [r.rsplit(",", 1)[0] for r in rows1] == [r.rsplit(",", 1)[0] for r in rows3]
 
+    def test_sdh_bench_times_the_trainer(self, tmp_path):
+        cfg = write_cfg(tmp_path / "bench.cfg",
+                        SYNTH_KEYS + "method = sdh\nbits_list = 16\nrepeats = 1\niters = 2\n"
+                        f"outdir = {tmp_path / 'bench'}\n")
+        assert run(["bench", "--config", cfg]) == 0
+        rows = (tmp_path / "bench" / "bench.csv").read_text().strip().splitlines()
+        assert [r.rsplit(",", 1)[0] for r in rows[1:]] == [
+            "sdh,16,kernel_transform", "sdh,16,train", "sdh,16,total"]
+
     def test_synth_round_trips_through_csv_loader(self, tmp_path):
         cfg = write_cfg(tmp_path / "synth.cfg",
                         "classes = 3\nper_class = 4\ndim = 5\nspread = 0.2\n"
@@ -361,6 +370,26 @@ class TestConfigValidation:
         assert "error [config]" in err
         assert repr(value.split(",")[-1]) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        (["bench"], "repeats", "0"),
+        (["bench"], "repeats", "-2"),
+        (["bench"], "bits_list", ""),
+        (["figures", "bitscale"], "test_per_class", "-1"),
+        (["figures", "bitscale"], "test_per_class", "0"),
+        (["figures", "bitscale"], "bits_list", ""),
+        (["figures", "losses"], "losses_bits_list", ""),
+    ])
+    def test_non_positive_count_or_empty_list_fails_before_any_data_loads(
+            self, tmp_path, capsys, command, key, value):
+        # `bench` with repeats=0 wrote nan timings, `test_per_class=-1` trained
+        # on one sample per class, and an empty list wrote a header-only CSV.
+        out = tmp_path / "run"
+        assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
+                              "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and repr(key) in err
+        assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command, key, value", [
         (["train"], "db_limit", "50"),

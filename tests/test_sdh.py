@@ -101,17 +101,17 @@ class TestWStep:
             sdh.w_step(b, np.array([0, 1]), 2, 0.0)
 
 
-class TestFStep:
+class TestProjectionSolver:
     def test_identity_features(self):
         b = (2 * np.eye(4) - 1).astype(np.int8)
-        p = sdh.f_step(np.eye(4), b, jitter=0.0)
+        p = sdh.ProjectionSolver(np.eye(4), jitter=0.0).solve(b)
         assert np.abs(p - b.T).max() < 1e-12
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 20))
         b = (2 * rng.integers(0, 2, (3, 20)) - 1).astype(np.float64)
-        p = sdh.f_step(x, b, jitter=0.0)
+        p = sdh.ProjectionSolver(x, jitter=0.0).solve(b)
         assert (np.linalg.norm(x @ x.T @ p - x @ b.T)
                 < 1e-8 * np.linalg.norm(x @ b.T))
 
@@ -119,7 +119,7 @@ class TestFStep:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5, 8))
         b = (2 * rng.integers(0, 2, (3, 8)) - 1).astype(np.float64)
-        p = sdh.f_step(x, b, jitter=0.0)
+        p = sdh.ProjectionSolver(x, jitter=0.0).solve(b)
         dense = np.linalg.solve(x @ x.T, x @ b.T)
         assert np.abs(p - dense).max() < 1e-10
 
@@ -127,7 +127,7 @@ class TestFStep:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 15))
         b = (2 * rng.integers(0, 2, (3, 15)) - 1).astype(np.float64)
-        p = sdh.f_step(x, b, jitter=0.0)
+        p = sdh.ProjectionSolver(x, jitter=0.0).solve(b)
 
         def fit(projection):
             return ((b - projection.T @ x) ** 2).sum()
@@ -142,7 +142,7 @@ class TestFStep:
     def test_singular_without_jitter(self):
         x = rank_deficient_features(np.random.default_rng(21))
         with pytest.raises(ValueError, match="singular"):
-            sdh.f_step(x, np.ones((2, x.shape[1]), dtype=np.int8), jitter=0.0)
+            sdh.ProjectionSolver(x, jitter=0.0).solve(np.ones((2, x.shape[1]), dtype=np.int8))
 
 
 class TestBStep:
