@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: train, eval, figures, bench, synth. Every command reads a flat
-key = value config file (flags override file values), copies the resolved
-config into its output directory so runs are replayable, and exits nonzero
-with a stage-tagged message on failure. See the README for the config
-schema.
+key = value config file (flags override file values), types and checks every
+key against `SCHEMA` before any output exists, copies the config as given
+into its output directory so runs are replayable, and exits nonzero with a
+stage-tagged message on failure. See the README for the config keys.
 """
 from __future__ import annotations
 
@@ -20,55 +20,110 @@ import numpy as np
 from . import biqp, codes, dataset, evaluate, fsdh, index, kernelmap, sdh
 from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
-FIGURES = ("fig1", "bitscale", "losses", "biasmap")
 METHODS = ("fsdh", "sdh")
 
-DEFAULTS = {
-    "source": "synth",
-    "limit": "",
-    "normalize": "unit_norm",
-    "classes": "10",
-    "per_class": "100",
-    "dim": "16",
-    "spread": "0.3",
-    "data_seed": "7",
-    "anchors": "1000",
-    "sigma": "0.4",
-    "seed": "0",
-    "method": "fsdh",
-    "bits": "32",
-    "lambda": "1.0",
-    "nu": "1e-5",
-    "iters": "5",
-    "solver": "dcc",
-    "sweeps": "3",
-    "radius": "2",
-    "zero_retrieval": "zero",
-    "repeats": "3",
-    "bits_list": "32,64,128,256,512",
-    "bitscale_methods": "fsdh,sdh",
-    "test_per_class": "30",
-    "fig1_seeds": "10",
-    "fig1_iters": "20",
-    "fig1_bits": "16",
-    "fig1_samples": "10",
-    "losses_bits_list": "16,32,64",
-    "biasmap_anchors": "100",
-}
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+
+
+def _positive_integer(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _optional_integer(text: str) -> int | None:
+    return _integer(text) if text else None
+
+
+def _integer_list(text: str) -> list[int]:
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError("must be comma-separated integers") from None
+    if not values:
+        raise ValueError("must list at least one integer")
+    return values
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+def _list_of(*choices: str):
+    choice = _one_of(*choices)
+
+    def parse(text: str) -> list[str]:
+        values = [choice(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ValueError(f"must list at least one of {', '.join(choices)}")
+        return values
+    return parse
+
+
+# Every config key: its default (None: absent unless given) and the parser
+# that types and checks its value (`str` for paths).
+SCHEMA = {
+    "source": ("synth", _one_of("mnist", "csv", "synth")),
+    "images": (None, str),
+    "labels": (None, str),
+    "features": (None, str),
+    "limit": ("", _optional_integer),
+    "normalize": ("unit_norm", _one_of(*dataset.NORMALIZE_MODES, "none")),
+    "classes": ("10", _integer),
+    "per_class": ("100", _integer),
+    "dim": ("16", _integer),
+    "spread": ("0.3", _number),
+    "data_seed": ("7", _integer),
+    "anchors": ("1000", _integer),
+    "sigma": ("0.4", _number),
+    "seed": ("0", _integer),
+    "method": ("fsdh", _one_of(*METHODS)),
+    "bits": ("32", _integer),
+    "lambda": ("1.0", _number),
+    "nu": ("1e-5", _number),
+    "iters": ("5", _integer),
+    "solver": ("dcc", _one_of(*biqp.SOLVERS)),
+    "sweeps": ("3", _integer),
+    "radius": ("2", _integer),
+    "zero_retrieval": ("zero", _one_of(*evaluate.ZERO_RETRIEVAL_MODES)),
+    "repeats": ("3", _positive_integer),
+    "bits_list": ("32,64,128,256,512", _integer_list),
+    "bitscale_methods": ("fsdh,sdh", _list_of(*METHODS)),
+    "test_per_class": ("30", _positive_integer),
+    "fig1_seeds": ("10", _positive_integer),
+    "fig1_iters": ("20", _integer),
+    "fig1_bits": ("16", _integer),
+    "fig1_samples": ("10", _integer),
+    "losses_bits_list": ("16,32,64", _integer_list),
+    "biasmap_anchors": ("100", _integer),
+    "outdir": (None, str),
+    "model": (None, str),
+}
 # The keys that describe one dataset; `eval` reads one such block per role,
 # with the `db_` and `query_` prefixes, each key falling back to its
 # unprefixed form.
 DATASET_KEYS = ("source", "limit", "normalize", "images", "labels", "features")
-EVAL_ONLY_KEYS = frozenset(("model",)).union(
-    role + key for role in ("db_", "query_") for key in DATASET_KEYS)
-KNOWN_KEYS = frozenset(DEFAULTS).union(("outdir", "images", "labels", "features"),
-                                       EVAL_ONLY_KEYS)
-CHOICES = {
-    "method": METHODS,
-    "solver": biqp.SOLVERS,
-    "zero_retrieval": evaluate.ZERO_RETRIEVAL_MODES,
-}
+_ROLE_KEYS = {role + key: (None, SCHEMA[key][1])
+              for role in ("db_", "query_") for key in DATASET_KEYS}
+SCHEMA.update(_ROLE_KEYS)
+EVAL_ONLY_KEYS = frozenset(("model", *_ROLE_KEYS))
 
 
 class StageError(Exception):
@@ -101,84 +156,48 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict[str, str]:
-    cfg = dict(DEFAULTS)
+def read_config(args: argparse.Namespace) -> dict[str, str]:
+    """The raw config: the defaults, then the config file, then the flags."""
+    raw = {key: default for key, (default, _) in SCHEMA.items() if default is not None}
     if args.config:
         with stage("config"):
-            cfg.update(parse_config_file(args.config))
+            raw.update(parse_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
             raise StageError("config", f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        cfg[key.strip()] = value.strip()
-    if getattr(args, "outdir", None):
-        cfg["outdir"] = args.outdir
-    _check_config(cfg, args.command)
-    return cfg
+        raw[key.strip()] = value.strip()
+    if args.outdir:
+        raw["outdir"] = args.outdir
+    return raw
 
 
-def _check_config(cfg: dict[str, str], command: str) -> None:
-    """Reject misspelled keys, option values and keys the command does not
-    read, before any data loads."""
-    unknown = sorted(set(cfg) - KNOWN_KEYS)
+def resolve_config(raw: dict[str, str], command: str) -> dict:
+    """Type every key of `raw` through `SCHEMA`, before any data loads.
+
+    Rejects unknown keys, then malformed values, then keys that only `eval`
+    reads given to another command.
+    """
+    unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise StageError("config", f"unknown config key(s): {', '.join(map(repr, unknown))}")
-    for key, choices in CHOICES.items():
-        _check_choice(key, cfg[key], choices)
-    for method in _bitscale_methods(cfg):
-        _check_choice("bitscale_methods", method, METHODS)
+    cfg = {}
+    for key, value in raw.items():
+        try:
+            cfg[key] = SCHEMA[key][1](value)
+        except ValueError as exc:
+            raise StageError("config", f"key {key!r} {exc}") from None
     unread = sorted(set(cfg) & EVAL_ONLY_KEYS) if command != "eval" else []
     if unread:
         raise StageError("config", f"key(s) {', '.join(map(repr, unread))} "
                                    f"are read by 'eval' only, not by {command!r}")
-
-
-def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
-    if value not in choices:
-        raise StageError("config",
-                         f"key {key!r} must be one of {', '.join(choices)}, got {value!r}")
-
-
-def _bitscale_methods(cfg: dict[str, str]) -> list[str]:
-    return [m.strip() for m in cfg["bitscale_methods"].split(",") if m.strip()]
-
-
-def _cfg_int(cfg, key):
-    try:
-        return int(cfg[key])
-    except (KeyError, ValueError):
-        raise StageError("config", f"key {key!r} must be an integer, got {cfg.get(key)!r}")
-
-
-def _cfg_positive_int(cfg, key):
-    value = _cfg_int(cfg, key)
-    if value < 1:
-        raise StageError("config", f"key {key!r} must be a positive integer, got {value}")
-    return value
-
-
-def _cfg_float(cfg, key):
-    try:
-        return float(cfg[key])
-    except (KeyError, ValueError):
-        raise StageError("config", f"key {key!r} must be a number, got {cfg.get(key)!r}")
-
-
-def _cfg_int_list(cfg, key):
-    try:
-        values = [int(v) for v in cfg[key].split(",") if v.strip()]
-    except (KeyError, ValueError):
-        raise StageError("config", f"key {key!r} must be comma-separated integers")
-    if not values:
-        raise StageError("config", f"key {key!r} must list at least one integer")
-    return values
+    return cfg
 
 
 def _sdh_options(cfg) -> dict:
     """Keyword arguments of `sdh.train_sdh` from the config."""
-    return {"lam": _cfg_float(cfg, "lambda"), "nu": _cfg_float(cfg, "nu"),
-            "max_iters": _cfg_int(cfg, "iters"), "seed": _cfg_int(cfg, "seed"),
-            "solver": cfg["solver"], "sweeps": _cfg_int(cfg, "sweeps")}
+    return {"lam": cfg["lambda"], "nu": cfg["nu"], "max_iters": cfg["iters"],
+            "seed": cfg["seed"], "solver": cfg["solver"], "sweeps": cfg["sweeps"]}
 
 
 def _require(cfg, key, stage_name="config"):
@@ -188,26 +207,18 @@ def _require(cfg, key, stage_name="config"):
     return value
 
 
-def _outdir(cfg) -> Path:
-    out = Path(_require(cfg, "outdir"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _synth_blobs(cfg) -> dataset.RawDataset:
+    return dataset.synth_blobs(classes=cfg["classes"], per_class=cfg["per_class"],
+                               dim=cfg["dim"], spread=cfg["spread"], seed=cfg["data_seed"])
 
 
-def _write_config_copy(cfg: dict[str, str], out: Path) -> None:
-    with open(out / "config.txt", "w") as f:
-        for key in sorted(cfg):
-            f.write(f"{key} = {cfg[key]}\n")
-
-
-def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
+def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
     def key(k):
         return prefix + k
 
     # Each dataset key in its `prefix`ed form, or else in its unprefixed form.
     cfg = {**cfg, **{key(k): cfg.get(key(k), cfg.get(k, "")) for k in DATASET_KEYS}}
-    source = cfg[key("source")]
-    limit = _cfg_int(cfg, key("limit")) if cfg[key("limit")] else None
+    source, limit = cfg[key("source")], cfg[key("limit")]
     with stage("dataset"):
         if source == "mnist":
             # The loader truncates the raw pixels before the float conversion.
@@ -217,16 +228,8 @@ def _load_dataset(cfg: dict[str, str], prefix: str = "") -> dataset.RawDataset:
         elif source == "csv":
             data = dataset.load_csv(_require(cfg, key("features"), "dataset"),
                                     _require(cfg, key("labels"), "dataset"))
-        elif source == "synth":
-            data = dataset.synth_blobs(
-                classes=_cfg_int(cfg, "classes"),
-                per_class=_cfg_int(cfg, "per_class"),
-                dim=_cfg_int(cfg, "dim"),
-                spread=_cfg_float(cfg, "spread"),
-                seed=_cfg_int(cfg, "data_seed"),
-            )
         else:
-            raise ValueError(f"unknown dataset source {source!r}")
+            data = _synth_blobs(cfg)
         data = dataset.truncate(data, limit)
     mode = cfg[key("normalize")]
     if mode != "none":
@@ -240,9 +243,12 @@ def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
                  options: dict) -> tuple[HashModel, float, list | None]:
     """Train `method` on the kernel features of `data` and assemble its model.
 
+    Every trainer runs here, after the check that `data` holds every class.
     Returns the model, the trainer's wall time in seconds, and the sdh
     objective trajectory (None for fsdh).
     """
+    with stage("dataset"):
+        dataset.validate_training_labels(data)
     fingerprint = DatasetFingerprint(sample_count=data.sample_count, dim=data.dim,
                                      class_count=data.class_count, seed=options["seed"])
     start = time.perf_counter()
@@ -259,19 +265,11 @@ def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
     return model, elapsed, trajectory
 
 
-def cmd_train(cfg: dict[str, str]) -> int:
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
+def cmd_train(cfg, out: Path) -> int:
     data = _load_dataset(cfg)
-    method = cfg["method"]
-    bits = _cfg_int(cfg, "bits")
-    options = _sdh_options(cfg)
-
-    with stage("dataset"):
-        dataset.validate_training_labels(data)
+    method, bits = cfg["method"], cfg["bits"]
     with stage("kernel"):
-        kmap = kernelmap.fit_anchors(data, _cfg_int(cfg, "anchors"),
-                                     _cfg_float(cfg, "sigma"), options["seed"])
+        kmap = kernelmap.fit_anchors(data, cfg["anchors"], cfg["sigma"], cfg["seed"])
     with stage("transform"):
         features = kernelmap.transform(kmap, data.features)
 
@@ -280,7 +278,8 @@ def cmd_train(cfg: dict[str, str]) -> int:
                  f"anchors={kmap.anchor_count}"]
 
     with stage("train"):
-        model, elapsed, trajectory = _train_model(method, kmap, features, data, bits, options)
+        model, elapsed, trajectory = _train_model(method, kmap, features, data, bits,
+                                                  _sdh_options(cfg))
         if trajectory is not None:
             sdh.write_trajectory_csv(out / "trajectory.csv", trajectory)
             final = trajectory[-1]
@@ -297,9 +296,7 @@ def cmd_train(cfg: dict[str, str]) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict[str, str]) -> int:
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
+def cmd_eval(cfg, out: Path) -> int:
     with stage("model"):
         model = load_model(_require(cfg, "model", "model"))
     database = _load_dataset(cfg, prefix="db_")
@@ -310,10 +307,9 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     with stage("index"):
         code_index = index.CodeIndex(codes=db_codes, labels=database.labels)
     with stage("evaluate"):
-        report = evaluate.evaluate_retrieval(
-            code_index, query_codes, queries.labels,
-            radius=_cfg_int(cfg, "radius"),
-            zero_retrieval=cfg["zero_retrieval"])
+        report = evaluate.evaluate_retrieval(code_index, query_codes, queries.labels,
+                                             radius=cfg["radius"],
+                                             zero_retrieval=cfg["zero_retrieval"])
     with stage("report"):
         fp = model.trained_on
         evaluate.write_summary(out / "summary.txt", {
@@ -334,21 +330,17 @@ def cmd_eval(cfg: dict[str, str]) -> int:
     return 0
 
 
-def _figure_fig1(cfg: dict[str, str], out: Path) -> None:
-    bits = _cfg_int(cfg, "fig1_bits")
-    classes = _cfg_int(cfg, "classes")
-    samples = _cfg_int(cfg, "fig1_samples")
-    lam = _cfg_float(cfg, "lambda")
-    iters = _cfg_int(cfg, "fig1_iters")
-    seeds = _cfg_int(cfg, "fig1_seeds")
+def _figure_fig1(cfg, out: Path) -> None:
+    bits, classes, samples = cfg["fig1_bits"], cfg["classes"], cfg["fig1_samples"]
+    lam = cfg["lambda"]
     labels = np.arange(samples, dtype=np.int64) % classes
-    rng = np.random.default_rng(_cfg_int(cfg, "data_seed"))
+    rng = np.random.default_rng(cfg["data_seed"])
     features = rng.standard_normal((samples, samples))
 
     for solver in ("dcc", "exhaustive"):
-        for s in range(seeds):
+        for s in range(cfg["fig1_seeds"]):
             _, trajectory = sdh.train_sdh(features, labels, classes, bits,
-                                          lam=lam, nu=0.0, max_iters=iters,
+                                          lam=lam, nu=0.0, max_iters=cfg["fig1_iters"],
                                           seed=s, solver=solver)
             sdh.write_trajectory_csv(out / f"fig1_{solver}_seed{s}.csv", trajectory)
 
@@ -386,27 +378,22 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
     return train, test
 
 
-def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
-    bits_list = _cfg_int_list(cfg, "bits_list")
-    test_per_class = _cfg_positive_int(cfg, "test_per_class")
-    methods = _bitscale_methods(cfg)
+def _figure_bitscale(cfg, out: Path) -> None:
     options = _sdh_options(cfg)
-    data = _load_dataset(cfg)
-    train, test = _split_train_test(data, test_per_class)
-    kmap = kernelmap.fit_anchors(train, min(_cfg_int(cfg, "anchors"), train.sample_count),
-                                 _cfg_float(cfg, "sigma"), options["seed"])
+    train, test = _split_train_test(_load_dataset(cfg), cfg["test_per_class"])
+    kmap = kernelmap.fit_anchors(train, min(cfg["anchors"], train.sample_count),
+                                 cfg["sigma"], cfg["seed"])
     features = kernelmap.transform(kmap, train.features)
-    radius = _cfg_int(cfg, "radius")
 
     rows = []
-    for bits in bits_list:
-        for method in methods:
+    for bits in cfg["bits_list"]:
+        for method in cfg["bitscale_methods"]:
             model, elapsed, _ = _train_model(method, kmap, features, train, bits, options)
             code_index = index.CodeIndex(codes=encode(model, train.features),
                                          labels=train.labels)
             query_codes = encode(model, test.features)
             precision = evaluate.evaluate_retrieval(
-                code_index, query_codes, test.labels, radius).precision_at_radius
+                code_index, query_codes, test.labels, cfg["radius"]).precision_at_radius
             rows.append([method, bits, f"{elapsed:.3f}", repr(precision)])
             print(f"bitscale method={method} bits={bits} "
                   f"train_seconds={elapsed:.3f} precision={precision:.4f}")
@@ -416,17 +403,18 @@ def _figure_bitscale(cfg: dict[str, str], out: Path) -> None:
         writer.writerows(rows)
 
 
-def _figure_losses(cfg: dict[str, str], out: Path) -> None:
-    bits_list = _cfg_int_list(cfg, "losses_bits_list")
+def _figure_losses(cfg, out: Path) -> None:
     options = _sdh_options(cfg)
     data = _load_dataset(cfg)
-    kmap = kernelmap.fit_anchors(data, min(_cfg_int(cfg, "anchors"), data.sample_count),
-                                 _cfg_float(cfg, "sigma"), options["seed"])
+    kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
+                                 cfg["sigma"], cfg["seed"])
     features = kernelmap.transform(kmap, data.features)
     rows = []
-    for bits in bits_list:
-        state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits, **options)
+    for bits in cfg["losses_bits_list"]:
+        # The fsdh model first: `_train_model` checks the classes before
+        # either trainer runs.
         model, _, _ = _train_model("fsdh", kmap, features, data, bits, options)
+        state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits, **options)
         row = evaluate.loss_table(state, model, features, data.labels)
         rows.append([row.bits, repr(row.sdh_w_loss), repr(row.sdh_p_loss),
                      repr(row.fsdh_w_loss), repr(row.fsdh_p_loss)])
@@ -437,7 +425,7 @@ def _figure_losses(cfg: dict[str, str], out: Path) -> None:
         writer.writerows(rows)
 
 
-def _figure_biasmap(cfg: dict[str, str], out: Path) -> None:
+def _figure_biasmap(cfg, out: Path) -> None:
     data = _load_dataset(cfg)
     order = np.argsort(data.labels, kind="stable")
     data = dataset.RawDataset(features=data.features[:, order],
@@ -445,12 +433,10 @@ def _figure_biasmap(cfg: dict[str, str], out: Path) -> None:
                               class_count=data.class_count)
     # Fewer anchors than samples, or the projection grid collapses to the
     # identity and the heatmap is trivial.
-    anchors = min(_cfg_int(cfg, "biasmap_anchors"), data.sample_count)
-    kmap = kernelmap.fit_anchors(data, anchors,
-                                 _cfg_float(cfg, "sigma"), _cfg_int(cfg, "seed"))
+    anchors = min(cfg["biasmap_anchors"], data.sample_count)
+    kmap = kernelmap.fit_anchors(data, anchors, cfg["sigma"], cfg["seed"])
     features = kernelmap.transform(kmap, data.features)
-    bits = _cfg_int(cfg, "bits")
-    class_codes = codes.pick_class_codes(codes.sylvester(bits), data.class_count)
+    class_codes = codes.pick_class_codes(codes.sylvester(cfg["bits"]), data.class_count)
     expanded = codes.expand_codes(class_codes, data.labels)
     diag = evaluate.bias_term_diagnostics(features, expanded, data.labels)
     evaluate.write_matrix_csv(out / "k_matrix.csv", diag.k_matrix)
@@ -462,35 +448,13 @@ def _figure_biasmap(cfg: dict[str, str], out: Path) -> None:
     })
 
 
-def cmd_figures(cfg: dict[str, str], figure: str) -> int:
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
-    with stage("figures"):
-        if figure == "fig1":
-            _figure_fig1(cfg, out)
-        elif figure == "bitscale":
-            _figure_bitscale(cfg, out)
-        elif figure == "losses":
-            _figure_losses(cfg, out)
-        elif figure == "biasmap":
-            _figure_biasmap(cfg, out)
-        else:
-            raise ValueError(f"unknown figure {figure!r}; expected one of {FIGURES}")
-    print(f"figure bundle written to {out}")
-    return 0
-
-
-def cmd_bench(cfg: dict[str, str]) -> int:
-    repeats = _cfg_positive_int(cfg, "repeats")
-    bits_list = _cfg_int_list(cfg, "bits_list")
-    method = cfg["method"]
+def cmd_bench(cfg, out: Path) -> int:
+    repeats, method = cfg["repeats"], cfg["method"]
     options = _sdh_options(cfg)
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
     data = _load_dataset(cfg)
     with stage("kernel"):
-        kmap = kernelmap.fit_anchors(data, min(_cfg_int(cfg, "anchors"), data.sample_count),
-                                     _cfg_float(cfg, "sigma"), options["seed"])
+        kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
+                                     cfg["sigma"], cfg["seed"])
 
     def median_time(fn):
         times = []
@@ -504,7 +468,7 @@ def cmd_bench(cfg: dict[str, str]) -> int:
     with stage("bench"):
         transform_s = median_time(lambda: kernelmap.transform(kmap, data.features))
         features = kernelmap.transform(kmap, data.features)
-        for bits in bits_list:
+        for bits in cfg["bits_list"]:
             rows.append([method, bits, "kernel_transform", f"{transform_s:.3f}"])
             if method == "fsdh":
                 code_s = median_time(lambda: codes.pick_class_codes(
@@ -527,23 +491,20 @@ def cmd_bench(cfg: dict[str, str]) -> int:
     return 0
 
 
-def cmd_synth(cfg: dict[str, str]) -> int:
-    out = _outdir(cfg)
-    _write_config_copy(cfg, out)
+def cmd_synth(cfg, out: Path) -> int:
     with stage("dataset"):
-        data = dataset.synth_blobs(
-            classes=_cfg_int(cfg, "classes"),
-            per_class=_cfg_int(cfg, "per_class"),
-            dim=_cfg_int(cfg, "dim"),
-            spread=_cfg_float(cfg, "spread"),
-            seed=_cfg_int(cfg, "data_seed"),
-        )
+        data = _synth_blobs(cfg)
     with stage("report"):
         np.savetxt(out / "features.csv", data.features.T, delimiter=",")
         np.savetxt(out / "labels.csv", data.labels[:, None], fmt="%d")
     print(f"wrote {data.sample_count} samples ({data.dim} dims, "
           f"{data.class_count} classes) to {out}")
     return 0
+
+
+COMMANDS = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench, "synth": cmd_synth}
+FIGURES = {"fig1": _figure_fig1, "bitscale": _figure_bitscale,
+           "losses": _figure_losses, "biasmap": _figure_biasmap}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,18 +533,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "figures":
-            return cmd_figures(cfg, args.figure)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise StageError("config", f"unknown command {args.command!r}")
+        raw = read_config(args)
+        cfg = resolve_config(raw, args.command)
+        out = Path(_require(cfg, "outdir"))
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "config.txt", "w") as f:
+            for key in sorted(raw):
+                f.write(f"{key} = {raw[key]}\n")
+        if args.command != "figures":
+            return COMMANDS[args.command](cfg, out)
+        with stage("figures"):
+            FIGURES[args.figure](cfg, out)
+        print(f"figure bundle written to {out}")
+        return 0
     except StageError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return 2

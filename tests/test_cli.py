@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,13 +62,15 @@ class TestTrain:
 
     def test_set_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path / "train.cfg",
-                        SYNTH_KEYS + f"method = fsdh\nbits = 16\noutdir = {tmp_path / 'a'}\n")
+                        SYNTH_KEYS + "method = fsdh\nbits = 16\nbits_list = 16,32\n"
+                        f"outdir = {tmp_path / 'a'}\n")
         assert run(["train", "--config", cfg, "--set", "bits=32",
                     "--outdir", str(tmp_path / "b")]) == 0
         model = load_model(tmp_path / "b" / "model.fsdh")
         assert model.bits == 32
-        copied = (tmp_path / "b" / "config.txt").read_text()
-        assert "bits = 32" in copied
+        # The copy holds the values as given, not as typed (1e-05, [16, 32]).
+        copied = (tmp_path / "b" / "config.txt").read_text().splitlines()
+        assert {"bits = 32", "nu = 1e-5", "bits_list = 16,32"} <= set(copied)
 
 
 class TestEval:
@@ -131,7 +135,7 @@ class TestFigures:
         assert (tmp_path / "fig1" / "notes.txt").exists()
 
     def test_default_seed_count_matches_protocol(self):
-        assert cli.DEFAULTS["fig1_seeds"] == "10"
+        assert cli.SCHEMA["fig1_seeds"][0] == "10"
 
     def test_bitscale_trend(self, tmp_path):
         cfg = write_cfg(tmp_path / "bs.cfg",
@@ -349,6 +353,20 @@ class TestLimit:
         assert summary["database_size"] == "100"
         assert summary["query_count"] == "50"
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["bench"], ["figures", "bitscale"], ["figures", "losses"]], ids=" ".join)
+    def test_training_split_missing_a_class_is_a_dataset_error(self, tmp_path, capsys,
+                                                              command):
+        # The blobs are class-ordered, so the first 30 samples are all class 0.
+        # `bench`, `bitscale` and `losses` used to train on class 0 alone.
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        SYNTH_KEYS + "limit = 30\nbits_list = 16\nlosses_bits_list = 16\n"
+                        "repeats = 1\ntest_per_class = 5\niters = 1\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+        assert run(command + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error [dataset]: class 1 has no samples" in err
+
     def test_non_integer_limit_is_a_config_error(self, tmp_path, capsys):
         assert run(["train", "--set", "limit=abc", "--outdir", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
@@ -379,17 +397,32 @@ class TestConfigValidation:
         (["figures", "bitscale"], "test_per_class", "0"),
         (["figures", "bitscale"], "bits_list", ""),
         (["figures", "losses"], "losses_bits_list", ""),
+        (["figures", "bitscale"], "bitscale_methods", ","),
+        (["figures", "fig1"], "fig1_seeds", "0"),
+        (["figures", "fig1"], "fig1_seeds", "-3"),
     ])
     def test_non_positive_count_or_empty_list_fails_before_any_data_loads(
             self, tmp_path, capsys, command, key, value):
         # `bench` with repeats=0 wrote nan timings, `test_per_class=-1` trained
-        # on one sample per class, and an empty list wrote a header-only CSV.
+        # on one sample per class, an empty list wrote a header-only CSV, and
+        # `fig1_seeds=0` wrote no trajectory.
         out = tmp_path / "run"
         assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
                               "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error [config]" in err and repr(key) in err
-        assert not any(out.glob("*.csv"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(key for key, (_, parse) in cli.SCHEMA.items()
+                                           if parse is not str))
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_malformed_value_fails_before_any_output(self, tmp_path, capsys, command, key):
+        # `train --set radius=x` used to exit 0, and `bits=abc` failed only
+        # after writing config.txt. Every key is checked, read or not.
+        out = tmp_path / "run"
+        assert run([command, "--set", f"{key}=?", "--outdir", str(out)]) == 2
+        assert f"error [config]: key {key!r} must" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value", [
         (["train"], "db_limit", "50"),
@@ -413,6 +446,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "error [config]" in err and "'bitz'" in err and "'methd'" in err
         assert not out.exists()
+
+    def test_readme_documents_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+        assert "`db_`" in section and "`query_`" in section
+        for key in set(cli.SCHEMA) | cli.EVAL_ONLY_KEYS:
+            base = key.removeprefix("db_").removeprefix("query_")
+            assert f"`{base}`" in section, key
 
     def test_unknown_key_in_a_config_file_is_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "train.cfg",
