@@ -4,7 +4,9 @@ Subcommands: train, eval, figures, bench, synth. Every command reads a flat
 key = value config file (flags override file values), types and checks every
 key against `SCHEMA` before any output exists, copies the config as given
 into its output directory so runs are replayable, and exits nonzero with a
-stage-tagged message on failure. See the README for the config keys.
+stage-tagged message on failure. See the README for the config keys. Every
+file a run writes is written here: CSV tables through `_write_csv`, key=value
+files through `_write_values`, and numeric grids through `np.savetxt`.
 """
 from __future__ import annotations
 
@@ -32,9 +34,12 @@ def _integer(text: str) -> int:
 
 def _number(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _positive_integer(text: str) -> int:
@@ -108,11 +113,6 @@ SCHEMA = {
     "bitscale_methods": ("fsdh,sdh", _list_of(*METHODS)),
     "test_per_class": ("30", _positive_integer),
     "fig1_seeds": ("10", _positive_integer),
-    "fig1_iters": ("20", _integer),
-    "fig1_bits": ("16", _integer),
-    "fig1_samples": ("10", _integer),
-    "losses_bits_list": ("16,32,64", _integer_list),
-    "biasmap_anchors": ("100", _integer),
     "outdir": (None, str),
     "model": (None, str),
 }
@@ -124,6 +124,15 @@ _ROLE_KEYS = {role + key: (None, SCHEMA[key][1])
               for role in ("db_", "query_") for key in DATASET_KEYS}
 SCHEMA.update(_ROLE_KEYS)
 EVAL_ONLY_KEYS = frozenset(("model", *_ROLE_KEYS))
+# Each figure's protocol defaults for general keys, applied before the config
+# file and the flags, so `config.txt` records the value a figure used. biasmap
+# needs fewer anchors than samples, or the projection grid collapses to the
+# identity and the heatmap is trivial.
+FIGURE_DEFAULTS = {
+    "fig1": {"bits": "16", "iters": "20"},
+    "losses": {"bits_list": "16,32,64"},
+    "biasmap": {"anchors": "100"},
+}
 
 
 class StageError(Exception):
@@ -157,8 +166,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def read_config(args: argparse.Namespace) -> dict[str, str]:
-    """The raw config: the defaults, then the config file, then the flags."""
+    """The raw config: the defaults, a figure's own defaults, then the config
+    file, then the flags."""
     raw = {key: default for key, (default, _) in SCHEMA.items() if default is not None}
+    if args.command == "figures":
+        raw.update(FIGURE_DEFAULTS.get(args.figure, {}))
     if args.config:
         with stage("config"):
             raw.update(parse_config_file(args.config))
@@ -238,6 +250,14 @@ def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
     return data
 
 
+def _kernel_features(cfg, data: dataset.RawDataset):
+    """Fit the kernel map on `data`, with `anchors` capped at its sample
+    count, and transform `data`. Returns the map and the features."""
+    kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
+                                 cfg["sigma"], cfg["seed"])
+    return kmap, kernelmap.transform(kmap, data.features)
+
+
 def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
                  data: dataset.RawDataset, bits: int,
                  options: dict) -> tuple[HashModel, float, list | None]:
@@ -265,6 +285,28 @@ def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
     return model, elapsed, trajectory
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_values(path: Path, values: dict[str, object]) -> None:
+    """Plain key=value lines, one per entry."""
+    with open(path, "w") as f:
+        for key, value in values.items():
+            f.write(f"{key}={value}\n")
+
+
+def _write_trajectory(path: Path, trajectory: list[sdh.ObjectiveBreakdown]) -> None:
+    """One row per sdh iteration: its objective terms and their total."""
+    _write_csv(path, ["iteration", "classification_term", "regularizer", "bias_term", "total"],
+               ([i, repr(step.classification_term), repr(step.regularizer),
+                 repr(step.bias_term), repr(step.total)]
+                for i, step in enumerate(trajectory, start=1)))
+
+
 def cmd_train(cfg, out: Path) -> int:
     data = _load_dataset(cfg)
     method, bits = cfg["method"], cfg["bits"]
@@ -273,24 +315,23 @@ def cmd_train(cfg, out: Path) -> int:
     with stage("transform"):
         features = kernelmap.transform(kmap, data.features)
 
-    log_lines = [f"method={method}", f"bits={bits}",
-                 f"samples={data.sample_count}", f"classes={data.class_count}",
-                 f"anchors={kmap.anchor_count}"]
+    log = {"method": method, "bits": bits, "samples": data.sample_count,
+           "classes": data.class_count, "anchors": kmap.anchor_count}
 
     with stage("train"):
         model, elapsed, trajectory = _train_model(method, kmap, features, data, bits,
                                                   _sdh_options(cfg))
         if trajectory is not None:
-            sdh.write_trajectory_csv(out / "trajectory.csv", trajectory)
+            _write_trajectory(out / "trajectory.csv", trajectory)
             final = trajectory[-1]
-            log_lines += [f"final_total={final.total!r}",
-                          f"final_classification_term={final.classification_term!r}",
-                          f"final_p_loss={final.p_loss!r}"]
+            log.update(final_total=repr(final.total),
+                       final_classification_term=repr(final.classification_term),
+                       final_p_loss=repr(final.p_loss))
 
     with stage("save"):
         save_model(model, out / "model.fsdh")
-        log_lines.append(f"learning_time_s={elapsed:.3f}")
-        (out / "train_log.txt").write_text("\n".join(log_lines) + "\n")
+        log["learning_time_s"] = f"{elapsed:.3f}"
+        _write_values(out / "train_log.txt", log)
     print(f"learning_time_s={elapsed:.3f}")
     print(f"model written to {out / 'model.fsdh'}")
     return 0
@@ -312,7 +353,7 @@ def cmd_eval(cfg, out: Path) -> int:
                                              zero_retrieval=cfg["zero_retrieval"])
     with stage("report"):
         fp = model.trained_on
-        evaluate.write_summary(out / "summary.txt", {
+        _write_values(out / "summary.txt", {
             "precision_at_radius": repr(report.precision_at_radius),
             "recall_at_radius": repr(report.recall_at_radius),
             "map": repr(report.map),
@@ -324,39 +365,38 @@ def cmd_eval(cfg, out: Path) -> int:
             "model_classes": fp.class_count,
             "model_seed": fp.seed,
         })
-        evaluate.write_pr_curve_csv(out / "pr_curve.csv", report.pr_curve)
+        _write_csv(out / "pr_curve.csv", ["threshold", "recall", "precision"],
+                   ([t, repr(recall), repr(precision)]
+                    for t, (recall, precision) in enumerate(report.pr_curve)))
     print(f"precision_at_radius={report.precision_at_radius:.4f} "
           f"recall_at_radius={report.recall_at_radius:.4f} map={report.map:.4f}")
     return 0
 
 
 def _figure_fig1(cfg, out: Path) -> None:
-    bits, classes, samples = cfg["fig1_bits"], cfg["classes"], cfg["fig1_samples"]
-    lam = cfg["lambda"]
-    labels = np.arange(samples, dtype=np.int64) % classes
+    bits, classes, lam = cfg["bits"], cfg["classes"], cfg["lambda"]
+    # One sample per class, with random features.
+    labels = np.arange(classes, dtype=np.int64)
     rng = np.random.default_rng(cfg["data_seed"])
-    features = rng.standard_normal((samples, samples))
+    features = rng.standard_normal((classes, classes))
 
     for solver in ("dcc", "exhaustive"):
         for s in range(cfg["fig1_seeds"]):
             _, trajectory = sdh.train_sdh(features, labels, classes, bits,
-                                          lam=lam, nu=0.0, max_iters=cfg["fig1_iters"],
+                                          lam=lam, nu=0.0, max_iters=cfg["iters"],
                                           seed=s, solver=solver)
-            sdh.write_trajectory_csv(out / f"fig1_{solver}_seed{s}.csv", trajectory)
+            _write_trajectory(out / f"fig1_{solver}_seed{s}.csv", trajectory)
 
     class_codes = codes.pick_class_codes(codes.sylvester(bits), classes)
     w = fsdh.optimal_weights(class_codes, lam)
     b = codes.expand_codes(class_codes, labels).astype(np.float64)
     y = sdh.one_hot(labels, classes)
     reference = float(((y - w.T @ b) ** 2).sum() + lam * (w ** 2).sum())
-    with open(out / "fig1_reference.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["closed_form_objective"])
-        writer.writerow([repr(reference)])
+    _write_csv(out / "fig1_reference.csv", ["closed_form_objective"], [[repr(reference)]])
     (out / "notes.txt").write_text(
         "Objective: ||Y - W^T B||^2 + lambda*||W||^2 (bias term dropped, nu=0).\n"
         f"Random features, one sample per class, bits={bits}, classes={classes}, "
-        f"samples={samples}, lambda={lam}.\n"
+        f"samples={classes}, lambda={lam}.\n"
         "One trajectory CSV per (solver, seed); the reference value is the "
         "closed-form optimum from the Hadamard class codes.\n")
 
@@ -381,9 +421,7 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
 def _figure_bitscale(cfg, out: Path) -> None:
     options = _sdh_options(cfg)
     train, test = _split_train_test(_load_dataset(cfg), cfg["test_per_class"])
-    kmap = kernelmap.fit_anchors(train, min(cfg["anchors"], train.sample_count),
-                                 cfg["sigma"], cfg["seed"])
-    features = kernelmap.transform(kmap, train.features)
+    kmap, features = _kernel_features(cfg, train)
 
     rows = []
     for bits in cfg["bits_list"]:
@@ -397,20 +435,16 @@ def _figure_bitscale(cfg, out: Path) -> None:
             rows.append([method, bits, f"{elapsed:.3f}", repr(precision)])
             print(f"bitscale method={method} bits={bits} "
                   f"train_seconds={elapsed:.3f} precision={precision:.4f}")
-    with open(out / "bitscale.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "bits", "train_seconds", "precision_at_radius"])
-        writer.writerows(rows)
+    _write_csv(out / "bitscale.csv",
+               ["method", "bits", "train_seconds", "precision_at_radius"], rows)
 
 
 def _figure_losses(cfg, out: Path) -> None:
     options = _sdh_options(cfg)
     data = _load_dataset(cfg)
-    kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
-                                 cfg["sigma"], cfg["seed"])
-    features = kernelmap.transform(kmap, data.features)
+    kmap, features = _kernel_features(cfg, data)
     rows = []
-    for bits in cfg["losses_bits_list"]:
+    for bits in cfg["bits_list"]:
         # The fsdh model first: `_train_model` checks the classes before
         # either trainer runs.
         model, _, _ = _train_model("fsdh", kmap, features, data, bits, options)
@@ -418,11 +452,8 @@ def _figure_losses(cfg, out: Path) -> None:
         row = evaluate.loss_table(state, model, features, data.labels)
         rows.append([row.bits, repr(row.sdh_w_loss), repr(row.sdh_p_loss),
                      repr(row.fsdh_w_loss), repr(row.fsdh_p_loss)])
-    with open(out / "losses.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bits", "sdh_w_loss", "sdh_p_loss",
-                         "fsdh_w_loss", "fsdh_p_loss"])
-        writer.writerows(rows)
+    _write_csv(out / "losses.csv",
+               ["bits", "sdh_w_loss", "sdh_p_loss", "fsdh_w_loss", "fsdh_p_loss"], rows)
 
 
 def _figure_biasmap(cfg, out: Path) -> None:
@@ -431,17 +462,13 @@ def _figure_biasmap(cfg, out: Path) -> None:
     data = dataset.RawDataset(features=data.features[:, order],
                               labels=data.labels[order],
                               class_count=data.class_count)
-    # Fewer anchors than samples, or the projection grid collapses to the
-    # identity and the heatmap is trivial.
-    anchors = min(cfg["biasmap_anchors"], data.sample_count)
-    kmap = kernelmap.fit_anchors(data, anchors, cfg["sigma"], cfg["seed"])
-    features = kernelmap.transform(kmap, data.features)
+    _, features = _kernel_features(cfg, data)
     class_codes = codes.pick_class_codes(codes.sylvester(cfg["bits"]), data.class_count)
     expanded = codes.expand_codes(class_codes, data.labels)
     diag = evaluate.bias_term_diagnostics(features, expanded, data.labels)
-    evaluate.write_matrix_csv(out / "k_matrix.csv", diag.k_matrix)
-    evaluate.write_matrix_csv(out / "btb_matrix.csv", diag.btb_matrix)
-    evaluate.write_summary(out / "traces.txt", {
+    np.savetxt(out / "k_matrix.csv", diag.k_matrix, delimiter=",")
+    np.savetxt(out / "btb_matrix.csv", diag.btb_matrix, delimiter=",")
+    _write_values(out / "traces.txt", {
         "trace_value": repr(diag.trace_value),
         "trace_grouped": repr(diag.trace_grouped),
         "bias_value": repr(diag.bias_value),
@@ -453,8 +480,7 @@ def cmd_bench(cfg, out: Path) -> int:
     options = _sdh_options(cfg)
     data = _load_dataset(cfg)
     with stage("kernel"):
-        kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
-                                     cfg["sigma"], cfg["seed"])
+        kmap, features = _kernel_features(cfg, data)
 
     def median_time(fn):
         times = []
@@ -467,7 +493,6 @@ def cmd_bench(cfg, out: Path) -> int:
     rows = []
     with stage("bench"):
         transform_s = median_time(lambda: kernelmap.transform(kmap, data.features))
-        features = kernelmap.transform(kmap, data.features)
         for bits in cfg["bits_list"]:
             rows.append([method, bits, "kernel_transform", f"{transform_s:.3f}"])
             if method == "fsdh":
@@ -484,10 +509,7 @@ def cmd_bench(cfg, out: Path) -> int:
             total = transform_s + train_s
             rows.append([method, bits, "total", f"{total:.3f}"])
             print(f"bench method={method} bits={bits} total_seconds={total:.3f}")
-    with open(out / "bench.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "bits", "stage", "median_seconds"])
-        writer.writerows(rows)
+    _write_csv(out / "bench.csv", ["method", "bits", "stage", "median_seconds"], rows)
     return 0
 
 

@@ -14,9 +14,7 @@ block * database size) however many queries there are.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -295,22 +293,3 @@ def loss_table(sdh_state: SdhState, fsdh_model: HashModel, features: np.ndarray,
     return LossRow(bits=bits, sdh_w_loss=sdh_w, sdh_p_loss=sdh_p,
                    fsdh_w_loss=fsdh_w, fsdh_p_loss=fsdh_p)
 
-
-def write_summary(path: str | Path, values: dict[str, object]) -> None:
-    """Plain metric=value lines, one per entry."""
-    with open(path, "w") as f:
-        for key, value in values.items():
-            f.write(f"{key}={value}\n")
-
-
-def write_pr_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["threshold", "recall", "precision"])
-        for t, (recall, precision) in enumerate(curve):
-            writer.writerow([t, repr(recall), repr(precision)])
-
-
-def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    """Dense numeric grid as CSV rows, for heatmap rendering elsewhere."""
-    np.savetxt(path, np.asarray(matrix), delimiter=",")

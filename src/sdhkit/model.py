@@ -20,6 +20,8 @@ from .kernelmap import KernelMap, transform
 
 MODEL_MAGIC = b"FSDH"
 MODEL_VERSION = 1
+# The fixed fields after the magic, laid out as `save_model` describes.
+_HEADER = struct.Struct("<IIIIIQqdd")
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,7 @@ def save_model(model: HashModel, path: str | Path) -> None:
     words; trailing CRC32 of everything before it.
     """
     fp = model.trained_on
-    header = MODEL_MAGIC + struct.pack(
-        "<IIIIIQqdd",
+    header = MODEL_MAGIC + _HEADER.pack(
         MODEL_VERSION,
         model.bits,
         fp.class_count,
@@ -118,7 +119,7 @@ def load_model(path: str | Path) -> HashModel:
         raise ValueError(
             f"{path}: bad magic: expected {MODEL_MAGIC!r}, got {blob[:4]!r}"
         )
-    if len(blob) < 4 + struct.calcsize("<IIIIIQqdd") + 1 + 4:
+    if len(blob) < 4 + _HEADER.size + 1 + 4:
         raise ValueError(f"{path}: truncated model file ({len(blob)} bytes)")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
     actual_crc = zlib.crc32(blob[:-4])
@@ -128,8 +129,8 @@ def load_model(path: str | Path) -> HashModel:
         )
     offset = 4
     (version, bits, classes, anchors_n, dim, samples, seed,
-     lam, sigma) = struct.unpack_from("<IIIIIQqdd", blob, offset)
-    offset += struct.calcsize("<IIIIIQqdd")
+     lam, sigma) = _HEADER.unpack_from(blob, offset)
+    offset += _HEADER.size
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported version {version}, expected {MODEL_VERSION}")
     has_codes = blob[offset]

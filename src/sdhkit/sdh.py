@@ -9,9 +9,7 @@ branch-and-bound.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -242,15 +240,3 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         trajectory.append(objective(state, labels, projected=projected))
     return state, trajectory
 
-
-def write_trajectory_csv(path: str | Path,
-                         trajectory: list[ObjectiveBreakdown]) -> None:
-    """One row per iteration: iteration, classification_term, regularizer,
-    bias_term, total."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "classification_term", "regularizer",
-                         "bias_term", "total"])
-        for i, step in enumerate(trajectory, start=1):
-            writer.writerow([i, repr(step.classification_term), repr(step.regularizer),
-                             repr(step.bias_term), repr(step.total)])

@@ -3,12 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdhkit import cli, dataset, fsdh, kernelmap, sdh
+from sdhkit import cli, codes, dataset, evaluate, fsdh, kernelmap, sdh
 from sdhkit.model import DatasetFingerprint, HashModel, load_model, save_model
 
 
 SYNTH_KEYS = ("source = synth\nclasses = 4\nper_class = 30\ndim = 8\n"
               "spread = 0.2\ndata_seed = 3\nanchors = 24\nsigma = 0.4\n")
+BIASMAP_DATA = ["--set", "classes=3", "--set", "per_class=5", "--set", "dim=6",
+                "--set", "spread=0.1", "--set", "data_seed=1", "--set", "bits=8"]
 
 
 def write_cfg(path, text):
@@ -124,7 +126,7 @@ class TestEval:
 class TestFigures:
     def test_fig1_bundle(self, tmp_path):
         cfg = write_cfg(tmp_path / "fig1.cfg",
-                        "lambda = 1.0\ndata_seed = 0\nfig1_seeds = 2\nfig1_iters = 3\n"
+                        "lambda = 1.0\ndata_seed = 0\nfig1_seeds = 2\niters = 3\n"
                         f"outdir = {tmp_path / 'fig1'}\n")
         assert run(["figures", "fig1", "--config", cfg]) == 0
         files = sorted(p.name for p in (tmp_path / "fig1").glob("fig1_*.csv"))
@@ -133,6 +135,8 @@ class TestFigures:
         lam, bits, classes = 1.0, 16, 10
         assert float(reference[1]) == pytest.approx(classes * lam / (bits + lam), abs=1e-9)
         assert (tmp_path / "fig1" / "notes.txt").exists()
+        # fig1's protocol default, recorded under the general key.
+        assert "bits = 16" in (tmp_path / "fig1" / "config.txt").read_text().splitlines()
 
     def test_default_seed_count_matches_protocol(self):
         assert cli.SCHEMA["fig1_seeds"][0] == "10"
@@ -153,7 +157,7 @@ class TestFigures:
 
     def test_losses_bundle(self, tmp_path):
         cfg = write_cfg(tmp_path / "losses.cfg",
-                        SYNTH_KEYS + "losses_bits_list = 16,32\niters = 2\n"
+                        SYNTH_KEYS + "bits_list = 16,32\niters = 2\n"
                         f"outdir = {tmp_path / 'losses'}\n")
         assert run(["figures", "losses", "--config", cfg]) == 0
         rows = (tmp_path / "losses" / "losses.csv").read_text().strip().splitlines()
@@ -165,7 +169,7 @@ class TestFigures:
     def test_biasmap_blocks_equal_bits(self, tmp_path):
         cfg = write_cfg(tmp_path / "bias.cfg",
                         "source = synth\nclasses = 3\nper_class = 5\ndim = 6\n"
-                        "spread = 0.1\ndata_seed = 1\nbiasmap_anchors = 12\nsigma = 0.4\n"
+                        "spread = 0.1\ndata_seed = 1\nanchors = 12\nsigma = 0.4\n"
                         "bits = 8\n"
                         f"outdir = {tmp_path / 'bias'}\n")
         assert run(["figures", "biasmap", "--config", cfg]) == 0
@@ -173,6 +177,90 @@ class TestFigures:
         expected = np.kron(np.eye(3), np.full((5, 5), 8.0))
         assert np.array_equal(btb, expected)
         assert (tmp_path / "bias" / "k_matrix.csv").exists()
+
+
+class TestFigureKeys:
+    """Each figure reads the general keys; these used to be ignored in
+    favour of figure-only copies."""
+
+    def test_fig1_reads_bits_classes_and_iters(self, tmp_path):
+        out = tmp_path / "fig1"
+        assert run(["figures", "fig1", "--set", "bits=8", "--set", "classes=4",
+                    "--set", "iters=2", "--set", "fig1_seeds=1", "--outdir", str(out)]) == 0
+        # One sample per class, so no class is left without a sample.
+        assert "bits=8, classes=4, samples=4," in (out / "notes.txt").read_text()
+        assert len((out / "fig1_exhaustive_seed0.csv").read_text().splitlines()) == 3
+        reference = (out / "fig1_reference.csv").read_text().splitlines()
+        assert float(reference[1]) == pytest.approx(4 * 1.0 / (8 + 1.0), abs=1e-9)
+
+    def test_losses_reads_bits_list(self, tmp_path):
+        cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 1\n")
+        out = tmp_path / "losses"
+        assert run(["figures", "losses", "--config", cfg, "--set", "bits_list=16,32",
+                    "--outdir", str(out)]) == 0
+        rows = (out / "losses.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["16", "32"]
+
+    def test_biasmap_reads_anchors(self, tmp_path):
+        assert run(["figures", "biasmap", *BIASMAP_DATA,
+                    "--outdir", str(tmp_path / "default")]) == 0
+        assert run(["figures", "biasmap", *BIASMAP_DATA, "--set", "anchors=12",
+                    "--outdir", str(tmp_path / "a12")]) == 0
+        assert "anchors = 100" in (tmp_path / "default" / "config.txt").read_text().splitlines()
+        assert ((tmp_path / "default" / "traces.txt").read_text()
+                != (tmp_path / "a12" / "traces.txt").read_text())
+
+    def test_figure_only_sample_count_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["figures", "fig1", "--set", "fig1_samples=3", "--outdir", str(out)]) == 2
+        assert "error [config]: unknown config key(s): 'fig1_samples'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figure_defaults_name_schema_keys_and_parse(self):
+        for figure, defaults in cli.FIGURE_DEFAULTS.items():
+            assert figure in cli.FIGURES
+            for key, value in defaults.items():
+                assert key in cli.SCHEMA, (figure, key)
+                cli.SCHEMA[key][1](value)
+
+
+class TestReportFiles:
+    def test_summary_and_curve(self, tmp_path):
+        cli._write_values(tmp_path / "summary.txt", {"map": 0.5, "n": 3})
+        assert (tmp_path / "summary.txt").read_text() == "map=0.5\nn=3\n"
+        cli._write_csv(tmp_path / "curve.csv", ["threshold", "recall", "precision"],
+                       [[0, repr(0.0), repr(1.0)], [1, repr(1.0), repr(0.5)]])
+        lines = (tmp_path / "curve.csv").read_text().strip().splitlines()
+        assert lines[0] == "threshold,recall,precision"
+        assert lines[1].startswith("0,")
+
+    def test_trajectory_csv_round_trips(self, tmp_path):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((5, 8))
+        labels = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+        _, traj = sdh.train_sdh(x, labels, 2, 4, max_iters=3, seed=0)
+        path = tmp_path / "trajectory.csv"
+        cli._write_trajectory(path, traj)
+        rows = path.read_text().strip().splitlines()
+        assert rows[0] == "iteration,classification_term,regularizer,bias_term,total"
+        assert len(rows) == 4
+        first = rows[1].split(",")
+        assert float(first[4]) == traj[0].total
+
+    def test_matrix_csv(self, tmp_path):
+        # The biasmap grids round-trip through their CSV files. The command
+        # transforms a label-sorted copy, so the last bits may round differently.
+        assert run(["figures", "biasmap", *BIASMAP_DATA, "--set", "anchors=12",
+                    "--outdir", str(tmp_path / "bias")]) == 0
+        data = dataset.normalize(dataset.synth_blobs(3, 5, 6, 0.1, seed=1), "unit_norm")
+        kmap = kernelmap.fit_anchors(data, 12, 0.4, 0)
+        class_codes = codes.pick_class_codes(codes.sylvester(8), 3)
+        diag = evaluate.bias_term_diagnostics(kernelmap.transform(kmap, data.features),
+                                              codes.expand_codes(class_codes, data.labels),
+                                              data.labels)
+        grid = np.loadtxt(tmp_path / "bias" / "k_matrix.csv", delimiter=",")
+        assert grid.shape == (15, 15)
+        np.testing.assert_allclose(grid, diag.k_matrix, rtol=0, atol=1e-9)
 
 
 class TestBenchAndSynth:
@@ -360,7 +448,7 @@ class TestLimit:
         # The blobs are class-ordered, so the first 30 samples are all class 0.
         # `bench`, `bitscale` and `losses` used to train on class 0 alone.
         cfg = write_cfg(tmp_path / "c.cfg",
-                        SYNTH_KEYS + "limit = 30\nbits_list = 16\nlosses_bits_list = 16\n"
+                        SYNTH_KEYS + "limit = 30\nbits_list = 16\n"
                         "repeats = 1\ntest_per_class = 5\niters = 1\n"
                         f"outdir = {tmp_path / 'run'}\n")
         assert run(command + ["--config", cfg]) == 2
@@ -396,7 +484,7 @@ class TestConfigValidation:
         (["figures", "bitscale"], "test_per_class", "-1"),
         (["figures", "bitscale"], "test_per_class", "0"),
         (["figures", "bitscale"], "bits_list", ""),
-        (["figures", "losses"], "losses_bits_list", ""),
+        (["figures", "losses"], "bits_list", ""),
         (["figures", "bitscale"], "bitscale_methods", ","),
         (["figures", "fig1"], "fig1_seeds", "0"),
         (["figures", "fig1"], "fig1_seeds", "-3"),
@@ -422,6 +510,18 @@ class TestConfigValidation:
         out = tmp_path / "run"
         assert run([command, "--set", f"{key}=?", "--outdir", str(out)]) == 2
         assert f"error [config]: key {key!r} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(key for key, (_, parse) in cli.SCHEMA.items()
+                                           if parse is cli._number))
+    def test_non_finite_number_fails_before_any_output(self, tmp_path, capsys, key, value):
+        # `sigma=nan` used to fail as `error [train]` after the transform ran,
+        # and `lambda=inf` trained an fsdh model, each leaving config.txt behind.
+        out = tmp_path / "run"
+        assert run(["train", "--set", f"{key}={value}", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [config]: key {key!r} must be a finite number, got {value!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value", [

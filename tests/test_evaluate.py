@@ -371,21 +371,6 @@ class TestLossTable:
             evaluate.loss_table(state32, model, x, data.labels)
 
 
-class TestReportFiles:
-    def test_summary_and_curve(self, tmp_path):
-        evaluate.write_summary(tmp_path / "summary.txt", {"map": 0.5, "n": 3})
-        assert (tmp_path / "summary.txt").read_text() == "map=0.5\nn=3\n"
-        evaluate.write_pr_curve_csv(tmp_path / "curve.csv", [(0.0, 1.0), (1.0, 0.5)])
-        lines = (tmp_path / "curve.csv").read_text().strip().splitlines()
-        assert lines[0] == "threshold,recall,precision"
-        assert lines[1].startswith("0,")
-
-    def test_matrix_csv(self, tmp_path):
-        evaluate.write_matrix_csv(tmp_path / "m.csv", np.eye(2))
-        grid = np.loadtxt(tmp_path / "m.csv", delimiter=",")
-        assert np.array_equal(grid, np.eye(2))
-
-
 def test_eval_report_bounds_are_enforced():
     with pytest.raises(ValueError, match="lie in"):
         evaluate.EvalReport(precision_at_radius=1.5, recall_at_radius=0.0,

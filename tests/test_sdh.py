@@ -409,16 +409,3 @@ class TestMagnitudeReport:
         state, _ = sdh.train_sdh(x, data.labels, 5, 16, nu=1e-5, seed=0)
         report = sdh.magnitude_report(state, x, data.labels)
         assert report.classification_magnitude / report.bias_magnitude > 100
-
-
-def test_trajectory_csv_round_trips(tmp_path):
-    rng = np.random.default_rng(20)
-    x, labels, classes, bits = toy_problem(rng)
-    _, traj = sdh.train_sdh(x, labels, classes, bits, max_iters=3, seed=0)
-    path = tmp_path / "trajectory.csv"
-    sdh.write_trajectory_csv(path, traj)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "iteration,classification_term,regularizer,bias_term,total"
-    assert len(rows) == 4
-    first = rows[1].split(",")
-    assert float(first[4]) == traj[0].total
