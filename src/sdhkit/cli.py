@@ -4,9 +4,7 @@ Subcommands: train, eval, figures, bench, synth. Every command reads a flat
 key = value config file (flags override file values), types and checks every
 key against `SCHEMA` before any output exists, copies the config as given
 into its output directory so runs are replayable, and exits nonzero with a
-stage-tagged message on failure. See the README for the config keys. Every
-file a run writes is written here: CSV tables through `_write_csv`, key=value
-files through `_write_values`, and numeric grids through `np.savetxt`.
+stage-tagged message on failure. See the README for the config keys.
 """
 from __future__ import annotations
 
@@ -293,7 +291,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_values(path: Path, values: dict[str, object]) -> None:
-    """Plain key=value lines, one per entry."""
     with open(path, "w") as f:
         for key, value in values.items():
             f.write(f"{key}={value}\n")
@@ -375,7 +372,6 @@ def cmd_eval(cfg, out: Path) -> int:
 
 def _figure_fig1(cfg, out: Path) -> None:
     bits, classes, lam = cfg["bits"], cfg["classes"], cfg["lambda"]
-    # One sample per class, with random features.
     labels = np.arange(classes, dtype=np.int64)
     rng = np.random.default_rng(cfg["data_seed"])
     features = rng.standard_normal((classes, classes))

@@ -180,9 +180,6 @@ class TestFigures:
 
 
 class TestFigureKeys:
-    """Each figure reads the general keys; these used to be ignored in
-    favour of figure-only copies."""
-
     def test_fig1_reads_bits_classes_and_iters(self, tmp_path):
         out = tmp_path / "fig1"
         assert run(["figures", "fig1", "--set", "bits=8", "--set", "classes=4",
@@ -228,11 +225,12 @@ class TestReportFiles:
     def test_summary_and_curve(self, tmp_path):
         cli._write_values(tmp_path / "summary.txt", {"map": 0.5, "n": 3})
         assert (tmp_path / "summary.txt").read_text() == "map=0.5\nn=3\n"
-        cli._write_csv(tmp_path / "curve.csv", ["threshold", "recall", "precision"],
-                       [[0, repr(0.0), repr(1.0)], [1, repr(1.0), repr(0.5)]])
-        lines = (tmp_path / "curve.csv").read_text().strip().splitlines()
+        model = TestEval().train_model(tmp_path)
+        assert run(["eval", "--config", TestEval().eval_cfg(tmp_path, model, "eval")]) == 0
+        lines = (tmp_path / "eval" / "pr_curve.csv").read_text().strip().splitlines()
         assert lines[0] == "threshold,recall,precision"
         assert lines[1].startswith("0,")
+        assert len(lines) == 16 + 2
 
     def test_trajectory_csv_round_trips(self, tmp_path):
         rng = np.random.default_rng(20)
