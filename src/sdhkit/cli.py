@@ -497,13 +497,15 @@ def cmd_bench(cfg, out: Path) -> int:
                 rows.append([method, bits, "code_construction", f"{code_s:.3f}"])
             # The trainer builds its own class codes, so they are not added
             # to the total; fsdh's trainer is one linear solve.
-            train_s = float(np.median([
-                _train_model(method, kmap, features, data, bits, options)[1]
-                for _ in range(repeats)]))
+            runs = [_train_model(method, kmap, features, data, bits, options)
+                    for _ in range(repeats)]
+            train_s = float(np.median([elapsed for _, elapsed, _ in runs]))
             rows.append([method, bits, "linear_solve" if method == "fsdh" else "train",
                          f"{train_s:.3f}"])
             total = transform_s + train_s
             rows.append([method, bits, "total", f"{total:.3f}"])
+            encode_s = median_time(lambda: encode(runs[0][0], data.features))
+            rows.append([method, bits, "encode", f"{encode_s:.3f}"])
             print(f"bench method={method} bits={bits} total_seconds={total:.3f}")
     _write_csv(out / "bench.csv", ["method", "bits", "stage", "median_seconds"], rows)
     return 0

@@ -77,14 +77,21 @@ def pack(signs: np.ndarray) -> PackedCodes:
     if not np.isin(signs, (-1, 1)).all():
         raise ValueError("signs must contain only -1 and +1")
     bits, count = signs.shape
-    nwords = -(-bits // WORD_BITS)
-    positive = np.zeros((count, nwords * WORD_BITS), dtype=bool)
+    positive = np.zeros((count, -(-bits // WORD_BITS) * WORD_BITS), dtype=bool)
     positive[:, :bits] = signs.T > 0
+    return _pack_rows(positive, bits)
+
+
+def _pack_rows(positive: np.ndarray, bits: int) -> PackedCodes:
+    """Pack a (count, words * 64) boolean matrix, one code per row.
+
+    Column j holds bit j, True for +1; the columns from `bits` on must be
+    False.
+    """
     # Little-endian bit order within bytes and bytes within a word puts bit
     # j at position j % 64 of word j // 64; the zero padding keeps tail bits clear.
     octets = np.packbits(positive, axis=1, bitorder="little")
-    words = octets.view("<u8")
-    return PackedCodes(words=words, bits=bits)
+    return PackedCodes(words=octets.view("<u8"), bits=bits)
 
 
 def unpack(packed: PackedCodes) -> np.ndarray:

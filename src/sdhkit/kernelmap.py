@@ -12,6 +12,10 @@ import numpy as np
 
 from .dataset import RawDataset
 
+# Samples per block of `transform`, and of `model.encode`, which streams
+# through it.
+BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class KernelMap:
@@ -57,15 +61,8 @@ def fit_anchors(dataset: RawDataset, anchor_count: int, sigma: float,
     return KernelMap(anchors=dataset.features[:, idx].copy(), sigma=float(sigma))
 
 
-def transform(kmap: KernelMap, samples: np.ndarray, *, block: int = 4096) -> np.ndarray:
-    """Map (D, K) samples to (M, K) kernel features.
-
-    Entry (m, k) is exp(-||x_k - a_m||^2 / sigma), so values lie in (0, 1]
-    and a sample equal to anchor a_m maps to exactly 1 in component m.
-    Squared distances use the Gram-matrix expansion blockwise; entries that
-    land within rounding error of zero are recomputed by direct differencing
-    so coincident pairs come out exactly zero.
-    """
+def _checked_samples(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
+    """`samples` as a finite float64 (D, K) matrix of the kernel map's dimension."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError(f"samples must be a (dim, count) matrix, got shape {samples.shape}")
@@ -74,17 +71,43 @@ def transform(kmap: KernelMap, samples: np.ndarray, *, block: int = 4096) -> np.
             f"dimension mismatch: samples have dim {samples.shape[0]}, "
             f"kernel map expects {kmap.source_dim}"
         )
+    if not np.isfinite(samples).all():
+        raise ValueError("samples contain non-finite values")
+    return samples
+
+
+def transform(kmap: KernelMap, samples: np.ndarray, *, block: int = BLOCK) -> np.ndarray:
+    """Map (D, K) samples to (M, K) kernel features.
+
+    Entry (m, k) is exp(-||x_k - a_m||^2 / sigma), so values lie in (0, 1]
+    and a sample equal to anchor a_m maps to exactly 1 in component m.
+    Squared distances use the Gram-matrix expansion (a + c) - 2G, computed
+    `block` samples at a time in place in the output; entries that land
+    within rounding error of zero are recomputed by direct differencing so
+    coincident pairs come out exactly zero.
+    """
+    samples = _checked_samples(kmap, samples)
     anchors = kmap.anchors
     anchor_sq = np.einsum("dm,dm->m", anchors, anchors)
+    largest_sq = anchor_sq.max()
     out = np.empty((kmap.anchor_count, samples.shape[1]))
     for start in range(0, samples.shape[1], block):
         chunk = samples[:, start:start + block]
         chunk_sq = np.einsum("dk,dk->k", chunk, chunk)
-        sq = anchor_sq[:, None] + chunk_sq[None, :] - 2.0 * (anchors.T @ chunk)
+        sq = out[:, start:start + block]
+        gram = anchors.T @ chunk
+        gram *= 2.0
+        np.add(anchor_sq[:, None], chunk_sq[None, :], out=sq)
+        sq -= gram
         np.maximum(sq, 0.0, out=sq)
-        near = sq <= 1e-12 * (anchor_sq[:, None] + chunk_sq[None, :])
-        for m, k in zip(*np.nonzero(near)):
+        # A column's smallest entry bounds every entry's rounding test from
+        # below, and the largest anchor norm bounds its tolerance from above,
+        # so these columns hold every entry the exact test selects.
+        cols = np.flatnonzero(sq.min(axis=0) <= 1e-12 * (largest_sq + chunk_sq))
+        rows, picks = np.nonzero(sq[:, cols] <= 1e-12 * (anchor_sq[:, None] + chunk_sq[cols]))
+        for m, k in zip(rows, cols[picks]):
             diff = anchors[:, m] - chunk[:, k]
             sq[m, k] = diff @ diff
-        out[:, start:start + block] = np.exp(-sq / kmap.sigma)
+        np.divide(sq, -kmap.sigma, out=sq)
+        np.exp(sq, out=sq)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import index
 from .codes import ClassCodes
-from .kernelmap import KernelMap, transform
+from .kernelmap import BLOCK, KernelMap, _checked_samples, transform
 
 MODEL_MAGIC = b"FSDH"
 MODEL_VERSION = 1
@@ -55,6 +55,8 @@ class HashModel:
                 f"projection shape {projection.shape} does not match "
                 f"{self.kernel.anchor_count} kernel anchors"
             )
+        if not np.isfinite(projection).all():
+            raise ValueError("projection contains non-finite values")
         if self.class_codes is not None and self.class_codes.bits != projection.shape[1]:
             raise ValueError(
                 f"class codes have {self.class_codes.bits} bits but the projection "
@@ -71,11 +73,20 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     """Hash raw samples: kernel-transform, project, take signs, pack.
 
     A projection of exactly zero encodes as +1 so codes are reproducible.
+    Samples stream through the transform one block at a time, so memory
+    grows with the sample count only by the codes: a byte per bit, padded
+    to whole words, while encoding, then the packed words.
     """
-    features = transform(model.kernel, raw_samples)
-    scores = model.projection.T @ features
-    signs = np.where(scores >= 0.0, 1, -1).astype(np.int8)
-    return index.pack(signs)
+    samples = _checked_samples(model.kernel, raw_samples)
+    count = samples.shape[1]
+    positive = np.zeros((count, -(-model.bits // index.WORD_BITS) * index.WORD_BITS),
+                        dtype=bool)
+    for start in range(0, count, BLOCK):
+        # One expression, so no block's features or scores outlive it.
+        positive[start:start + BLOCK, :model.bits] = (
+            model.projection.T @ transform(model.kernel, samples[:, start:start + BLOCK])
+            >= 0.0).T
+    return index._pack_rows(positive, model.bits)
 
 
 def _pack_code_words(class_codes: ClassCodes) -> np.ndarray:

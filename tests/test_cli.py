@@ -269,7 +269,8 @@ class TestBenchAndSynth:
         assert run(["bench", "--config", cfg]) == 0
         rows = (tmp_path / "bench" / "bench.csv").read_text().strip().splitlines()
         stages = {r.split(",")[2] for r in rows[1:]}
-        assert stages == {"kernel_transform", "code_construction", "linear_solve", "total"}
+        assert stages == {"kernel_transform", "code_construction", "linear_solve", "total",
+                          "encode"}
 
     def test_bench_repeat_counts_do_not_change_numerics(self, tmp_path):
         # Identical configs apart from repeats produce the same stage set.
@@ -289,7 +290,7 @@ class TestBenchAndSynth:
         assert run(["bench", "--config", cfg]) == 0
         rows = (tmp_path / "bench" / "bench.csv").read_text().strip().splitlines()
         assert [r.rsplit(",", 1)[0] for r in rows[1:]] == [
-            "sdh,16,kernel_transform", "sdh,16,train", "sdh,16,total"]
+            "sdh,16,kernel_transform", "sdh,16,train", "sdh,16,total", "sdh,16,encode"]
 
     def test_synth_round_trips_through_csv_loader(self, tmp_path):
         cfg = write_cfg(tmp_path / "synth.cfg",

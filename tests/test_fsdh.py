@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -188,6 +191,65 @@ class TestEncode:
         model, _, _ = toy_model(rng)
         with pytest.raises(ValueError, match="dimension mismatch"):
             encode(model, np.zeros((99, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        rng = np.random.default_rng(12)
+        model, data, _ = toy_model(rng)
+        samples = data.features[:, :5].copy()
+        samples[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(model, samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_model_rejects_non_finite_projection(self, bad):
+        rng = np.random.default_rng(13)
+        model, _, _ = toy_model(rng)
+        projection = model.projection.copy()
+        projection[1, 2] = bad
+        with pytest.raises(ValueError, match="projection contains non-finite"):
+            replace(model, projection=projection)
+
+    def test_several_blocks_with_ragged_tail_match_oracle(self):
+        rng = np.random.default_rng(14)
+        model, data, _ = toy_model(rng)
+        count = 2 * kernelmap.BLOCK + 123
+        samples = rng.standard_normal((data.dim, count))
+        # The last block holds a sample equal to an anchor.
+        samples[:, count - 7] = model.kernel.anchors[:, 4]
+        packed = encode(model, samples)
+        scores = model.projection.T @ oracles.rbf_loop(
+            model.kernel.anchors, samples, model.kernel.sigma)
+        signs = np.where(scores >= 0, 1, -1)
+        assert packed.bits == model.bits
+        assert np.array_equal(packed.words, oracles.pack_loop(signs))
+
+    @pytest.mark.parametrize("bits", [8, 128])
+    def test_no_samples_give_no_codes(self, bits):
+        rng = np.random.default_rng(15)
+        model, data, _ = toy_model(rng, bits=bits)
+        packed = encode(model, np.zeros((data.dim, 0)))
+        assert packed.words.shape == (0, -(-bits // 64)) and packed.bits == bits
+
+    def test_memory_grows_only_by_the_codes(self):
+        # Peak traced allocation over one block and over four: the growth is
+        # the boolean code buffer and the packed words of the extra samples,
+        # not their kernel features.
+        rng = np.random.default_rng(16)
+        model, data, _ = toy_model(rng, anchors=40, bits=64)
+
+        def peak(count):
+            samples = rng.standard_normal((data.dim, count))
+            tracemalloc.start()
+            try:
+                encode(model, samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = 3 * kernelmap.BLOCK
+        growth = peak(4 * kernelmap.BLOCK) - peak(kernelmap.BLOCK)
+        assert growth <= extra * (64 + 8)
 
     def test_training_codes_close_to_targets(self):
         # The fit is not exact in general; record the distance, don't demand 0.

@@ -34,6 +34,36 @@ def test_anchor_coincident_sample_maps_to_one():
     assert out[1, 0] == 1.0
 
 
+def test_coincident_small_anchor_beside_a_far_larger_one_maps_to_one():
+    # Anchor 1's squared norm is 1e6 times anchor 0's, so the tolerance of
+    # the column prefilter is set by anchor 0. The sample equal to anchor 1
+    # must still map to exactly 1, also in the draws where the Gram
+    # expansion alone leaves a positive rounding residue for it.
+    residues = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        small = 5.0 * rng.standard_normal(4)
+        large = rng.standard_normal(4)
+        large *= np.sqrt(1e6 * (small @ small) / (large @ large))
+        anchors = np.column_stack([large, small])
+        samples = np.column_stack([rng.standard_normal(4), small])
+        sq = (np.einsum("dm,dm->m", anchors, anchors)[:, None]
+              + np.einsum("dk,dk->k", samples, samples)[None, :]) - 2.0 * (anchors.T @ samples)
+        residues += sq[1, 1] > 0.0
+        out = kernelmap.transform(kernelmap.KernelMap(anchors=anchors, sigma=0.5), samples)
+        assert out[1, 1] == 1.0
+    assert residues > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_samples(bad):
+    kmap = kernelmap.KernelMap(anchors=np.ones((3, 2)), sigma=1.0)
+    samples = np.zeros((3, 4))
+    samples[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kernelmap.transform(kmap, samples)
+
+
 def test_unit_diagonal_on_anchor_matrix():
     rng = np.random.default_rng(4)
     kmap = kernelmap.KernelMap(anchors=rng.standard_normal((5, 8)), sigma=0.3)
