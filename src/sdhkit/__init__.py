@@ -6,7 +6,7 @@ baseline, and evaluates retrieval with a packed-code Hamming engine.
 """
 
 from .biqp import BiqpProblem, BiqpSolution, solve_branch_and_bound, solve_dcc, solve_exhaustive
-from .codes import ClassCodes, expand_codes, fsdh_objective_oracle, pick_class_codes, sylvester
+from .codes import ClassCodes, expand_codes, pick_class_codes, sylvester
 from .dataset import RawDataset, load_csv, load_mnist, normalize, synth_blobs
 from .evaluate import EvalReport, bias_term_diagnostics, evaluate_retrieval, loss_table
 from .fsdh import optimal_weights, train_fsdh
@@ -46,7 +46,6 @@ __all__ = [
     "evaluate_retrieval",
     "expand_codes",
     "fit_anchors",
-    "fsdh_objective_oracle",
     "load_csv",
     "load_mnist",
     "load_model",

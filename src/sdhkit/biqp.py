@@ -8,8 +8,8 @@ deficient whenever L > C, so its smallest eigenvalue is zero. `solve_batch`
 solves many problems sharing one Q with any of the three, as the
 alternating trainer's code step does. DCC and exhaustive search take the
 whole set at once; the enumeration computes b^T Q b once per assignment
-for all the problems. Branch-and-bound takes them one at a time. Every
-term must be finite.
+for all the problems. Branch-and-bound seeds every incumbent with one DCC
+call, then searches the problems one at a time. Every term must be finite.
 """
 from __future__ import annotations
 
@@ -182,18 +182,33 @@ def solve_branch_and_bound(problem: BiqpProblem,
     every free-free pair (plus the constant free diagonal). It is loose but
     valid, and exact once Q has no free-free couplings, so separable
     problems solve in a single descent. The incumbent starts from a DCC
-    solution; if the node budget runs out the incumbent is returned with
-    exact=False.
+    solution from all +1; if the node budget runs out the incumbent is
+    returned with exact=False.
     """
+    return _branch_and_bound_set(problem.quadratic, problem.linear[:, None], budget_nodes)[0]
+
+
+def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
+                          budget_nodes: int | None) -> list[BiqpSolution]:
+    """`solve_branch_and_bound` on every column's problem, with every
+    incumbent from one `dcc_batch` call."""
     if budget_nodes is not None and budget_nodes < 1:
         raise ValueError(f"budget_nodes must be >= 1, got {budget_nodes}")
+    incumbents = dcc_batch(quadratic, linear, np.ones(linear.shape, dtype=np.int8))
+    return [_branch_and_bound(BiqpProblem(quadratic=quadratic,
+                                          linear=np.ascontiguousarray(linear[:, k])),
+                              incumbents[:, k], budget_nodes)
+            for k in range(linear.shape[1])]
+
+
+def _branch_and_bound(problem: BiqpProblem, incumbent: np.ndarray,
+                      budget_nodes: int | None) -> BiqpSolution:
     bits = problem.bits
     q = problem.quadratic
     f = problem.linear
     abs_q = np.abs(q - np.diag(np.diag(q)))
     diag = np.diag(q)
 
-    incumbent = solve_dcc(problem, np.ones(bits, dtype=np.int8)).assignment
     best_val = objective_value(problem, incumbent)
     best_b = incumbent.copy()
     nodes = 0
@@ -270,7 +285,8 @@ def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
 
     DCC runs every problem at once from the columns of `init`. Exhaustive
     search enumerates the assignments once for the whole set, and
-    branch-and-bound takes the problems one at a time; both ignore `init`.
+    branch-and-bound takes the problems one at a time after seeding every
+    incumbent with one DCC call; both ignore `init`.
     Returns the (bits, problems) int8 solutions and whether every one is
     proven optimal, which DCC never claims. Terms that are non-finite,
     misshapen or asymmetric raise ValueError before any solver runs.
@@ -282,11 +298,8 @@ def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
     if solver == "exhaustive":
         return _enumerate(quadratic, linear), True
+    solutions = _branch_and_bound_set(quadratic, linear, budget_nodes)
     codes = np.empty(linear.shape, dtype=np.int8)
-    exact = True
-    for k in range(codes.shape[1]):
-        sol = solve_branch_and_bound(BiqpProblem(quadratic=quadratic, linear=linear[:, k]),
-                                     budget_nodes=budget_nodes)
+    for k, sol in enumerate(solutions):
         codes[:, k] = sol.assignment
-        exact = exact and sol.exact
-    return codes, exact
+    return codes, all(sol.exact for sol in solutions)

@@ -1,10 +1,7 @@
 """Hadamard class-code construction.
 
 The closed-form trainer assigns one binary code per class, taken as columns
-of a Sylvester Hadamard matrix. The brute-force oracle in this module
-enumerates every candidate code matrix on tiny instances and evaluates the
-ridge-regression classification objective directly, so the optimality of the
-Hadamard choice is checked empirically rather than assumed.
+of a Sylvester Hadamard matrix.
 """
 from __future__ import annotations
 
@@ -13,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MAX_ORDER = 4096
-
-# Enumeration guard for the brute-force oracle: 2^(bits*classes) candidates.
-ORACLE_MAX_BITS = 5
-ORACLE_MAX_CLASSES = 3
 
 
 def is_power_of_two(n: int) -> bool:
@@ -98,95 +91,3 @@ def expand_codes(class_codes: ClassCodes, labels: np.ndarray) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= class_codes.classes):
         raise ValueError(f"label out of range [0, {class_codes.classes})")
     return class_codes.codes[:, labels]
-
-
-@dataclass(frozen=True)
-class CodesOracleReport:
-    """Result of the brute-force class-code optimality check.
-
-    brute_force_value is the empirically exact minimum of the ridge
-    classification objective over all candidate code matrices and is the
-    ground truth. analytic_value is the closed-form candidate
-    C*lambda/(L+lambda); ridge_fit_factor records L/(L+lambda), the diagonal
-    that the fitted classifier attains at the optimum, which is sometimes
-    quoted as the minimum itself. Reporting all three keeps the discrepancy
-    visible.
-    """
-
-    bits: int
-    classes: int
-    lam: float
-    brute_force_value: float
-    analytic_value: float
-    ridge_fit_factor: float
-    optimal_codes: np.ndarray          # first minimizer in enumeration order
-    optimal_set: frozenset[bytes]      # all minimizers, as int8 row-major bytes
-
-
-def ridge_classifier_objective(codes: np.ndarray, lam: float) -> float:
-    """Objective ||I - W^T B||^2 + lam*||W||^2 at the exact ridge solution W.
-
-    W solves (B B^T + lam*I) W = B for identity targets (one sample per
-    class). At lam = 0 the minimum-norm limit is used.
-    """
-    b = np.asarray(codes, dtype=np.float64)
-    bits = b.shape[0]
-    gram = b @ b.T
-    if lam > 0:
-        w = np.linalg.solve(gram + lam * np.eye(bits), b)
-    else:
-        w = np.linalg.pinv(gram) @ b
-    resid = np.eye(b.shape[1]) - w.T @ b
-    return float((resid ** 2).sum() + lam * (w ** 2).sum())
-
-
-def _enumerate_sign_matrices(bits: int, classes: int) -> np.ndarray:
-    """All {-1,+1}^(bits x classes) matrices, ordered so that index order is
-    lexicographic with entry (0, 0) most significant and -1 < +1."""
-    n = bits * classes
-    idx = np.arange(1 << n, dtype=np.uint32)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    flat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    return (2 * flat - 1).reshape(-1, bits, classes)
-
-
-def fsdh_objective_oracle(bits: int, classes: int, lam: float) -> CodesOracleReport:
-    """Brute-force the class-code objective over every candidate matrix.
-
-    Feasible only for tiny instances (2^(bits*classes) candidates). The
-    report carries the full minimizer set so invariance checks can compare
-    argmin sets across regularization strengths.
-    """
-    if bits > ORACLE_MAX_BITS or classes > ORACLE_MAX_CLASSES:
-        raise ValueError(
-            f"enumeration budget exceeded: need bits <= {ORACLE_MAX_BITS} and "
-            f"classes <= {ORACLE_MAX_CLASSES}, got ({bits}, {classes})"
-        )
-    if bits < 1 or classes < 1:
-        raise ValueError(f"bits and classes must be >= 1, got ({bits}, {classes})")
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-
-    candidates = _enumerate_sign_matrices(bits, classes)
-    b = candidates.astype(np.float64)
-    gram = b @ np.transpose(b, (0, 2, 1))
-    if lam > 0:
-        w = np.linalg.solve(gram + lam * np.eye(bits), b)
-    else:
-        w = np.linalg.pinv(gram) @ b
-    resid = np.eye(classes) - np.transpose(w, (0, 2, 1)) @ b
-    values = (resid ** 2).sum(axis=(1, 2)) + lam * (w ** 2).sum(axis=(1, 2))
-
-    best = float(values.min())
-    minimizers = np.flatnonzero(values <= best + 1e-9)
-    optimal_set = frozenset(candidates[i].tobytes() for i in minimizers)
-    return CodesOracleReport(
-        bits=bits,
-        classes=classes,
-        lam=float(lam),
-        brute_force_value=best,
-        analytic_value=classes * lam / (bits + lam),
-        ridge_fit_factor=bits / (bits + lam),
-        optimal_codes=candidates[minimizers[0]].copy(),
-        optimal_set=optimal_set,
-    )

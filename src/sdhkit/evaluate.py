@@ -2,7 +2,9 @@
 
 Precision and recall are computed per query against the labeled database at
 a fixed Hamming radius; MAP averages precision over the full Hamming
-ranking. Queries that retrieve nothing score precision 0 by default (the
+ranking, taking the expected average precision over every ordering of
+equidistant items, so it does not depend on how the database is stored.
+Queries that retrieve nothing score precision 0 by default (the
 conservative convention); a flag switches to skipping them for sensitivity
 analysis since either reading is defensible.
 
@@ -25,11 +27,13 @@ from .sdh import SdhState, one_hot, w_step
 
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
 BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
-# Scratch bytes one evaluation block may hold, and the bytes it holds per
-# (query, database item) pair: distance, int64 ranking, ranked class id,
-# relevance flag, and the kernel's uint64 XOR.
+# Scratch bytes one evaluation block may hold; the bytes it holds at most per
+# (query, database item) pair: distance (at most uint16), int64 bin key and
+# the kernel's uint64 XOR; and per (query, class, distance) bin: its int64
+# count.
 EVAL_BLOCK_BYTES = 8 << 20
-EVAL_PAIR_BYTES = 24
+EVAL_PAIR_BYTES = 18
+EVAL_BIN_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,8 @@ class EvalReport:
     map: float
     pr_curve: list[tuple[float, float]]  # (recall, precision) per threshold
     radius: int
-    per_query: np.ndarray | None = None  # per-query average precision
+    # Per-query average precision, expected over orderings of equidistant items.
+    per_query: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("precision_at_radius", "recall_at_radius", "map"):
@@ -84,7 +89,7 @@ class RetrievalCounts:
     retrieved: np.ndarray    # (n_queries, bits + 1) int64
     relevant: np.ndarray     # (n_queries, bits + 1) int64
     class_sizes: np.ndarray  # (n_queries,) database items sharing the query label
-    ap: np.ndarray           # (n_queries,) average precision of the full ranking
+    ap: np.ndarray           # (n_queries,) tie-averaged AP of the full ranking
 
     def point(self, threshold: int, zero_retrieval: str) -> tuple[float, float]:
         """Mean (recall, precision) over queries at one distance threshold."""
@@ -109,12 +114,15 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                      query_labels: np.ndarray) -> RetrievalCounts:
     """Score every query against the database in one streaming pass.
 
-    Queries go through in blocks sized so that a block's distances, ranking
-    and relevance masks stay within EVAL_BLOCK_BYTES; memory is
+    Queries go through in blocks sized so that a block's distances, bin
+    keys and histograms stay within EVAL_BLOCK_BYTES; memory is
     O(n_queries * bits + block * count). Each block's distances are computed
-    once, ranked by a stable sort (ties by ascending database id), and the
-    ranks of the relevant items give both average precision and the
-    relevant counts at every threshold.
+    once and binned by (query, database class, distance) in one bincount.
+    The cumulative bins over all classes give `retrieved`, those of the
+    query's class give `relevant`, and the same per-distance counts give
+    average precision as the expected AP over every ordering of
+    equidistant items (McSherry and Najork, ECIR 2008). No ranking is
+    built, so the result does not depend on the database's storage order.
     """
     query_labels = _check_query_inputs(index, queries, query_labels)
     classes, db_class, class_counts = np.unique(
@@ -124,35 +132,58 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     if not present.all():
         bad = int(query_labels[np.argmin(present)])
         raise ValueError(f"query label {bad} absent from database")
-    # Narrow class ids keep the per-block gather of ranked labels small.
-    db_class = db_class.astype(np.min_scalar_type(classes.size - 1))
-    query_class = slot.astype(db_class.dtype)
     class_sizes = class_counts[slot]
 
     count, bits = index.codes.count, index.codes.bits
-    retrieved = np.empty((queries.count, bits + 1), dtype=np.int64)
+    levels = bits + 1
+    bins = classes.size * levels
+    # Bin key of database item j against query row i of a block:
+    # dist + levels * class(j) + bins * i.
+    class_key = db_class.astype(np.int64) * levels
+    # harmonic[k] = 1 + 1/2 + ... + 1/k.
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, count + 1))))
+    retrieved = np.empty((queries.count, levels), dtype=np.int64)
     relevant = np.empty_like(retrieved)
     ap = np.empty(queries.count)
-    block = max(1, EVAL_BLOCK_BYTES // (EVAL_PAIR_BYTES * count))
+    block = max(1, EVAL_BLOCK_BYTES // (EVAL_PAIR_BYTES * count + EVAL_BIN_BYTES * bins))
     for start in range(0, queries.count, block):
         rows = PackedCodes(words=queries.words[start:start + block], bits=queries.bits)
-        dist = hamming_matrix(index.codes, rows)
-        order = np.argsort(dist, axis=1, kind="stable")
-        hit = db_class[order] == query_class[start:start + block, None]
-        # Relevant positions in each ranking, 0-based, row after row.
-        flat = np.flatnonzero(hit)
-        end = 0
-        for row in range(rows.count):
-            qi = start + row
-            total = int(class_sizes[qi])
-            positions = flat[end:end + total] - row * count
-            end += total
-            ap[qi] = float((np.arange(1, total + 1) / (positions + 1)).sum() / total)
-            retrieved[qi] = np.cumsum(np.bincount(dist[row], minlength=bits + 1))
-            # Within threshold t lie exactly the first retrieved[t] ranks.
-            relevant[qi] = np.searchsorted(positions, retrieved[qi])
+        stop = start + rows.count
+        key = hamming_matrix(index.codes, rows) + class_key
+        key += np.arange(0, rows.count * bins, bins)[:, None]
+        hist = np.bincount(key.ravel(), minlength=rows.count * bins).reshape(
+            rows.count, classes.size, levels)
+        del key  # so the next block's kernel scratch does not sit beside it
+        at_level = hist.sum(axis=1)
+        relevant_at_level = hist[np.arange(rows.count), slot[start:stop]]
+        np.cumsum(at_level, axis=1, out=retrieved[start:stop])
+        np.cumsum(relevant_at_level, axis=1, out=relevant[start:stop])
+        ap[start:stop] = _tie_average_precision(
+            at_level, relevant_at_level, retrieved[start:stop], relevant[start:stop],
+            harmonic) / class_sizes[start:stop]
     return RetrievalCounts(retrieved=retrieved, relevant=relevant,
                            class_sizes=class_sizes, ap=ap)
+
+
+def _tie_average_precision(items: np.ndarray, hits: np.ndarray, items_within: np.ndarray,
+                           hits_within: np.ndarray, harmonic: np.ndarray) -> np.ndarray:
+    """Per row, the sum of precision at each relevant rank, averaged over
+    every ordering of the items at equal distance.
+
+    A level holding n items, r of them relevant, behind N items holding R
+    relevant ones, adds (r/n) * [b*n + (a - b*N) * (H(N+n) - H(N))] with
+    b = (r-1)/(n-1) (0 when n = 1), a = R + 1 - b and H the harmonic
+    numbers: position N+i of the level is relevant with probability r/n,
+    and then the i-1 places ahead of it within the level hold b*(i-1)
+    relevant items on average. `items_within` and `hits_within` are the
+    cumulative counts of `items` and `hits`.
+    """
+    before = items_within - items
+    b = np.divide(hits - 1, items - 1, out=np.zeros(items.shape), where=items > 1)
+    a = (hits_within - hits) + 1.0 - b
+    spread = harmonic[items_within] - harmonic[before]
+    share = np.divide(hits, items, out=np.zeros(items.shape), where=hits > 0)
+    return (share * (b * items + (a - b * before) * spread)).sum(axis=1)
 
 
 def evaluate_retrieval(index: CodeIndex, queries: PackedCodes,
@@ -164,7 +195,8 @@ def evaluate_retrieval(index: CodeIndex, queries: PackedCodes,
     the mean (recall, precision) at every Hamming threshold 0..L; its recall
     is non-decreasing and reaches 1 at L. Precision and recall at radius r
     are point min(r, L) of it. `per_query` holds each query's average
-    precision along the full ranking, ties broken by ascending database id.
+    precision along the full ranking, expected over every ordering of the
+    items at equal distance, and MAP is its mean.
     """
     _check_options(zero_retrieval, radius)
     counts = retrieval_counts(index, queries, query_labels)

@@ -6,8 +6,13 @@ textbook definitions. None of it shares code with the package.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+# Enumeration guard for the class-code oracle: 2^(bits*classes) candidates.
+ORACLE_MAX_BITS = 5
+ORACLE_MAX_CLASSES = 3
 
 
 def rbf_loop(anchors: np.ndarray, samples: np.ndarray, sigma: float) -> np.ndarray:
@@ -92,7 +97,8 @@ def dcc_simulator(q: np.ndarray, f: np.ndarray, init: np.ndarray,
 
 
 def average_precision_reference(relevance_in_rank_order) -> float:
-    """AP from a relevance sequence, straight from the definition."""
+    """AP from a relevance sequence, straight from the definition. On a
+    Hamming ranking with ties this is the AP of one tie-breaking order."""
     hits = 0
     total = sum(1 for r in relevance_in_rank_order if r)
     acc = 0.0
@@ -103,22 +109,44 @@ def average_precision_reference(relevance_in_rank_order) -> float:
     return acc / total
 
 
+def tie_average_precision(levels) -> float:
+    """Expected AP over every ordering of the tied items.
+
+    `levels` lists (items, relevant items) per distance, nearest first. Each
+    place of a level of n items, r of them relevant, is relevant with chance
+    r / n; given that it is, each other item of the level is relevant with
+    chance (r - 1) / (n - 1). Each place adds its chance of being relevant
+    times the expected precision there, one place at a time.
+    """
+    total = sum(r for _, r in levels)
+    seen = hits = 0
+    acc = 0.0
+    for n, r in levels:
+        for place in range(1, n + 1):
+            ahead = (place - 1) * (r - 1) / (n - 1) if n > 1 else 0.0
+            acc += (r / n) * (hits + 1 + ahead) / (seen + place)
+        seen += n
+        hits += r
+    return acc / total
+
+
 def retrieval_three_pass(db_signs: np.ndarray, db_labels: np.ndarray,
                          query_signs: np.ndarray, query_labels: np.ndarray,
                          radius: int, zero_retrieval: str = "zero") -> dict:
     """Retrieval metrics in three separate passes of per-query loops, each
     recounting distances from the unpacked sign matrices: precision and
-    recall at `radius`, then average precision of the (distance, id)
-    ranking, then (recall, precision) at every threshold 0..L.
+    recall at `radius`, then each query's average precision expected over
+    every ordering of equidistant items (`tie_average_precision`), then
+    (recall, precision) at every threshold 0..L.
 
-    Per-query values are plain Python divisions collected into float64
-    arrays; every mean, and each query's sum of hits / rank, is NumPy's sum
-    of such an array, so the results can be compared bit for bit. A query
-    label absent from the database raises ValueError naming it.
+    Precision and recall are plain Python divisions collected into float64
+    arrays and averaged by NumPy, so they can be compared bit for bit. The
+    average precisions add one term per place of a level, where a closed
+    form over harmonic numbers adds one per level, so they agree only to
+    rounding. A query label absent from the database raises ValueError
+    naming it.
     """
     bits, query_count = query_signs.shape
-    count = db_signs.shape[1]
-    ids = np.arange(count)
 
     def distances(qi):
         return sign_distances(db_signs, query_signs[:, qi])
@@ -149,10 +177,12 @@ def retrieval_three_pass(db_signs: np.ndarray, db_labels: np.ndarray,
 
     per_query = []
     for qi in range(query_count):
-        order = np.lexsort((ids, distances(qi)))
-        relevant_ranks = np.flatnonzero(db_labels[order] == query_labels[qi]) + 1
-        ratios = [hit / int(rank) for hit, rank in enumerate(relevant_ranks, start=1)]
-        per_query.append(float(np.array(ratios).sum() / class_size(qi)))
+        target = int(query_labels[qi])
+        levels = [[0, 0] for _ in range(bits + 1)]
+        for d, label in zip(distances(qi).tolist(), db_labels.tolist()):
+            levels[d][0] += 1
+            levels[d][1] += int(label == target)
+        per_query.append(tie_average_precision(levels))
 
     curve = []
     all_distances = [distances(qi) for qi in range(query_count)]
@@ -195,3 +225,95 @@ def one_nn_accuracy(features: np.ndarray, labels: np.ndarray) -> float:
     np.fill_diagonal(d2, np.inf)
     nearest = d2.argmin(axis=1)
     return float((labels[nearest] == labels).mean())
+
+
+@dataclass(frozen=True)
+class CodesOracleReport:
+    """Result of the brute-force class-code optimality check.
+
+    brute_force_value is the empirically exact minimum of the ridge
+    classification objective over all candidate code matrices and is the
+    ground truth. analytic_value is the closed-form candidate
+    C*lambda/(L+lambda); ridge_fit_factor records L/(L+lambda), the diagonal
+    that the fitted classifier attains at the optimum, which is sometimes
+    quoted as the minimum itself. Reporting all three keeps the discrepancy
+    visible.
+    """
+
+    bits: int
+    classes: int
+    lam: float
+    brute_force_value: float
+    analytic_value: float
+    ridge_fit_factor: float
+    optimal_codes: np.ndarray          # first minimizer in enumeration order
+    optimal_set: frozenset[bytes]      # all minimizers, as int8 row-major bytes
+
+
+def ridge_classifier_objective(codes: np.ndarray, lam: float) -> float:
+    """Objective ||I - W^T B||^2 + lam*||W||^2 at the exact ridge solution W.
+
+    W solves (B B^T + lam*I) W = B for identity targets (one sample per
+    class). At lam = 0 the minimum-norm limit is used.
+    """
+    b = np.asarray(codes, dtype=np.float64)
+    bits = b.shape[0]
+    gram = b @ b.T
+    if lam > 0:
+        w = np.linalg.solve(gram + lam * np.eye(bits), b)
+    else:
+        w = np.linalg.pinv(gram) @ b
+    resid = np.eye(b.shape[1]) - w.T @ b
+    return float((resid ** 2).sum() + lam * (w ** 2).sum())
+
+
+def _enumerate_sign_matrices(bits: int, classes: int) -> np.ndarray:
+    """All {-1,+1}^(bits x classes) matrices, ordered so that index order is
+    lexicographic with entry (0, 0) most significant and -1 < +1."""
+    n = bits * classes
+    idx = np.arange(1 << n, dtype=np.uint32)
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+    flat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    return (2 * flat - 1).reshape(-1, bits, classes)
+
+
+def fsdh_objective_oracle(bits: int, classes: int, lam: float) -> CodesOracleReport:
+    """Brute-force the class-code objective over every candidate matrix.
+
+    Feasible only for tiny instances (2^(bits*classes) candidates). The
+    report carries the full minimizer set so invariance checks can compare
+    argmin sets across regularization strengths.
+    """
+    if bits > ORACLE_MAX_BITS or classes > ORACLE_MAX_CLASSES:
+        raise ValueError(
+            f"enumeration budget exceeded: need bits <= {ORACLE_MAX_BITS} and "
+            f"classes <= {ORACLE_MAX_CLASSES}, got ({bits}, {classes})"
+        )
+    if bits < 1 or classes < 1:
+        raise ValueError(f"bits and classes must be >= 1, got ({bits}, {classes})")
+    if lam < 0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
+
+    candidates = _enumerate_sign_matrices(bits, classes)
+    b = candidates.astype(np.float64)
+    gram = b @ np.transpose(b, (0, 2, 1))
+    if lam > 0:
+        w = np.linalg.solve(gram + lam * np.eye(bits), b)
+    else:
+        w = np.linalg.pinv(gram) @ b
+    resid = np.eye(classes) - np.transpose(w, (0, 2, 1)) @ b
+    values = (resid ** 2).sum(axis=(1, 2)) + lam * (w ** 2).sum(axis=(1, 2))
+
+    best = float(values.min())
+    minimizers = np.flatnonzero(values <= best + 1e-9)
+    optimal_set = frozenset(candidates[i].tobytes() for i in minimizers)
+    return CodesOracleReport(
+        bits=bits,
+        classes=classes,
+        lam=float(lam),
+        brute_force_value=best,
+        analytic_value=classes * lam / (bits + lam),
+        ridge_fit_factor=bits / (bits + lam),
+        optimal_codes=candidates[minimizers[0]].copy(),
+        optimal_set=optimal_set,
+    )

@@ -122,9 +122,9 @@ def test_criterion_4_closed_form_oracle_equivalence():
     for bits in (2, 4):
         for classes in range(1, min(bits, 3) + 1):
             for lam in (0.5, 1.0, 2.0):
-                report = codes.fsdh_objective_oracle(bits, classes, lam)
+                report = oracles.fsdh_objective_oracle(bits, classes, lam)
                 pick = codes.pick_class_codes(codes.sylvester(bits), classes)
-                hadamard_value = codes.ridge_classifier_objective(pick.codes, lam)
+                hadamard_value = oracles.ridge_classifier_objective(pick.codes, lam)
                 ok &= abs(hadamard_value - report.brute_force_value) <= 1e-9
                 ok &= abs(report.brute_force_value - report.analytic_value) <= 1e-9
                 records.append(report)

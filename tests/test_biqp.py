@@ -171,6 +171,25 @@ class TestBranchAndBound:
             assert enumeration_index(sol.assignment) == index
             assert np.array_equal(sol.assignment, biqp.solve_exhaustive(problem).assignment)
 
+    def test_one_dcc_call_seeds_a_set_with_the_pinned_node_counts(self, monkeypatch):
+        # Each code length's problems share one Q, as a code step's set does.
+        calls = []
+        dcc_batch = biqp.dcc_batch
+
+        def record(*args, **kwargs):
+            calls.append(args[1].shape[1])
+            return dcc_batch(*args, **kwargs)
+
+        monkeypatch.setattr(biqp, "dcc_batch", record)
+        problems = list(fig1_like_problems())
+        for bits in (8, 12, 16):
+            group = [p for p in problems if p.bits == bits]
+            linear = np.column_stack([p.linear for p in group])
+            solutions = biqp._branch_and_bound_set(group[0].quadratic, linear, None)
+            assert [(bits, s.nodes, enumeration_index(s.assignment)) for s in solutions] == [
+                pinned for pinned in FIG1_LIKE_BB if pinned[0] == bits]
+        assert calls == [5, 10, 10]
+
     def test_matches_exhaustive_on_small_instances(self):
         rng = np.random.default_rng(6)
         for bits in (2, 5, 8, 12):

@@ -78,7 +78,7 @@ class TestExpandCodes:
 
 class TestObjectiveOracle:
     def test_two_bits_one_class(self):
-        report = codes.fsdh_objective_oracle(2, 1, 1.0)
+        report = oracles.fsdh_objective_oracle(2, 1, 1.0)
         assert report.brute_force_value == pytest.approx(1 / 3, abs=1e-12)
         # Attained by the constant-sign codes (every single column has
         # squared norm 2, so all four candidates tie).
@@ -86,32 +86,32 @@ class TestObjectiveOracle:
         assert np.array([[-1], [-1]], dtype=np.int8).tobytes() in report.optimal_set
 
     def test_four_bits_two_classes(self):
-        report = codes.fsdh_objective_oracle(4, 2, 1.0)
+        report = oracles.fsdh_objective_oracle(4, 2, 1.0)
         assert report.brute_force_value == pytest.approx(2 / 5, abs=1e-9)
         assert report.analytic_value == pytest.approx(2 / 5, abs=1e-12)
         hadamard_pick = codes.pick_class_codes(codes.sylvester(4), 2)
         assert hadamard_pick.codes.tobytes() in report.optimal_set
 
     def test_lambda_zero_reaches_zero(self):
-        report = codes.fsdh_objective_oracle(4, 2, 0.0)
+        report = oracles.fsdh_objective_oracle(4, 2, 0.0)
         assert report.brute_force_value == pytest.approx(0.0, abs=1e-12)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="enumeration budget"):
-            codes.fsdh_objective_oracle(6, 2, 1.0)
+            oracles.fsdh_objective_oracle(6, 2, 1.0)
 
     @pytest.mark.parametrize("bits,classes", [(2, 1), (2, 2), (4, 1), (4, 2), (4, 3)])
     def test_hadamard_submatrix_attains_the_minimum(self, bits, classes):
         for lam in (0.5, 1.0, 2.0):
-            report = codes.fsdh_objective_oracle(bits, classes, lam)
+            report = oracles.fsdh_objective_oracle(bits, classes, lam)
             pick = codes.pick_class_codes(codes.sylvester(bits), classes)
-            value = codes.ridge_classifier_objective(pick.codes, lam)
+            value = oracles.ridge_classifier_objective(pick.codes, lam)
             assert abs(value - report.brute_force_value) < 1e-9
             assert abs(report.brute_force_value - report.analytic_value) < 1e-9
 
     @pytest.mark.parametrize("bits,classes", [(2, 1), (2, 2), (4, 1), (4, 2), (4, 3)])
     def test_minimizer_set_is_lambda_invariant(self, bits, classes):
-        sets = [codes.fsdh_objective_oracle(bits, classes, lam).optimal_set
+        sets = [oracles.fsdh_objective_oracle(bits, classes, lam).optimal_set
                 for lam in (0.1, 1.0, 10.0)]
         assert sets[0] == sets[1] == sets[2]
 

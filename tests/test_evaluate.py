@@ -125,33 +125,50 @@ class TestMeanAveragePrecision:
         idx, signs, labels = small_instance(rng, count=200)
         qsigns = (2 * rng.integers(0, 2, (16, 25)) - 1).astype(np.int8)
         qlabels = rng.integers(0, 3, 25)
-        fast = evaluate.evaluate_retrieval(idx, pack_signs(qsigns), qlabels).map
+        report = evaluate.evaluate_retrieval(idx, pack_signs(qsigns), qlabels)
         aps = []
         for qi in range(25):
             dist = oracles.sign_distances(signs, qsigns[:, qi])
-            order = np.lexsort((np.arange(200), dist))
-            aps.append(oracles.average_precision_reference(
-                labels[order] == qlabels[qi]))
-        assert fast == pytest.approx(np.mean(aps), abs=1e-12)
+            relevant = labels == qlabels[qi]
+            aps.append(oracles.tie_average_precision(
+                [((dist == d).sum(), (relevant & (dist == d)).sum()) for d in range(17)]))
+        assert np.allclose(report.per_query, aps, rtol=0, atol=1e-12)
+        assert report.map == pytest.approx(np.mean(aps), abs=1e-12)
 
-    def test_invariant_to_permuting_ties(self):
+    def test_invariant_to_permuting_the_database(self):
+        # Four bits put 80 items on five distances, so every level mixes
+        # relevant and irrelevant items; the codes move with their labels.
         rng = np.random.default_rng(4)
-        idx, signs, labels = small_instance(rng, count=80)
-        qsigns = signs[:, :10]
+        idx, signs, labels = small_instance(rng, bits=4, count=80)
+        queries = pack_signs(signs[:, :10])
         qlabels = labels[:10]
-        base = evaluate.evaluate_retrieval(idx, pack_signs(qsigns), qlabels).map
-        # Swap two database items that share label and code (hence distance).
-        signs2 = signs.copy()
-        signs2[:, 10] = signs[:, 11]
-        signs2[:, 11] = signs[:, 10]
-        labels2 = labels.copy()
-        labels2[10], labels2[11] = labels[11], labels[10]
-        signs2[:, 11] = signs2[:, 10]
-        labels2[11] = labels2[10]
-        idx2 = index.CodeIndex(codes=pack_signs(signs2), labels=labels2)
-        idx_same = index.CodeIndex(codes=pack_signs(signs2), labels=labels2)
-        assert (evaluate.evaluate_retrieval(idx2, pack_signs(qsigns), qlabels).map
-                == evaluate.evaluate_retrieval(idx_same, pack_signs(qsigns), qlabels).map)
+        base = evaluate.evaluate_retrieval(idx, queries, qlabels)
+        for _ in range(3):
+            order = rng.permutation(80)
+            moved = index.CodeIndex(codes=pack_signs(signs[:, order]), labels=labels[order])
+            report = evaluate.evaluate_retrieval(moved, queries, qlabels)
+            assert report.map == base.map
+            assert np.array_equal(report.per_query, base.per_query)
+
+    def test_tie_free_ranking_matches_id_tiebreak_ap(self):
+        # Item k differs from the query in its first k bits, so every
+        # distance 0..L holds one item and the ranking has no ties.
+        rng = np.random.default_rng(17)
+        bits = 64
+        for _ in range(5):
+            query = (2 * rng.integers(0, 2, bits) - 1).astype(np.int8)
+            flips = np.where(np.arange(bits)[:, None] < np.arange(bits + 1), -1, 1)
+            order = rng.permutation(bits + 1)
+            signs = (query[:, None] * flips)[:, order].astype(np.int8)
+            labels = rng.integers(0, 3, bits + 1)
+            labels[0] = 0
+            idx = index.CodeIndex(codes=pack_signs(signs), labels=labels)
+            report = evaluate.evaluate_retrieval(idx, pack_signs(query[:, None]),
+                                                 np.array([0]))
+            ranked = labels[np.argsort(oracles.sign_distances(signs, query))]
+            expected = oracles.average_precision_reference(ranked == 0)
+            assert abs(report.per_query[0] - expected) <= 1e-12
+            assert abs(report.map - expected) <= 1e-12
 
     def test_absent_label_is_an_error(self):
         rng = np.random.default_rng(5)
@@ -205,9 +222,11 @@ def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
     return (signs[:, :count], labels[:count], signs[:, count:], labels[count:])
 
 
-def limit_block(monkeypatch, count, rows):
-    """Make `retrieval_counts` score `rows` queries per block."""
-    monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", evaluate.EVAL_PAIR_BYTES * count * rows)
+def limit_block(monkeypatch, idx, rows):
+    """Make `retrieval_counts` score `rows` queries per block of `idx`."""
+    bins = np.unique(idx.labels).size * (idx.codes.bits + 1)
+    row_bytes = evaluate.EVAL_PAIR_BYTES * idx.codes.count + evaluate.EVAL_BIN_BYTES * bins
+    monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
 
 
 class TestStreamingPass:
@@ -216,8 +235,8 @@ class TestStreamingPass:
     def test_bitwise_equal_to_three_pass_oracle(self, bits, zero_retrieval, monkeypatch):
         rng = np.random.default_rng(bits)
         db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, bits, 150, 23)
-        limit_block(monkeypatch, 150, 5)  # 23 queries: four full blocks and one of 3
         idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        limit_block(monkeypatch, idx, 5)  # 23 queries: four full blocks and one of 3
         queries = pack_signs(q_signs)
         for radius in (0, max(1, bits // 10), bits, bits + 7):
             report = evaluate.evaluate_retrieval(idx, queries, q_labels, radius,
@@ -226,17 +245,18 @@ class TestStreamingPass:
                                                     radius, zero_retrieval)
             assert report.precision_at_radius == expected["precision_at_radius"]
             assert report.recall_at_radius == expected["recall_at_radius"]
-            assert report.map == expected["map"]
             assert report.pr_curve == expected["pr_curve"]
-            assert np.array_equal(report.per_query, expected["per_query"])
+            # The oracle sums each query's average precision place by place.
+            assert abs(report.map - expected["map"]) <= 1e-12
+            assert np.allclose(report.per_query, expected["per_query"], rtol=0, atol=1e-12)
             assert report.radius == radius
 
     def test_absent_label_in_a_later_block_is_named(self, monkeypatch):
         rng = np.random.default_rng(31)
         db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, 32, 80, 12)
-        limit_block(monkeypatch, 80, 4)
-        q_labels[9], q_labels[11] = 98, 99  # only the third block holds them
         idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        limit_block(monkeypatch, idx, 4)
+        q_labels[9], q_labels[11] = 98, 99  # only the third block holds them
         with pytest.raises(ValueError, match="query label 98 absent from database"):
             evaluate.evaluate_retrieval(idx, pack_signs(q_signs), q_labels)
         with pytest.raises(ValueError, match="query label 98 absent from database"):

@@ -1,9 +1,14 @@
 """`oracles.py` is the independent reference the package is checked against,
-so it must not reach the package by any import."""
+so it must not reach the package by any import, and its own shortcuts are
+checked against brute force."""
 import ast
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import oracles
 
 ORACLES = Path(__file__).parent / "oracles.py"
 
@@ -48,3 +53,24 @@ def test_every_import_form_is_caught(line):
 
 def test_other_imports_pass():
     assert package_imports("import itertools\nimport numpy as np\nfrom scipy import linalg\n") == []
+
+
+def tie_orderings(levels):
+    """The relevance sequence of every ordering of each level's items, the
+    items taken as distinct, so equal sequences repeat."""
+    per_level = [itertools.permutations([True] * r + [False] * (n - r)) for n, r in levels]
+    for parts in itertools.product(*map(list, per_level)):
+        yield [rel for part in parts for rel in part]
+
+
+def test_tie_average_precision_is_the_mean_over_tie_orderings():
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        levels = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(0, 5))
+            levels.append((n, int(rng.integers(0, n + 1))))
+        if not any(r for _, r in levels):
+            levels.append((1, 1))
+        aps = [oracles.average_precision_reference(seq) for seq in tie_orderings(levels)]
+        assert abs(oracles.tie_average_precision(levels) - np.mean(aps)) <= 1e-12, levels

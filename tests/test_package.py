@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "EvalReport", "HashModel", "KernelMap", "ObjectiveBreakdown", "PackedCodes",
     "ProjectionSolver", "RawDataset", "SdhState", "b_step", "bias_term_diagnostics",
     "encode", "evaluate_retrieval", "expand_codes", "fit_anchors",
-    "fsdh_objective_oracle", "load_csv", "load_mnist", "load_model", "loss_table",
+    "load_csv", "load_mnist", "load_model", "loss_table",
     "magnitude_report", "normalize", "objective", "optimal_weights", "pack",
     "pick_class_codes", "radius_search", "rank_all", "save_model",
     "solve_branch_and_bound", "solve_dcc", "solve_exhaustive", "sylvester",
