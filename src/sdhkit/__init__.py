@@ -5,8 +5,7 @@ closed-form Hadamard-code solver or by the alternating-optimization
 baseline, and evaluates retrieval with a packed-code Hamming engine.
 """
 
-from .biqp import BiqpProblem, BiqpSolution, solve_branch_and_bound, solve_dcc, solve_exhaustive
-from .codes import ClassCodes, expand_codes, pick_class_codes, sylvester
+from .codes import ClassCodes, expand_codes, hadamard_codes
 from .dataset import RawDataset, load_csv, load_mnist, normalize, synth_blobs
 from .evaluate import EvalReport, bias_term_diagnostics, evaluate_retrieval, loss_table
 from .fsdh import optimal_weights, train_fsdh
@@ -27,8 +26,6 @@ from .sdh import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiqpProblem",
-    "BiqpSolution",
     "ClassCodes",
     "CodeIndex",
     "DatasetFingerprint",
@@ -46,6 +43,7 @@ __all__ = [
     "evaluate_retrieval",
     "expand_codes",
     "fit_anchors",
+    "hadamard_codes",
     "load_csv",
     "load_mnist",
     "load_model",
@@ -55,14 +53,9 @@ __all__ = [
     "objective",
     "optimal_weights",
     "pack",
-    "pick_class_codes",
     "radius_search",
     "rank_all",
     "save_model",
-    "solve_branch_and_bound",
-    "solve_dcc",
-    "solve_exhaustive",
-    "sylvester",
     "synth_blobs",
     "train_fsdh",
     "train_sdh",

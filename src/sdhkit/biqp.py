@@ -4,16 +4,16 @@ Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b. Three
 solvers are provided: greedy cyclic coordinate descent, exhaustive search,
 and depth-first branch-and-bound with an absolute-mass interval bound. The
 eigenvalue relaxation bound is useless here because Q = W W^T is rank
-deficient whenever L > C, so its smallest eigenvalue is zero. `solve_batch`
-solves many problems sharing one Q with any of the three, as the
-alternating trainer's code step does. DCC and exhaustive search take the
-whole set at once; the enumeration computes b^T Q b once per assignment
-for all the problems. Branch-and-bound seeds every incumbent with one DCC
-call, then searches the problems one at a time. Every term must be finite.
+deficient whenever L > C, so its smallest eigenvalue is zero.
+`solve_batch` is the one entry point: it solves many problems sharing one
+Q with any of the three, as the alternating trainer's code step does. DCC
+and exhaustive search take the whole set at once; the enumeration computes
+b^T Q b once per assignment for all the problems. Branch-and-bound seeds
+every incumbent with one DCC call, then searches the problems one at a
+time. Every term must be finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,49 +23,21 @@ EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class BiqpProblem:
-    quadratic: np.ndarray  # (bits, bits) symmetric
-    linear: np.ndarray     # (bits,)
-
-    def __post_init__(self):
-        q, f = _checked_terms(self.quadratic, self.linear, problems=False)
-        object.__setattr__(self, "quadratic", q)
-        object.__setattr__(self, "linear", f)
-
-    @property
-    def bits(self) -> int:
-        return self.linear.shape[0]
-
-
-@dataclass(frozen=True)
-class BiqpSolution:
-    assignment: np.ndarray  # (bits,) int8 in {-1, +1}
-    objective: float
-    exact: bool
-    nodes: int = 0          # branch-and-bound nodes visited (0 otherwise)
-
-
-def _checked_terms(quadratic, linear, *, problems: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Both terms as float64 arrays, `linear` holding one problem or, with
-    `problems`, one per column. NaN or inf would void every comparison the
-    solvers make, so they are rejected."""
+def _checked_terms(quadratic, linear) -> tuple[np.ndarray, np.ndarray]:
+    """Both terms as float64 arrays, `linear` holding one problem per column.
+    NaN or inf would void every comparison the solvers make, so they are
+    rejected."""
     q = np.asarray(quadratic, dtype=np.float64)
     f = np.asarray(linear, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"quadratic must be square, got shape {q.shape}")
-    if f.ndim != 1 + problems or f.shape[0] != q.shape[0]:
-        raise ValueError(f"linear term shape {f.shape} does not match {q.shape[0]} bits")
+    if f.ndim != 2 or f.shape[0] != q.shape[0]:
+        raise ValueError(f"linear term shape {f.shape} does not match ({q.shape[0]}, problems)")
     if not (np.isfinite(q).all() and np.isfinite(f).all()):
         raise ValueError("quadratic and linear terms must be finite")
     if q.size and np.abs(q - q.T).max() > 1e-12:
         raise ValueError("quadratic matrix must be symmetric within 1e-12")
     return q, f
-
-
-def objective_value(problem: BiqpProblem, assignment: np.ndarray) -> float:
-    b = np.asarray(assignment, dtype=np.float64)
-    return float(b @ problem.quadratic @ b + problem.linear @ b)
 
 
 def _check_signs(b: np.ndarray, what: str) -> np.ndarray:
@@ -89,6 +61,8 @@ def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
     q = np.asarray(quadratic, dtype=np.float64)
     f = np.asarray(linear, dtype=np.float64)
     b = _check_signs(init, "init").astype(np.float64).copy()
+    if b.shape != f.shape:
+        raise ValueError(f"init shape {b.shape} does not match linear term shape {f.shape}")
     # The update sum skips i == l, so the diagonal never contributes.
     q_off = q - np.diag(np.diag(q))
     bits = q.shape[0]
@@ -103,17 +77,6 @@ def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
         if not changed:
             break
     return b.astype(np.int8)
-
-
-def solve_dcc(problem: BiqpProblem, init: np.ndarray,
-              max_sweeps: int = 3) -> BiqpSolution:
-    """Greedy per-bit descent from `init`; fast but only locally optimal."""
-    init = _check_signs(init, "init")
-    if init.shape != (problem.bits,):
-        raise ValueError(f"init shape {init.shape} does not match {problem.bits} bits")
-    b = dcc_batch(problem.quadratic, problem.linear[:, None], init[:, None],
-                  max_sweeps=max_sweeps)[:, 0]
-    return BiqpSolution(assignment=b, objective=objective_value(problem, b), exact=False)
 
 
 def _signs(bits: int, idx: np.ndarray) -> np.ndarray:
@@ -159,57 +122,49 @@ def _enumerate(quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return _signs(bits, best_idx).astype(np.int8)
 
 
-def solve_exhaustive(problem: BiqpProblem) -> BiqpSolution:
-    """Global minimum over all 2^bits assignments.
-
-    Ties are broken by the lexicographically smallest assignment (-1 < +1).
-    """
-    assignment = _enumerate(problem.quadratic, problem.linear[:, None])[:, 0]
-    return BiqpSolution(assignment=assignment,
-                        objective=objective_value(problem, assignment), exact=True)
-
-
 class _BudgetExhausted(Exception):
     pass
 
 
-def solve_branch_and_bound(problem: BiqpProblem,
-                           budget_nodes: int | None = None) -> BiqpSolution:
-    """Depth-first search fixing bits in order, pruning by a lower bound.
+def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
+                          budget_nodes: int | None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth-first search on every column's problem, fixing bits in order
+    and pruning by a lower bound.
 
     The bound for a partial assignment adds the exact value of the fixed
     prefix, -|f_l + coupling-to-fixed| for every free bit, and -|Q_lm| for
     every free-free pair (plus the constant free diagonal). It is loose but
     valid, and exact once Q has no free-free couplings, so separable
-    problems solve in a single descent. The incumbent starts from a DCC
-    solution from all +1; if the node budget runs out the incumbent is
-    returned with exact=False.
+    problems solve in a single descent. Every incumbent starts from one
+    `dcc_batch` call from all +1; a problem whose node budget runs out keeps
+    its incumbent and is not exact. Returns the (bits, problems) int8
+    codes, the (problems,) exact flags and the (problems,) node counts.
     """
-    return _branch_and_bound_set(problem.quadratic, problem.linear[:, None], budget_nodes)[0]
-
-
-def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
-                          budget_nodes: int | None) -> list[BiqpSolution]:
-    """`solve_branch_and_bound` on every column's problem, with every
-    incumbent from one `dcc_batch` call."""
     if budget_nodes is not None and budget_nodes < 1:
         raise ValueError(f"budget_nodes must be >= 1, got {budget_nodes}")
     incumbents = dcc_batch(quadratic, linear, np.ones(linear.shape, dtype=np.int8))
-    return [_branch_and_bound(BiqpProblem(quadratic=quadratic,
-                                          linear=np.ascontiguousarray(linear[:, k])),
-                              incumbents[:, k], budget_nodes)
-            for k in range(linear.shape[1])]
+    codes = np.empty(linear.shape, dtype=np.int8)
+    exact = np.empty(linear.shape[1], dtype=bool)
+    nodes = np.empty(linear.shape[1], dtype=np.int64)
+    for k in range(linear.shape[1]):
+        codes[:, k], exact[k], nodes[k] = _branch_and_bound(
+            quadratic, np.ascontiguousarray(linear[:, k]), incumbents[:, k], budget_nodes)
+    return codes, exact, nodes
 
 
-def _branch_and_bound(problem: BiqpProblem, incumbent: np.ndarray,
-                      budget_nodes: int | None) -> BiqpSolution:
-    bits = problem.bits
-    q = problem.quadratic
-    f = problem.linear
+def _branch_and_bound(q: np.ndarray, f: np.ndarray, incumbent: np.ndarray,
+                      budget_nodes: int | None) -> tuple[np.ndarray, bool, int]:
+    """One problem's search; returns (assignment, exact, nodes)."""
+    def objective(b: np.ndarray) -> float:
+        b = np.asarray(b, dtype=np.float64)
+        return float(b @ q @ b + f @ b)
+
+    bits = f.shape[0]
     abs_q = np.abs(q - np.diag(np.diag(q)))
     diag = np.diag(q)
 
-    best_val = objective_value(problem, incumbent)
+    best_val = objective(incumbent)
     best_b = incumbent.copy()
     nodes = 0
 
@@ -236,8 +191,9 @@ def _branch_and_bound(problem: BiqpProblem, incumbent: np.ndarray,
             raise _BudgetExhausted
         nodes += 1
         if depth == bits:
-            val = objective_value(problem, prefix)
-            if val < best_val or (val == best_val and _lex_less(prefix, best_b)):
+            val = objective(prefix)
+            # Ties go to the lexicographically smallest assignment (-1 < +1).
+            if val < best_val or (val == best_val and prefix.tolist() < best_b.tolist()):
                 best_val = val
                 best_b = prefix.copy()
             return
@@ -267,15 +223,7 @@ def _branch_and_bound(problem: BiqpProblem, incumbent: np.ndarray,
         visit(0, 0.0, coupling, free_pair_mass)
     except _BudgetExhausted:
         exact = False
-    return BiqpSolution(assignment=best_b, objective=float(best_val), exact=exact,
-                        nodes=nodes)
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
+    return best_b, exact, nodes
 
 
 def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
@@ -293,13 +241,10 @@ def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    quadratic, linear = _checked_terms(quadratic, linear, problems=True)
+    quadratic, linear = _checked_terms(quadratic, linear)
     if solver == "dcc":
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
     if solver == "exhaustive":
         return _enumerate(quadratic, linear), True
-    solutions = _branch_and_bound_set(quadratic, linear, budget_nodes)
-    codes = np.empty(linear.shape, dtype=np.int8)
-    for k, sol in enumerate(solutions):
-        codes[:, k] = sol.assignment
-    return codes, all(sol.exact for sol in solutions)
+    codes, exact, _ = _branch_and_bound_set(quadratic, linear, budget_nodes)
+    return codes, bool(exact.all())

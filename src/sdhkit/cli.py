@@ -383,7 +383,7 @@ def _figure_fig1(cfg, out: Path) -> None:
                                           seed=s, solver=solver)
             _write_trajectory(out / f"fig1_{solver}_seed{s}.csv", trajectory)
 
-    class_codes = codes.pick_class_codes(codes.sylvester(bits), classes)
+    class_codes = codes.hadamard_codes(bits, classes)
     w = fsdh.optimal_weights(class_codes, lam)
     b = codes.expand_codes(class_codes, labels).astype(np.float64)
     y = sdh.one_hot(labels, classes)
@@ -459,7 +459,7 @@ def _figure_biasmap(cfg, out: Path) -> None:
                               labels=data.labels[order],
                               class_count=data.class_count)
     _, features = _kernel_features(cfg, data)
-    class_codes = codes.pick_class_codes(codes.sylvester(cfg["bits"]), data.class_count)
+    class_codes = codes.hadamard_codes(cfg["bits"], data.class_count)
     expanded = codes.expand_codes(class_codes, data.labels)
     diag = evaluate.bias_term_diagnostics(features, expanded, data.labels)
     np.savetxt(out / "k_matrix.csv", diag.k_matrix, delimiter=",")
@@ -492,8 +492,7 @@ def cmd_bench(cfg, out: Path) -> int:
         for bits in cfg["bits_list"]:
             rows.append([method, bits, "kernel_transform", f"{transform_s:.3f}"])
             if method == "fsdh":
-                code_s = median_time(lambda: codes.pick_class_codes(
-                    codes.sylvester(bits), data.class_count))
+                code_s = median_time(lambda: codes.hadamard_codes(bits, data.class_count))
                 rows.append([method, bits, "code_construction", f"{code_s:.3f}"])
             # The trainer builds its own class codes, so they are not added
             # to the total; fsdh's trainer is one linear solve.

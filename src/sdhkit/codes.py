@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 4096
+_MAX_ORDER = 4096
 
 
 def is_power_of_two(n: int) -> bool:
@@ -51,36 +51,26 @@ class ClassCodes:
         return self.codes.shape[1]
 
 
-def sylvester(order: int, *, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Hadamard matrix of the given power-of-two order, built recursively.
+def hadamard_codes(bits: int, classes: int) -> ClassCodes:
+    """The first `classes` columns of the order-`bits` Sylvester Hadamard
+    matrix, as class codes.
 
-    H_2 = [[1, 1], [1, -1]] and H_2k = [[H_k, H_k], [H_k, -H_k]], so
-    H @ H.T = order * I exactly in integer arithmetic.
+    Entry (j, c) of that matrix is (-1)^popcount(j & c), so the columns are
+    built in O(bits * classes) without the bits x bits matrix. Any column
+    subset is optimal by orthogonality; taking the first C keeps the choice
+    deterministic.
     """
-    if not is_power_of_two(order):
-        raise ValueError(f"Hadamard order must be a power of two >= 2, got {order}")
-    if order > max_order:
-        raise ValueError(f"Hadamard order {order} exceeds the cap {max_order}")
-    h = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
-def pick_class_codes(hadamard: np.ndarray, classes: int) -> ClassCodes:
-    """Take the first `classes` columns of a Hadamard matrix as class codes.
-
-    Any column subset is optimal by orthogonality; taking the first C keeps
-    the choice deterministic.
-    """
-    hadamard = np.asarray(hadamard)
-    bits = hadamard.shape[0]
+    if not is_power_of_two(bits):
+        raise ValueError(f"Hadamard order must be a power of two >= 2, got {bits}")
+    if bits > _MAX_ORDER:
+        raise ValueError(f"Hadamard order {bits} exceeds the cap {_MAX_ORDER}")
     if classes > bits:
         raise ValueError(
             f"class count {classes} exceeds code length {bits}; "
             f"the model requires bits >= classes (assumption A2)"
         )
-    return ClassCodes(codes=hadamard[:, :classes].astype(np.int8))
+    odd = np.bitwise_count(np.arange(bits)[:, None] & np.arange(classes)) & 1
+    return ClassCodes(codes=np.where(odd, -1, 1).astype(np.int8))
 
 
 def expand_codes(class_codes: ClassCodes, labels: np.ndarray) -> np.ndarray:

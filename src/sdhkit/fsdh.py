@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import ClassCodes, is_power_of_two, pick_class_codes, sylvester
+from .codes import ClassCodes, hadamard_codes, is_power_of_two
 # Re-exported for callers that still read the model names from this module.
 from .model import DatasetFingerprint, HashModel, load_model, save_model  # noqa: F401
 from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
@@ -49,7 +49,7 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         )
     if labels.shape[0] != x.shape[1]:
         raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
-    class_codes = pick_class_codes(sylvester(bits), class_count)
+    class_codes = hadamard_codes(bits, class_count)
     indicators = one_hot(labels, class_count)
     per_class = ProjectionSolver(x, jitter).solve(indicators)
     return per_class @ class_codes.codes.astype(np.float64).T, class_codes

@@ -52,6 +52,15 @@ def sign_distances(db_signs: np.ndarray, query_signs: np.ndarray) -> np.ndarray:
     return (db_signs != query_signs[:, None]).sum(axis=0)
 
 
+def sylvester(order: int) -> np.ndarray:
+    """Sylvester Hadamard matrix of a power-of-two order by its block
+    recursion: H_2 = [[1, 1], [1, -1]] and H_2k = [[H_k, H_k], [H_k, -H_k]]."""
+    h = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def biqp_objective(q: np.ndarray, f: np.ndarray, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     return float(b @ q @ b + f @ b)

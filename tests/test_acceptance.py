@@ -123,7 +123,7 @@ def test_criterion_4_closed_form_oracle_equivalence():
         for classes in range(1, min(bits, 3) + 1):
             for lam in (0.5, 1.0, 2.0):
                 report = oracles.fsdh_objective_oracle(bits, classes, lam)
-                pick = codes.pick_class_codes(codes.sylvester(bits), classes)
+                pick = codes.hadamard_codes(bits, classes)
                 hadamard_value = oracles.ridge_classifier_objective(pick.codes, lam)
                 ok &= abs(hadamard_value - report.brute_force_value) <= 1e-9
                 ok &= abs(report.brute_force_value - report.analytic_value) <= 1e-9
@@ -144,17 +144,18 @@ def test_criterion_5_b_step_oracle_equivalence():
     for trial in range(200):
         bits = int(rng.integers(2, 11))
         g = rng.standard_normal((bits, max(1, bits // 2)))
-        problem = biqp.BiqpProblem(quadratic=g @ g.T,
-                                   linear=rng.standard_normal(bits))
-        exact = biqp.solve_exhaustive(problem)
-        bnb = biqp.solve_branch_and_bound(problem)
-        ok &= bnb.exact
-        ok &= bool(np.array_equal(bnb.assignment, exact.assignment))
-        ok &= bnb.objective == exact.objective
-        init = (2 * rng.integers(0, 2, bits) - 1).astype(np.int8)
-        dcc = biqp.solve_dcc(problem, init)
-        ok &= dcc.objective >= exact.objective - 1e-9
-        if dcc.objective > exact.objective + 1e-9:
+        q, f = g @ g.T, rng.standard_normal((bits, 1))
+        exact, _ = biqp.solve_batch(q, f, None, "exhaustive")
+        bnb, bnb_exact = biqp.solve_batch(q, f, None, "branch_and_bound")
+        ok &= bnb_exact
+        ok &= bool(np.array_equal(bnb, exact))
+        best = oracles.biqp_objective(q, f[:, 0], exact[:, 0])
+        ok &= oracles.biqp_objective(q, f[:, 0], bnb[:, 0]) == best
+        init = (2 * rng.integers(0, 2, (bits, 1)) - 1).astype(np.int8)
+        dcc, _ = biqp.solve_batch(q, f, init, "dcc")
+        greedy = oracles.biqp_objective(q, f[:, 0], dcc[:, 0])
+        ok &= greedy >= best - 1e-9
+        if greedy > best + 1e-9:
             strict += 1
     ok &= strict >= 1
     _report(5, ok, f"branch-and-bound matched exhaustive on 200 instances; "
@@ -212,8 +213,7 @@ def test_criterion_7_fit_error_trace_identity():
         n = classes * per_class
         x = rng.standard_normal((5, n))
         labels = np.repeat(np.arange(classes), per_class)
-        b = codes.expand_codes(
-            codes.pick_class_codes(codes.sylvester(bits), classes), labels)
+        b = codes.expand_codes(codes.hadamard_codes(bits, classes), labels)
         diag = evaluate.bias_term_diagnostics(x, b, labels)
         grouped_gap = max(grouped_gap, abs(diag.trace_value - diag.trace_grouped))
         ok &= abs(diag.trace_value - diag.trace_grouped) <= 1e-9

@@ -252,7 +252,7 @@ class TestReportFiles:
                     "--outdir", str(tmp_path / "bias")]) == 0
         data = dataset.normalize(dataset.synth_blobs(3, 5, 6, 0.1, seed=1), "unit_norm")
         kmap = kernelmap.fit_anchors(data, 12, 0.4, 0)
-        class_codes = codes.pick_class_codes(codes.sylvester(8), 3)
+        class_codes = codes.hadamard_codes(8, 3)
         diag = evaluate.bias_term_diagnostics(kernelmap.transform(kmap, data.features),
                                               codes.expand_codes(class_codes, data.labels),
                                               data.labels)

@@ -6,68 +6,78 @@ from sdhkit import codes
 import oracles
 
 
-class TestSylvester:
+POWERS_OF_TWO = [1 << k for k in range(1, 13)]
+
+
+class TestSylvesterOracle:
     def test_order_two(self):
-        assert np.array_equal(codes.sylvester(2), [[1, 1], [1, -1]])
+        assert np.array_equal(oracles.sylvester(2), [[1, 1], [1, -1]])
 
     def test_order_four(self):
         expected = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
-        assert np.array_equal(codes.sylvester(4), expected)
+        assert np.array_equal(oracles.sylvester(4), expected)
 
     @pytest.mark.parametrize("order", [2, 4, 8, 16, 64, 256])
     def test_orthogonality_exact_in_integers(self, order):
-        h = codes.sylvester(order).astype(np.int64)
+        h = oracles.sylvester(order).astype(np.int64)
         assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
+
+
+class TestHadamardCodes:
+    @pytest.mark.parametrize("bits", POWERS_OF_TWO)
+    def test_columns_match_the_block_recursion(self, bits):
+        h = oracles.sylvester(bits)
+        for classes in range(1, min(bits, 64) + 1):
+            cc = codes.hadamard_codes(bits, classes)
+            assert cc.codes.dtype == np.int8
+            assert np.array_equal(cc.codes, h[:, :classes]), classes
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            codes.sylvester(24)
+            codes.hadamard_codes(24, 2)
 
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            codes.sylvester(8192)
-        assert codes.sylvester(8192, max_order=8192).shape == (8192, 8192)
+            codes.hadamard_codes(8192, 2)
 
-
-class TestPickClassCodes:
     def test_first_columns_of_h4(self):
-        cc = codes.pick_class_codes(codes.sylvester(4), 2)
+        cc = codes.hadamard_codes(4, 2)
         assert np.array_equal(cc.codes[:, 0], [1, 1, 1, 1])
         assert np.array_equal(cc.codes[:, 1], [1, -1, 1, -1])
         assert oracles.hamming_loop(cc.codes[:, 0], cc.codes[:, 1]) == 2
 
     def test_all_columns_of_h8(self):
-        cc = codes.pick_class_codes(codes.sylvester(8), 8)
+        cc = codes.hadamard_codes(8, 8)
         for i in range(8):
             for j in range(i + 1, 8):
                 assert oracles.hamming_loop(cc.codes[:, i], cc.codes[:, j]) == 4
 
     def test_too_many_classes(self):
         with pytest.raises(ValueError, match="assumption A2"):
-            codes.pick_class_codes(codes.sylvester(4), 5)
+            codes.hadamard_codes(4, 5)
 
     def test_pairwise_orthogonality(self):
-        cc = codes.pick_class_codes(codes.sylvester(16), 10)
+        cc = codes.hadamard_codes(16, 10)
         gram = cc.codes.astype(np.int64).T @ cc.codes.astype(np.int64)
         assert np.array_equal(gram, 16 * np.eye(10, dtype=np.int64))
 
 
 class TestExpandCodes:
     def test_lines_up_by_label(self):
-        cc = codes.pick_class_codes(codes.sylvester(2), 2)
+        cc = codes.hadamard_codes(2, 2)
         b = codes.expand_codes(cc, np.array([0, 1, 0]))
         assert np.array_equal(b[:, 0], cc.codes[:, 0])
         assert np.array_equal(b[:, 1], cc.codes[:, 1])
         assert np.array_equal(b[:, 2], cc.codes[:, 0])
 
     def test_empty_labels(self):
-        cc = codes.pick_class_codes(codes.sylvester(4), 2)
+        cc = codes.hadamard_codes(4, 2)
         b = codes.expand_codes(cc, np.array([], dtype=np.int64))
         assert b.shape == (4, 0)
 
     def test_sorted_labels_give_block_gram(self):
         bits, classes, per_class = 8, 4, 3
-        cc = codes.pick_class_codes(codes.sylvester(bits), classes)
+        cc = codes.hadamard_codes(bits, classes)
         labels = np.repeat(np.arange(classes), per_class)
         b = codes.expand_codes(cc, labels).astype(np.int64)
         gram = b.T @ b
@@ -89,7 +99,7 @@ class TestObjectiveOracle:
         report = oracles.fsdh_objective_oracle(4, 2, 1.0)
         assert report.brute_force_value == pytest.approx(2 / 5, abs=1e-9)
         assert report.analytic_value == pytest.approx(2 / 5, abs=1e-12)
-        hadamard_pick = codes.pick_class_codes(codes.sylvester(4), 2)
+        hadamard_pick = codes.hadamard_codes(4, 2)
         assert hadamard_pick.codes.tobytes() in report.optimal_set
 
     def test_lambda_zero_reaches_zero(self):
@@ -104,7 +114,7 @@ class TestObjectiveOracle:
     def test_hadamard_submatrix_attains_the_minimum(self, bits, classes):
         for lam in (0.5, 1.0, 2.0):
             report = oracles.fsdh_objective_oracle(bits, classes, lam)
-            pick = codes.pick_class_codes(codes.sylvester(bits), classes)
+            pick = codes.hadamard_codes(bits, classes)
             value = oracles.ridge_classifier_objective(pick.codes, lam)
             assert abs(value - report.brute_force_value) < 1e-9
             assert abs(report.brute_force_value - report.analytic_value) < 1e-9

@@ -298,7 +298,7 @@ class TestBiasDiagnostics:
     def test_orthonormal_features_projection_is_identity(self):
         n, bits = 6, 4
         x = np.eye(n)
-        cc = codes.pick_class_codes(codes.sylvester(bits), 2)
+        cc = codes.hadamard_codes(bits, 2)
         labels = np.array([0, 0, 0, 1, 1, 1])
         b = codes.expand_codes(cc, labels)
         diag = evaluate.bias_term_diagnostics(x, b, labels)
@@ -312,8 +312,7 @@ class TestBiasDiagnostics:
         n = classes * per_class
         x = rng.standard_normal((5, n))
         labels = np.repeat(np.arange(classes), per_class)
-        b = codes.expand_codes(codes.pick_class_codes(codes.sylvester(bits), classes),
-                               labels)
+        b = codes.expand_codes(codes.hadamard_codes(bits, classes), labels)
         diag = evaluate.bias_term_diagnostics(x, b, labels)
         expected = np.kron(np.eye(classes), np.full((per_class, per_class), bits))
         assert np.array_equal(diag.btb_matrix, expected)
@@ -324,8 +323,7 @@ class TestBiasDiagnostics:
         n = classes * per_class
         x = rng.standard_normal((5, n))
         labels = np.repeat(np.arange(classes), per_class)
-        b = codes.expand_codes(codes.pick_class_codes(codes.sylvester(bits), classes),
-                               labels)
+        b = codes.expand_codes(codes.hadamard_codes(bits, classes), labels)
         diag = evaluate.bias_term_diagnostics(x, b, labels)
         p = sdh.ProjectionSolver(x, jitter=0.0).solve(b)
         direct = ((b - p.T @ x) ** 2).sum()
@@ -340,7 +338,7 @@ class TestBiasDiagnostics:
 
     def test_requires_sorted_labels(self):
         x = np.random.default_rng(10).standard_normal((3, 4))
-        cc = codes.pick_class_codes(codes.sylvester(2), 2)
+        cc = codes.hadamard_codes(2, 2)
         b = codes.expand_codes(cc, np.array([1, 0, 0, 1]))
         with pytest.raises(ValueError, match="sorted"):
             evaluate.bias_term_diagnostics(x, b, np.array([1, 0, 0, 1]))

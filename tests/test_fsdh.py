@@ -26,7 +26,7 @@ def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
 
 class TestTrainFsdh:
     def test_identity_features(self):
-        cc = codes.pick_class_codes(codes.sylvester(2), 2)
+        cc = codes.hadamard_codes(2, 2)
         b = codes.expand_codes(cc, np.array([0, 1])).astype(np.float64)
         projection, got = fsdh.train_fsdh(np.eye(2), np.array([0, 1]), 2, 2,
                                           jitter=0.0)
@@ -75,7 +75,7 @@ class TestTrainFsdh:
         classes, bits, lam = 4, 8, 1.0
         x = rng.standard_normal((6, classes))
         labels = np.arange(classes)
-        cc = codes.pick_class_codes(codes.sylvester(bits), classes)
+        cc = codes.hadamard_codes(bits, classes)
         w = fsdh.optimal_weights(cc, lam)
         b = codes.expand_codes(cc, labels).astype(np.float64)
         y = sdh.one_hot(labels, classes)
@@ -133,12 +133,12 @@ class TestFactoredSolve:
 
 class TestOptimalWeights:
     def test_scaled_entries(self):
-        cc = codes.pick_class_codes(codes.sylvester(16), 10)
+        cc = codes.hadamard_codes(16, 10)
         w = fsdh.optimal_weights(cc, 1.0)
         assert np.all(np.abs(w) == pytest.approx(1 / 17))
 
     def test_lambda_zero_inverts_exactly(self):
-        cc = codes.pick_class_codes(codes.sylvester(8), 8)
+        cc = codes.hadamard_codes(8, 8)
         w = fsdh.optimal_weights(cc, 0.0)
         assert np.abs(w.T @ cc.codes - np.eye(8)).max() < 1e-12
 
@@ -146,7 +146,7 @@ class TestOptimalWeights:
         rng = np.random.default_rng(4)
         for bits, classes in ((4, 3), (16, 10), (64, 9)):
             lam = float(rng.uniform(0.1, 5.0))
-            cc = codes.pick_class_codes(codes.sylvester(bits), classes)
+            cc = codes.hadamard_codes(bits, classes)
             w = fsdh.optimal_weights(cc, lam)
             b = cc.codes.astype(np.float64)
             residual = (b @ b.T + lam * np.eye(bits)) @ w - b

@@ -3,14 +3,13 @@ import types
 import sdhkit
 
 PUBLIC_NAMES = [
-    "BiqpProblem", "BiqpSolution", "ClassCodes", "CodeIndex", "DatasetFingerprint",
+    "ClassCodes", "CodeIndex", "DatasetFingerprint",
     "EvalReport", "HashModel", "KernelMap", "ObjectiveBreakdown", "PackedCodes",
     "ProjectionSolver", "RawDataset", "SdhState", "b_step", "bias_term_diagnostics",
-    "encode", "evaluate_retrieval", "expand_codes", "fit_anchors",
+    "encode", "evaluate_retrieval", "expand_codes", "fit_anchors", "hadamard_codes",
     "load_csv", "load_mnist", "load_model", "loss_table",
     "magnitude_report", "normalize", "objective", "optimal_weights", "pack",
-    "pick_class_codes", "radius_search", "rank_all", "save_model",
-    "solve_branch_and_bound", "solve_dcc", "solve_exhaustive", "sylvester",
+    "radius_search", "rank_all", "save_model",
     "synth_blobs", "train_fsdh", "train_sdh", "transform", "unpack", "w_step",
 ]
 

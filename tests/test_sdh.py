@@ -28,21 +28,16 @@ def per_class_code_step(state, labels, solver):
     codes = np.empty(state.codes.shape, dtype=np.int8, order="C")
     for cls in np.unique(labels):
         cols = np.flatnonzero(labels == cls)
-        problem = biqp.BiqpProblem(quadratic=q, linear=-2.0 * state.weights[:, cls])
-        if solver == "dcc":
-            solution = biqp.solve_dcc(problem, state.codes[:, cols[0]])
-        elif solver == "exhaustive":
-            solution = biqp.solve_exhaustive(problem)
-        else:
-            solution = biqp.solve_branch_and_bound(problem)
-        codes[:, cols] = solution.assignment[:, None]
+        solution, _ = biqp.solve_batch(q, -2.0 * state.weights[:, cls:cls + 1],
+                                       state.codes[:, cols[:1]], solver)
+        codes[:, cols] = solution
     return codes
 
 
 class TestWStep:
     def test_hadamard_codes_one_sample_per_class(self):
         bits, classes, lam = 16, 10, 1.0
-        cc = codes.pick_class_codes(codes.sylvester(bits), classes)
+        cc = codes.hadamard_codes(bits, classes)
         w = sdh.w_step(cc.codes, np.arange(classes), classes, lam)
         assert np.abs(w - cc.codes / (bits + lam)).max() < 1e-12
 
@@ -358,7 +353,7 @@ class TestObjective:
 
     def test_fsdh_state_with_one_sample_per_class(self):
         bits, classes, lam = 16, 10, 1.0
-        cc = codes.pick_class_codes(codes.sylvester(bits), classes)
+        cc = codes.hadamard_codes(bits, classes)
         labels = np.arange(classes)
         x = np.eye(classes) * 0.5
         state = sdh.SdhState(
