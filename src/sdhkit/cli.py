@@ -201,6 +201,14 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
     if unread:
         raise StageError("config", f"key(s) {', '.join(map(repr, unread))} "
                                    f"are read by 'eval' only, not by {command!r}")
+    # A version-1 model stores no training mean, so `eval` would centre the
+    # database and the queries each on its own mean.
+    centred = [key for key in ("normalize", "db_normalize", "query_normalize")
+               if cfg.get(key) == "zero_mean_unit_norm"]
+    if command in ("train", "eval") and centred:
+        raise StageError("config", f"key(s) {', '.join(map(repr, centred))}: "
+                                   f"{command!r} does not support zero_mean_unit_norm, "
+                                   f"because the model stores no training mean")
     return cfg
 
 

@@ -61,13 +61,15 @@ def hadamard_codes(bits: int, classes: int) -> ClassCodes:
     deterministic.
     """
     if not is_power_of_two(bits):
-        raise ValueError(f"Hadamard order must be a power of two >= 2, got {bits}")
+        raise ValueError(
+            f"code length {bits} violates assumption A1: it must be a power of two >= 2"
+        )
     if bits > _MAX_ORDER:
         raise ValueError(f"Hadamard order {bits} exceeds the cap {_MAX_ORDER}")
     if classes > bits:
         raise ValueError(
-            f"class count {classes} exceeds code length {bits}; "
-            f"the model requires bits >= classes (assumption A2)"
+            f"code length {bits} violates assumption A2: it must be at least "
+            f"the class count {classes}"
         )
     odd = np.bitwise_count(np.arange(bits)[:, None] & np.arange(classes)) & 1
     return ClassCodes(codes=np.where(odd, -1, 1).astype(np.int8))

@@ -8,6 +8,7 @@ operations that need them.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,45 +97,47 @@ def _read_be32(f, path, what: str) -> int:
     return struct.unpack(">i", _read_exact(f, 4, path, what))[0]
 
 
-def read_idx_images(path: str | Path) -> np.ndarray:
-    """Read an IDX image file into a (count, rows, cols) uint8 array.
+def _read_idx(path: str | Path, magic: int, dims: tuple[str, ...],
+              what: str) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by its header.
 
-    Layout (big endian): magic 0x00000803, count, rows, cols as 32-bit
-    integers, then count*rows*cols unsigned pixel bytes.
+    Layout (big endian): `magic` and one size per name in `dims` as 32-bit
+    integers, then the product of the sizes in bytes. Only the first size
+    may be zero.
     """
     with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, path, "magic number")
-        if magic != IDX_IMAGES_MAGIC:
+        found = _read_be32(f, path, "magic number")
+        if found != magic:
             raise ValueError(
                 f"{path}: bad magic number at byte offset 0: "
-                f"expected {IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}"
+                f"expected {magic:#010x}, got {found:#010x}"
             )
-        count = _read_be32(f, path, "image count")
-        rows = _read_be32(f, path, "row count")
-        cols = _read_be32(f, path, "column count")
-        if count < 0 or rows <= 0 or cols <= 0:
-            raise ValueError(f"{path}: invalid dimensions (count={count}, rows={rows}, cols={cols})")
-        raw = _read_exact(f, count * rows * cols, path, "pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+        shape = tuple(_read_be32(f, path, name) for name in dims)
+        if shape[0] < 0 or any(size <= 0 for size in shape[1:]):
+            sizes = ", ".join(f"{name}={size}" for name, size in zip(dims, shape))
+            raise ValueError(f"{path}: invalid dimensions ({sizes})")
+        raw = _read_exact(f, math.prod(shape), path, what)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path: str | Path, magic: int, payload: np.ndarray) -> None:
+    """Write a uint8 array as an IDX file: `magic`, its shape, its bytes."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + payload.ndim}i", magic, *payload.shape))
+        f.write(payload.tobytes())
+
+
+def read_idx_images(path: str | Path) -> np.ndarray:
+    """Read an IDX image file (magic 0x00000803; count, rows, cols) into a
+    (count, rows, cols) uint8 array."""
+    return _read_idx(path, IDX_IMAGES_MAGIC, ("image count", "row count", "column count"),
+                     "pixel data")
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
-    """Read an IDX label file into a (count,) uint8 array.
-
-    Layout (big endian): magic 0x00000801, count, then count label bytes.
-    """
-    with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, path, "magic number")
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"{path}: bad magic number at byte offset 0: "
-                f"expected {IDX_LABELS_MAGIC:#010x}, got {magic:#010x}"
-            )
-        count = _read_be32(f, path, "label count")
-        if count < 0:
-            raise ValueError(f"{path}: invalid label count {count}")
-        raw = _read_exact(f, count, path, "label data")
-    return np.frombuffer(raw, dtype=np.uint8)
+    """Read an IDX label file (magic 0x00000801; count) into a (count,)
+    uint8 array."""
+    return _read_idx(path, IDX_LABELS_MAGIC, ("label count",), "label data")
 
 
 def write_idx_images(path: str | Path, images: np.ndarray) -> None:
@@ -142,9 +145,7 @@ def write_idx_images(path: str | Path, images: np.ndarray) -> None:
     images = np.asarray(images, dtype=np.uint8)
     if images.ndim != 3:
         raise ValueError(f"images must be (count, rows, cols), got shape {images.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
+    _write_idx(path, IDX_IMAGES_MAGIC, images)
 
 
 def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
@@ -152,9 +153,7 @@ def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, IDX_LABELS_MAGIC, labels.astype(np.uint8))
 
 
 def _check_limit(limit: int) -> None:
@@ -229,13 +228,11 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def load_csv(features_path: str | Path, labels_path: str | Path,
-             class_count: int | None = None) -> RawDataset:
+def load_csv(features_path: str | Path, labels_path: str | Path) -> RawDataset:
     """Load precomputed features (one sample per row) and integer labels.
 
     The feature file fixes D by its column count; the label file has one
-    integer per row. When `class_count` is omitted it is inferred as
-    max(label) + 1.
+    integer per row, and the class count is max(label) + 1.
     """
     data = _parse_csv_matrix(features_path)
     raw_labels = _parse_csv_matrix(labels_path)
@@ -249,13 +246,9 @@ def load_csv(features_path: str | Path, labels_path: str | Path,
         raise ValueError(
             f"row count mismatch: {data.shape[0]} feature rows vs {labels.shape[0]} labels"
         )
-    if class_count is None:
-        if labels.min() < 0:
-            raise ValueError("label out of range: negative label")
-        class_count = int(labels.max()) + 1
-    elif labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ValueError(f"label out of range [0, {class_count})")
-    return RawDataset(features=data.T, labels=labels, class_count=class_count)
+    if labels.min() < 0:
+        raise ValueError("label out of range: negative label")
+    return RawDataset(features=data.T, labels=labels, class_count=int(labels.max()) + 1)
 
 
 def synth_blobs(classes: int, per_class: int, dim: int, spread: float,

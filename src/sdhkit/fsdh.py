@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import ClassCodes, hadamard_codes, is_power_of_two
+from .codes import ClassCodes, hadamard_codes
 # Re-exported for callers that still read the model names from this module.
 from .model import DatasetFingerprint, HashModel, load_model, save_model  # noqa: F401
 from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
@@ -36,20 +36,12 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     codes, so its cost does not depend on L. No iteration and no randomness:
     repeated calls return bit-identical projections.
     """
+    # Checks assumptions A1 and A2 before any other input.
+    class_codes = hadamard_codes(bits, class_count)
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if not is_power_of_two(bits):
-        raise ValueError(
-            f"code length {bits} violates assumption A1: it must be a power of two"
-        )
-    if bits < class_count:
-        raise ValueError(
-            f"code length {bits} violates assumption A2: it must be at least "
-            f"the class count {class_count}"
-        )
     if labels.shape[0] != x.shape[1]:
         raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
-    class_codes = hadamard_codes(bits, class_count)
     indicators = one_hot(labels, class_count)
     per_class = ProjectionSolver(x, jitter).solve(indicators)
     return per_class @ class_codes.codes.astype(np.float64).T, class_codes

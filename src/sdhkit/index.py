@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 WORD_BITS = 64
-# Bytes of uint64 XOR scratch `hamming_matrix` holds at once by default.
-SCRATCH_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -102,52 +100,44 @@ def unpack(packed: PackedCodes) -> np.ndarray:
     return (2 * bit.T.astype(np.int8) - 1)
 
 
-def hamming_matrix(database: PackedCodes, queries: PackedCodes | np.ndarray,
-                   *, block: int | None = None) -> np.ndarray:
+def hamming_matrix(database: PackedCodes, queries: PackedCodes) -> np.ndarray:
     """All query-to-database distances as an (n_queries, count) matrix.
 
-    `queries` is a PackedCodes or a 2-D array of word rows; either must have
-    the database's code length. The result has the narrowest unsigned dtype
-    that holds `bits`. Query rows are processed `block` at a time, by default
-    as many as keep the uint64 XOR scratch within SCRATCH_BYTES.
+    Both code sets must have the same length. The result has the narrowest
+    unsigned dtype that holds `bits`. Every query row is scored in one pass
+    over a Q x N uint64 XOR scratch (Q * N * 8 bytes), so the caller bounds
+    the number of queries Q per call.
     """
-    count, nwords = database.words.shape
-    if not isinstance(queries, PackedCodes):
-        words = np.asarray(queries, dtype=np.uint64)
-        if words.ndim != 2 or words.shape[1] != nwords:
-            raise ValueError(
-                f"code length mismatch: database codes have {nwords} words, "
-                f"query rows have shape {words.shape[1:]}"
-            )
-        # Set tail bits would count as distance and could overflow the dtype.
-        queries = PackedCodes(words=words, bits=database.bits)
     if queries.bits != database.bits:
         raise ValueError(
             f"code length mismatch: database {database.bits} vs queries {queries.bits}"
         )
-    words = queries.words
-    if block is None:
-        block = max(1, SCRATCH_BYTES // (8 * max(count, 1)))
+    count = database.count
     # One contiguous column per word, so each XOR streams the database once.
     columns = np.ascontiguousarray(database.words.T)
-    out = np.empty((words.shape[0], count), dtype=np.min_scalar_type(database.bits))
-    xor = np.empty((min(block, words.shape[0]), count), dtype=np.uint64)
-    for start in range(0, words.shape[0], block):
-        rows = words[start:start + block]
-        dist = out[start:start + block]
-        scratch = xor[:rows.shape[0]]
-        for j in range(nwords):
-            np.bitwise_xor(rows[:, j, None], columns[j], out=scratch)
-            if j == 0:
-                np.bitwise_count(scratch, out=dist)
-            else:
-                dist += np.bitwise_count(scratch)
+    out = np.empty((queries.count, count), dtype=np.min_scalar_type(database.bits))
+    scratch = np.empty((queries.count, count), dtype=np.uint64)
+    for j, column in enumerate(columns):
+        np.bitwise_xor(queries.words[:, j, None], column, out=scratch)
+        if j == 0:
+            np.bitwise_count(scratch, out=out)
+        else:
+            out += np.bitwise_count(scratch)
     return out
 
 
 def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """Distances from one word row to every database code."""
-    return hamming_matrix(index.codes, np.asarray(query, dtype=np.uint64)[None])[0]
+    words = np.asarray(query, dtype=np.uint64)
+    nwords = index.codes.words.shape[1]
+    if words.shape != (nwords,):
+        raise ValueError(
+            f"code length mismatch: database codes have {nwords} words, "
+            f"the query row has shape {words.shape}"
+        )
+    # Set tail bits would count as distance and could overflow the dtype.
+    row = PackedCodes(words=words[None], bits=index.codes.bits)
+    return hamming_matrix(index.codes, row)[0]
 
 
 def radius_search(index: CodeIndex, query: np.ndarray,

@@ -76,13 +76,13 @@ def _checked_samples(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def transform(kmap: KernelMap, samples: np.ndarray, *, block: int = BLOCK) -> np.ndarray:
+def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
     """Map (D, K) samples to (M, K) kernel features.
 
     Entry (m, k) is exp(-||x_k - a_m||^2 / sigma), so values lie in (0, 1]
     and a sample equal to anchor a_m maps to exactly 1 in component m.
     Squared distances use the Gram-matrix expansion (a + c) - 2G, computed
-    `block` samples at a time in place in the output; entries that land
+    BLOCK samples at a time in place in the output; entries that land
     within rounding error of zero are recomputed by direct differencing so
     coincident pairs come out exactly zero.
     """
@@ -91,10 +91,10 @@ def transform(kmap: KernelMap, samples: np.ndarray, *, block: int = BLOCK) -> np
     anchor_sq = np.einsum("dm,dm->m", anchors, anchors)
     largest_sq = anchor_sq.max()
     out = np.empty((kmap.anchor_count, samples.shape[1]))
-    for start in range(0, samples.shape[1], block):
-        chunk = samples[:, start:start + block]
+    for start in range(0, samples.shape[1], BLOCK):
+        chunk = samples[:, start:start + BLOCK]
         chunk_sq = np.einsum("dk,dk->k", chunk, chunk)
-        sq = out[:, start:start + block]
+        sq = out[:, start:start + BLOCK]
         gram = anchors.T @ chunk
         gram *= 2.0
         np.add(anchor_sq[:, None], chunk_sq[None, :], out=sq)

@@ -538,6 +538,31 @@ class TestConfigValidation:
         assert "error [config]" in err and repr(key) in err and "'eval'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        (["train"], "normalize"),
+        (["eval"], "normalize"),
+        (["eval"], "db_normalize"),
+        (["eval"], "query_normalize"),
+    ])
+    def test_centring_fails_for_train_and_eval(self, tmp_path, capsys, command, key):
+        # A model stores no training mean, so `eval` centred the database and
+        # the queries each on its own mean, and a single-class query set lost
+        # most of its precision.
+        out = tmp_path / "run"
+        assert run(command + ["--set", f"{key}=zero_mean_unit_norm", "--set", "source=mnist",
+                              "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error [config]" in err and repr(key) in err and "zero_mean_unit_norm" in err
+        assert not out.exists()
+
+    def test_figures_still_centre(self, tmp_path):
+        # A figure normalizes once, before it splits, so centring is sound.
+        out = tmp_path / "bias"
+        assert run(["figures", "biasmap", *BIASMAP_DATA, "--set", "anchors=12",
+                    "--set", "normalize=zero_mean_unit_norm", "--outdir", str(out)]) == 0
+        assert "normalize = zero_mean_unit_norm" in (out / "config.txt").read_text()
+        assert (out / "traces.txt").exists()
+
     def test_unknown_keys_are_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--set", "bitz=64", "--set", "methd=sdh",

@@ -122,14 +122,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2.*'oops'"):
             dataset.load_csv(features, labels)
 
-    def test_label_equal_to_class_count(self, tmp_path):
-        features = tmp_path / "features.csv"
-        features.write_text("1,2\n3,4\n")
-        labels = tmp_path / "labels.csv"
-        labels.write_text("0\n3\n")
-        with pytest.raises(ValueError, match="label out of range"):
-            dataset.load_csv(features, labels, class_count=3)
-
 
 class TestSynthBlobs:
     def test_deterministic(self):

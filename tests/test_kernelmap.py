@@ -102,12 +102,13 @@ def test_outputs_in_unit_interval_and_monotone():
     assert np.all(np.diff(out[0][order]) <= 0)
 
 
-def test_blocked_transform_matches_unblocked():
+def test_blocked_transform_matches_unblocked(monkeypatch):
     rng = np.random.default_rng(7)
     kmap = kernelmap.KernelMap(anchors=rng.standard_normal((4, 6)), sigma=0.4)
     samples = rng.standard_normal((4, 23))
-    assert np.array_equal(kernelmap.transform(kmap, samples, block=5),
-                          kernelmap.transform(kmap, samples))
+    whole = kernelmap.transform(kmap, samples)
+    monkeypatch.setattr(kernelmap, "BLOCK", 5)  # four full blocks and one of 3
+    assert np.array_equal(kernelmap.transform(kmap, samples), whole)
 
 
 def test_dimension_mismatch():
