@@ -22,7 +22,7 @@ import numpy as np
 
 from .codes import expand_codes
 from .index import CodeIndex, PackedCodes, hamming_matrix
-from .model import HashModel
+from .model import HashModel, _scorer
 from .sdh import SdhState, one_hot, w_step
 
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
@@ -294,6 +294,8 @@ def loss_table(sdh_state: SdhState, fsdh_model: HashModel, features: np.ndarray,
                labels: np.ndarray) -> LossRow:
     """W-loss ||Y - W^T B||^2 and P-loss ||B - P^T X||^2 for both trainers.
 
+    The closed-form model's P^T X is scored as encode scores it, C (S^T X).
+
     Both models must have been trained on the same kernel features and code
     length. For a like-for-like comparison the classifier entering each
     W-loss is the exact ridge solution recomputed from that method's final
@@ -311,17 +313,17 @@ def loss_table(sdh_state: SdhState, fsdh_model: HashModel, features: np.ndarray,
         raise ValueError("projection rows do not match the feature dimension")
     class_count = sdh_state.weights.shape[1]
 
-    def losses(b: np.ndarray, projection: np.ndarray, lam: float) -> tuple[float, float]:
+    def losses(b: np.ndarray, projected: np.ndarray, lam: float) -> tuple[float, float]:
         y = one_hot(labels, class_count)
         w = w_step(b, labels, class_count, lam)
         w_loss = float(((y - w.T @ b) ** 2).sum())
-        p_loss = float(((b - projection.T @ x) ** 2).sum())
+        p_loss = float(((b - projected) ** 2).sum())
         return w_loss, p_loss
 
     b_sdh = sdh_state.codes.astype(np.float64)
-    sdh_w, sdh_p = losses(b_sdh, sdh_state.projection, sdh_state.lam)
+    sdh_w, sdh_p = losses(b_sdh, sdh_state.projection.T @ x, sdh_state.lam)
     b_fsdh = expand_codes(fsdh_model.class_codes, labels).astype(np.float64)
-    fsdh_w, fsdh_p = losses(b_fsdh, fsdh_model.projection, fsdh_model.lam)
+    fsdh_w, fsdh_p = losses(b_fsdh, _scorer(fsdh_model)(x), fsdh_model.lam)
     return LossRow(bits=bits, sdh_w_loss=sdh_w, sdh_p_loss=sdh_p,
                    fsdh_w_loss=fsdh_w, fsdh_p_loss=fsdh_p)
 

@@ -11,9 +11,9 @@ assumptions are named throughout the package:
 Under A1-A3 the optimal class codes are columns of a Hadamard matrix, and
 the code matrix is B = C Y for the (L, C) class codes C and the (C, N)
 one-hot label matrix Y. Training therefore reduces to one regularized
-least-squares solve against Y, independent of the code length L, and one
-(M, C) x (C, L) product for the projection. The trained artifact lives in
-`sdhkit.model`.
+least-squares solve against Y, independent of the code length L. The
+projection factors as P = S C^T; the model keeps the (M, C) solution S and
+the class codes, and `sdhkit.model` scores L bits through C at encode time.
 """
 from __future__ import annotations
 
@@ -29,12 +29,13 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
                bits: int, jitter: float | None = None) -> tuple[np.ndarray, ClassCodes]:
     """Closed-form training on already kernel-transformed features.
 
-    Builds the per-class Hadamard codes C and returns the solution P of
-    (X X^T + jitter*I) P = X B^T for the per-sample codes B = C Y, in the
-    factored form P = [(X X^T + jitter*I)^-1 X Y^T] C^T. The solve runs
-    against the C class indicators Y (assumption A3) rather than the L-bit
-    codes, so its cost does not depend on L. No iteration and no randomness:
-    repeated calls return bit-identical projections.
+    Builds the per-class Hadamard codes C and returns (S, C), where
+    S = (X X^T + jitter*I)^-1 X Y^T is the (M, C) solution against the class
+    indicators Y (assumption A3). The projection solving
+    (X X^T + jitter*I) P = X B^T for the per-sample codes B = C Y is
+    P = S C^T; it is never formed. S does not depend on L, so neither does
+    the cost. No iteration and no randomness: repeated calls return
+    bit-identical solutions.
     """
     # Checks assumptions A1 and A2 before any other input.
     class_codes = hadamard_codes(bits, class_count)
@@ -43,8 +44,7 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     if labels.shape[0] != x.shape[1]:
         raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
     indicators = one_hot(labels, class_count)
-    per_class = ProjectionSolver(x, jitter).solve(indicators)
-    return per_class @ class_codes.codes.astype(np.float64).T, class_codes
+    return ProjectionSolver(x, jitter).solve(indicators), class_codes
 
 
 def optimal_weights(class_codes: ClassCodes, lam: float = DEFAULT_LAMBDA) -> np.ndarray:

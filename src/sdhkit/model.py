@@ -1,8 +1,9 @@
 """The trained hash model and its binary file format.
 
 Both trainers produce the same artifact: a kernel map, a projection, and
-optionally the per-class codes of the closed-form trainer. A model hashes
-samples by the sign of their projected kernel features, and `save_model` /
+optionally the per-class codes of the closed-form trainer, whose projection
+is kept in class space as the factor S of P = S C^T. A model hashes samples
+by the sign of their projected kernel features, and `save_model` /
 `load_model` round-trip it bitwise through a versioned, checksummed file.
 """
 from __future__ import annotations
@@ -11,6 +12,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .codes import ClassCodes
 from .kernelmap import BLOCK, KernelMap, _checked_samples, transform
 
 MODEL_MAGIC = b"FSDH"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # The fixed fields after the magic, laid out as `save_model` describes.
 _HEADER = struct.Struct("<IIIIIQqdd")
 
@@ -43,7 +45,10 @@ class HashModel:
     """
 
     kernel: KernelMap
-    projection: np.ndarray  # (anchor_count, bits) float64
+    # float64. Without class codes, the (anchor_count, bits) projection P.
+    # With class codes C, the (anchor_count, classes) closed-form solution S,
+    # one column per class; the projection is P = S C^T and is never formed.
+    projection: np.ndarray
     class_codes: ClassCodes | None
     lam: float
     trained_on: DatasetFingerprint
@@ -57,35 +62,49 @@ class HashModel:
             )
         if not np.isfinite(projection).all():
             raise ValueError("projection contains non-finite values")
-        if self.class_codes is not None and self.class_codes.bits != projection.shape[1]:
+        if self.class_codes is not None and self.class_codes.classes != projection.shape[1]:
             raise ValueError(
-                f"class codes have {self.class_codes.bits} bits but the projection "
-                f"produces {projection.shape[1]}"
+                f"the model has {self.class_codes.classes} class codes but the "
+                f"class-space projection has {projection.shape[1]} columns"
             )
         object.__setattr__(self, "projection", projection)
 
     @property
     def bits(self) -> int:
+        if self.class_codes is not None:
+            return self.class_codes.bits
         return self.projection.shape[1]
+
+
+def _scorer(model: HashModel) -> Callable[[np.ndarray], np.ndarray]:
+    """Maps (anchor_count, n) kernel features K to their (bits, n) scores:
+    P^T K, or C (S^T K) for a model with class codes C."""
+    projection_t = model.projection.T
+    if model.class_codes is None:
+        return lambda features: projection_t @ features
+    codes = model.class_codes.codes.astype(np.float64)
+    return lambda features: codes @ (projection_t @ features)
 
 
 def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     """Hash raw samples: kernel-transform, project, take signs, pack.
 
-    A projection of exactly zero encodes as +1 so codes are reproducible.
-    Samples stream through the transform one block at a time, so memory
-    grows with the sample count only by the codes: a byte per bit, padded
-    to whole words, while encoding, then the packed words.
+    A model with class codes projects onto its C classes and scores its L
+    bits through the codes, C (S^T K), at C*M + L*C flops per sample in
+    place of L*M. A score of exactly zero encodes as +1 so codes are
+    reproducible. Samples stream through the transform one block at a
+    time, so memory grows with the sample count only by the codes: a byte
+    per bit, padded to whole words, while encoding, then the packed words.
     """
     samples = _checked_samples(model.kernel, raw_samples)
     count = samples.shape[1]
+    scores = _scorer(model)
     positive = np.zeros((count, -(-model.bits // index.WORD_BITS) * index.WORD_BITS),
                         dtype=bool)
     for start in range(0, count, BLOCK):
         # One expression, so no block's features or scores outlive it.
         positive[start:start + BLOCK, :model.bits] = (
-            model.projection.T @ transform(model.kernel, samples[:, start:start + BLOCK])
-            >= 0.0).T
+            scores(transform(model.kernel, samples[:, start:start + BLOCK])) >= 0.0).T
     return index._pack_rows(positive, model.bits)
 
 
@@ -98,8 +117,9 @@ def save_model(model: HashModel, path: str | Path) -> None:
 
     Little-endian layout: magic, version, bits, classes, anchors, dim as
     u32; sample count u64; seed i64; lambda and sigma f64; a class-code
-    presence flag byte; anchor matrix, projection matrix, packed class-code
-    words; trailing CRC32 of everything before it.
+    presence flag byte (0 or 1); anchor matrix; projection matrix, with one
+    column per class when class codes are present and one per bit when
+    not; packed class-code words; trailing CRC32 of everything before it.
     """
     fp = model.trained_on
     header = MODEL_MAGIC + _HEADER.pack(
@@ -143,8 +163,13 @@ def load_model(path: str | Path) -> HashModel:
      lam, sigma) = _HEADER.unpack_from(blob, offset)
     offset += _HEADER.size
     if version != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}, expected {MODEL_VERSION}")
+        raise ValueError(f"{path}: unsupported version {version}, expected {MODEL_VERSION}; "
+                         f"retrain the model")
     has_codes = blob[offset]
+    if has_codes not in (0, 1):
+        raise ValueError(
+            f"{path}: class-code flag byte at offset {offset} is {has_codes}, expected 0 or 1"
+        )
     offset += 1
 
     def take(count: int, dtype, what: str) -> np.ndarray:
@@ -157,7 +182,8 @@ def load_model(path: str | Path) -> HashModel:
         return out
 
     anchors = take(dim * anchors_n, np.float64, "anchors").reshape(dim, anchors_n)
-    projection = take(anchors_n * bits, np.float64, "projection").reshape(anchors_n, bits)
+    columns = classes if has_codes else bits
+    projection = take(anchors_n * columns, np.float64, "projection").reshape(anchors_n, columns)
     class_codes = None
     if has_codes:
         nwords = -(-bits // index.WORD_BITS)

@@ -1,4 +1,6 @@
+import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,10 @@ from sdhkit import codes, dataset, fsdh, index, kernelmap, sdh
 from sdhkit.model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 import oracles
+
+# Model file fields after the magic: version, bits, classes, anchors, dim,
+# sample count, seed, lambda, sigma; the class-code flag byte follows.
+HEADER = "<IIIIIQqdd"
 
 
 def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
@@ -24,14 +30,19 @@ def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
     return model, data, features
 
 
+def with_crc(blob: bytearray) -> bytes:
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    return bytes(blob)
+
+
 class TestTrainFsdh:
     def test_identity_features(self):
         cc = codes.hadamard_codes(2, 2)
         b = codes.expand_codes(cc, np.array([0, 1])).astype(np.float64)
-        projection, got = fsdh.train_fsdh(np.eye(2), np.array([0, 1]), 2, 2,
-                                          jitter=0.0)
+        per_class, got = fsdh.train_fsdh(np.eye(2), np.array([0, 1]), 2, 2,
+                                         jitter=0.0)
         assert np.array_equal(got.codes, cc.codes)
-        assert np.abs(projection - b.T).max() < 1e-12
+        assert np.abs(per_class @ got.codes.T - b.T).max() < 1e-12
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="assumption A1"):
@@ -49,6 +60,17 @@ class TestTrainFsdh:
         p1, _ = fsdh.train_fsdh(x, labels, 3, 8)
         p2, _ = fsdh.train_fsdh(x, labels, 3, 8)
         assert np.array_equal(p1, p2)
+
+    def test_solution_does_not_depend_on_bits(self):
+        # A model keeps S and scores L bits through the class codes, so S
+        # must be the same matrix for every code length.
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((7, 40))
+        labels = np.arange(40) % 5
+        solutions = [fsdh.train_fsdh(x, labels, 5, bits)[0] for bits in (16, 32, 512)]
+        assert solutions[0].shape == (7, 5)
+        for other in solutions[1:]:
+            assert other.tobytes() == solutions[0].tobytes()
 
     def test_self_retrieval_on_blobs(self):
         data = dataset.normalize(dataset.synth_blobs(10, 100, 16, 0.3, seed=1))
@@ -88,9 +110,9 @@ class TestTrainFsdh:
 
 
 class TestFactoredSolve:
-    """train_fsdh solves against the class indicators and multiplies by the
-    class codes; these compare it with the direct solve against the
-    expanded (L, N) code matrix."""
+    """train_fsdh solves against the class indicators, giving P = S C^T;
+    these compare it with the direct solve against the expanded (L, N) code
+    matrix."""
 
     @staticmethod
     def direct_projection(x, labels, class_codes):
@@ -109,18 +131,19 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("bits", [32, 512])
     def test_matches_direct_solve(self, bits):
         x, labels, _ = self.blob_features()
-        projection, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
+        per_class, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
         direct = self.direct_projection(x, labels, class_codes)
-        assert (np.linalg.norm(projection - direct)
+        assert (np.linalg.norm(per_class @ class_codes.codes.T - direct)
                 <= 1e-9 * np.linalg.norm(direct))
 
     @pytest.mark.parametrize("bits", [32, 512])
     def test_codes_match_direct_solve(self, bits):
         x, labels, held_out = self.blob_features()
-        projection, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
+        per_class, class_codes = fsdh.train_fsdh(x, labels, 10, bits)
         direct = self.direct_projection(x, labels, class_codes)
+        c = class_codes.codes.astype(np.float64)
         for samples in (x, held_out):
-            assert np.array_equal(projection.T @ samples >= 0,
+            assert np.array_equal(c @ (per_class.T @ samples) >= 0,
                                   direct.T @ samples >= 0)
 
     def test_singular_without_jitter(self):
@@ -181,7 +204,7 @@ class TestEncode:
         model, data, _ = toy_model(rng)
         samples = rng.standard_normal((data.dim, 100))
         packed = encode(model, samples)
-        scores = model.projection.T @ oracles.rbf_loop(
+        scores = (model.projection @ model.class_codes.codes.T).T @ oracles.rbf_loop(
             model.kernel.anchors, samples, model.kernel.sigma)
         expected = np.where(scores >= 0, 1, -1).astype(np.int8)
         assert np.array_equal(index.unpack(packed), expected)
@@ -201,6 +224,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="non-finite"):
             encode(model, samples)
 
+    @pytest.mark.parametrize("columns", [4, 8])
+    def test_model_rejects_class_space_matrix_of_another_width(self, columns):
+        # Three classes at 8 bits: neither 4 columns nor the (anchors, bits)
+        # projection P = S C^T is a class-space matrix.
+        rng = np.random.default_rng(13)
+        model, _, _ = toy_model(rng)
+        with pytest.raises(ValueError, match=f"3 class codes but the class-space "
+                                             f"projection has {columns} columns"):
+            replace(model, projection=np.zeros((model.kernel.anchor_count, columns)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_model_rejects_non_finite_projection(self, bad):
         rng = np.random.default_rng(13)
@@ -218,7 +251,7 @@ class TestEncode:
         # The last block holds a sample equal to an anchor.
         samples[:, count - 7] = model.kernel.anchors[:, 4]
         packed = encode(model, samples)
-        scores = model.projection.T @ oracles.rbf_loop(
+        scores = (model.projection @ model.class_codes.codes.T).T @ oracles.rbf_loop(
             model.kernel.anchors, samples, model.kernel.sigma)
         signs = np.where(scores >= 0, 1, -1)
         assert packed.bits == model.bits
@@ -285,6 +318,71 @@ class TestModelFile:
         save_model(stripped, path)
         assert load_model(path).class_codes is None
 
+    @pytest.mark.parametrize("trainer", ["fsdh", "sdh"])
+    def test_round_trip_encodes_the_same(self, tmp_path, trainer):
+        model, data, features = toy_model(np.random.default_rng(16))
+        columns = data.class_count
+        if trainer == "sdh":
+            state, _ = sdh.train_sdh(features, data.labels, data.class_count,
+                                     model.bits, max_iters=2)
+            model = replace(model, projection=state.projection, class_codes=None)
+            columns = model.bits
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.projection.shape == (model.kernel.anchor_count, columns)
+        assert loaded.projection.tobytes() == model.projection.tobytes()
+        assert loaded.bits == model.bits == 8
+        assert (loaded.class_codes is None) == (trainer == "sdh")
+        assert np.array_equal(encode(loaded, data.features).words,
+                              encode(model, data.features).words)
+
+    def test_file_size_counts_the_class_space_matrix(self, tmp_path):
+        rng = np.random.default_rng(17)
+        model, data, _ = toy_model(rng, bits=128)
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        anchors, classes = model.kernel.anchor_count, data.class_count
+        header = 4 + struct.calcsize(HEADER) + 1
+        assert path.stat().st_size == (header + data.dim * anchors * 8
+                                       + anchors * classes * 8
+                                       + classes * (128 // 64) * 8 + 4)
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_rejects_class_code_flag_other_than_0_or_1(self, tmp_path, flag):
+        rng = np.random.default_rng(18)
+        model, _, _ = toy_model(rng)
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        offset = 4 + struct.calcsize(HEADER)
+        assert blob[offset] == 1
+        blob[offset] = flag
+        path.write_bytes(with_crc(blob))
+        with pytest.raises(ValueError, match=f"flag byte at offset {offset} is {flag}, "
+                                             f"expected 0 or 1"):
+            load_model(path)
+
+    def test_version_1_file_asks_for_retraining(self, tmp_path):
+        # Version 1 stored the (anchors, bits) product P = S C^T, from which
+        # S cannot be recovered exactly.
+        rng = np.random.default_rng(19)
+        model, _, _ = toy_model(rng)
+        kmap, fp = model.kernel, model.trained_on
+        blob = bytearray(b"FSDH" + struct.pack(
+            HEADER, 1, model.bits, fp.class_count, kmap.anchor_count,
+            kmap.source_dim, fp.sample_count, fp.seed, model.lam, kmap.sigma))
+        blob.append(1)
+        blob += kmap.anchors.tobytes()
+        blob += (model.projection @ model.class_codes.codes.T).tobytes()
+        blob += index.pack(model.class_codes.codes).words.tobytes()
+        blob += bytes(4)
+        path = tmp_path / "model.fsdh"
+        path.write_bytes(with_crc(blob))
+        with pytest.raises(ValueError, match="unsupported version 1, expected 2; "
+                                             "retrain the model"):
+            load_model(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -292,17 +390,13 @@ class TestModelFile:
             load_model(path)
 
     def test_version_bump(self, tmp_path):
-        import struct
-        import zlib
-
         rng = np.random.default_rng(13)
         model, _, _ = toy_model(rng)
         path = tmp_path / "model.fsdh"
         save_model(model, path)
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 4, 99)
-        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
-        path.write_bytes(bytes(blob))
+        path.write_bytes(with_crc(blob))
         with pytest.raises(ValueError, match="unsupported version 99"):
             load_model(path)
 
