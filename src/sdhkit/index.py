@@ -11,10 +11,17 @@ One kernel, `hamming_matrix`, computes every distance: `radius_search`,
 `rank_all` and the evaluation pass all go through it. Distances come back in
 the narrowest unsigned dtype that holds the code length (uint8 up to 255
 bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
+
+`PackedCodes` words are read-only and owned by the codes: an array its
+caller could still write to is copied once at construction. So the
+column-major layout the kernel scans is built once per database, the first
+time the codes serve as one, and a lookup then does no work that grows with
+the database beyond one XOR and popcount pass per word and the sort.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +36,10 @@ class PackedCodes:
     bits: int
 
     def __post_init__(self):
-        words = np.asarray(self.words, dtype=np.uint64)
+        words = self.words
+        if not _frozen(words):
+            words = np.array(words, dtype=np.uint64)
+            words.flags.writeable = False
         if words.ndim != 2:
             raise ValueError(f"words must be 2-D, got shape {words.shape}")
         if self.bits < 1:
@@ -49,6 +59,26 @@ class PackedCodes:
     @property
     def count(self) -> int:
         return self.words.shape[0]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """(words, count) read-only layout, one contiguous row per word, built
+        the first time it is read; for one-word codes it is a view of `words`."""
+        columns = np.ascontiguousarray(self.words.T)
+        columns.flags.writeable = False
+        return columns
+
+
+def _frozen(words) -> bool:
+    """True for a uint64 array that no one can write to: neither it nor any
+    array it views is writeable, and the last of them owns its memory."""
+    if not (isinstance(words, np.ndarray) and words.dtype == np.uint64):
+        return False
+    while words is not None:
+        if not isinstance(words, np.ndarray) or words.flags.writeable:
+            return False
+        words = words.base
+    return True
 
 
 @dataclass(frozen=True)
@@ -89,6 +119,7 @@ def _pack_rows(positive: np.ndarray, bits: int) -> PackedCodes:
     # Little-endian bit order within bytes and bytes within a word puts bit
     # j at position j % 64 of word j // 64; the zero padding keeps tail bits clear.
     octets = np.packbits(positive, axis=1, bitorder="little")
+    octets.flags.writeable = False  # nothing else holds it, so no copy is needed
     return PackedCodes(words=octets.view("<u8"), bits=bits)
 
 
@@ -113,11 +144,10 @@ def hamming_matrix(database: PackedCodes, queries: PackedCodes) -> np.ndarray:
             f"code length mismatch: database {database.bits} vs queries {queries.bits}"
         )
     count = database.count
-    # One contiguous column per word, so each XOR streams the database once.
-    columns = np.ascontiguousarray(database.words.T)
     out = np.empty((queries.count, count), dtype=np.min_scalar_type(database.bits))
     scratch = np.empty((queries.count, count), dtype=np.uint64)
-    for j, column in enumerate(columns):
+    # One contiguous column per word, so each XOR streams the database once.
+    for j, column in enumerate(database.columns):
         np.bitwise_xor(queries.words[:, j, None], column, out=scratch)
         if j == 0:
             np.bitwise_count(scratch, out=out)

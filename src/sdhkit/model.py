@@ -67,6 +67,11 @@ class HashModel:
                 f"the model has {self.class_codes.classes} class codes but the "
                 f"class-space projection has {projection.shape[1]} columns"
             )
+        if self.class_codes is not None and self.class_codes.classes != self.trained_on.class_count:
+            raise ValueError(
+                f"the model has {self.class_codes.classes} class codes but was "
+                f"trained on {self.trained_on.class_count} classes"
+            )
         object.__setattr__(self, "projection", projection)
 
     @property
@@ -188,7 +193,7 @@ def load_model(path: str | Path) -> HashModel:
     if has_codes:
         nwords = -(-bits // index.WORD_BITS)
         words = take(classes * nwords, np.uint64, "class codes").reshape(classes, nwords)
-        packed = index.PackedCodes(words=words.copy(), bits=bits)
+        packed = index.PackedCodes(words=words, bits=bits)
         class_codes = ClassCodes(codes=index.unpack(packed))
     if offset != len(blob) - 4:
         raise ValueError(f"{path}: {len(blob) - 4 - offset} unexpected trailing bytes")

@@ -97,13 +97,6 @@ def w_step(codes: np.ndarray, labels: np.ndarray, class_count: int,
     return scipy.linalg.cho_solve(_cho_factor(lhs, "classifier step"), b @ y.T)
 
 
-def default_jitter(features: np.ndarray) -> float:
-    """1e-8 * trace(X X^T) / rows; kernel features are near-collinear, so the
-    projection solve gets a small diagonal by default."""
-    x = np.asarray(features)
-    return 1e-8 * float((x * x).sum()) / x.shape[0]
-
-
 class ProjectionSolver:
     """Least-squares projections onto one feature matrix X.
 
@@ -111,15 +104,16 @@ class ProjectionSolver:
     single (M, N) x (N, k) product and two triangular solves. The factor does
     not depend on the targets, so the alternating trainer reuses it across
     iterations and the closed-form trainer solves against its C class
-    indicators instead of the L-bit codes. `jitter=None` uses
-    `default_jitter(X)`; a singular system raises ValueError at construction.
+    indicators instead of the L-bit codes. Kernel features are near-collinear,
+    so `jitter=None` adds a small diagonal, 1e-8 * trace(X X^T) / M, read from
+    the Gram's trace; a singular system raises ValueError at construction.
     """
 
     def __init__(self, features: np.ndarray, jitter: float | None = None):
         x = np.asarray(features, dtype=np.float64)
-        if jitter is None:
-            jitter = default_jitter(x)
         lhs = x @ x.T
+        if jitter is None:
+            jitter = 1e-8 * float(np.trace(lhs)) / x.shape[0]
         if jitter:
             lhs = lhs + jitter * np.eye(x.shape[0])
         self._features = x

@@ -234,6 +234,14 @@ class TestEncode:
                                              f"projection has {columns} columns"):
             replace(model, projection=np.zeros((model.kernel.anchor_count, columns)))
 
+    def test_model_rejects_class_codes_of_another_class_count(self):
+        # The file header stores the fingerprint's class count, so such a model
+        # used to save and then fail to load as a truncated file.
+        rng = np.random.default_rng(13)
+        model, _, _ = toy_model(rng)
+        with pytest.raises(ValueError, match="3 class codes but was trained on 4 classes"):
+            replace(model, trained_on=replace(model.trained_on, class_count=4))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_model_rejects_non_finite_projection(self, bad):
         rng = np.random.default_rng(13)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,38 @@ def test_search_at_sixteen_bit_distances_matches_oracle():
     assert all(type(i) is int and type(d) is int for i, d in hits)
     assert np.array_equal(index.rank_all(idx, idx.codes.words[0]),
                           np.lexsort((np.arange(120), expected)))
+
+
+def test_lookup_does_not_copy_the_database():
+    # The column layout the kernel scans is built once per database, so a
+    # lookup after the first allocates only per-query rows, not the codes.
+    signs = random_signs(np.random.default_rng(13), 512, 10_000)
+    idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(10_000, dtype=np.int64))
+    query = idx.codes.words[17]
+    index.rank_all(idx, query)
+    tracemalloc.start()
+    try:
+        index.rank_all(idx, query)
+        index.radius_search(idx, query, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < idx.codes.words.nbytes / 2
+
+
+@pytest.mark.parametrize("bits", [65, 130, 512])
+def test_writes_to_the_source_array_do_not_reach_the_index(bits):
+    rng = np.random.default_rng(bits)
+    signs = random_signs(rng, bits, 60)
+    source = oracles.pack_loop(signs)
+    idx = index.CodeIndex(codes=index.PackedCodes(words=source, bits=bits),
+                          labels=np.zeros(60, dtype=np.int64))
+    query = idx.codes.words[4].copy()
+    index.rank_all(idx, query)  # builds the column layout
+    source[:] = 0
+    expected = oracles.sign_distances(signs, signs[:, 4])
+    assert np.array_equal(index.rank_all(idx, query), np.lexsort((np.arange(60), expected)))
+    within = np.flatnonzero(expected <= bits // 2)
+    assert index.radius_search(idx, query, bits // 2) == sorted(
+        ((int(i), int(expected[i])) for i in within), key=lambda hit: (hit[1], hit[0]))
+    assert not idx.codes.words.flags.writeable

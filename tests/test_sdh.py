@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -138,6 +140,17 @@ class TestProjectionSolver:
         x = rank_deficient_features(np.random.default_rng(21))
         with pytest.raises(ValueError, match="singular"):
             sdh.ProjectionSolver(x, jitter=0.0).solve(np.ones((2, x.shape[1]), dtype=np.int8))
+
+    def test_default_jitter_allocates_nothing_the_size_of_the_features(self):
+        # The jitter is read from the Gram's trace, not from an M x N square of X.
+        x = np.random.default_rng(22).standard_normal((50, 20_000))
+        tracemalloc.start()
+        try:
+            sdh.ProjectionSolver(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 10
 
 
 class TestBStep:
