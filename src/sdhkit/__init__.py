@@ -9,7 +9,7 @@ from .codes import ClassCodes, expand_codes, hadamard_codes
 from .dataset import RawDataset, load_csv, load_mnist, normalize, synth_blobs
 from .evaluate import EvalReport, bias_term_diagnostics, evaluate_retrieval, loss_table
 from .fsdh import optimal_weights, train_fsdh
-from .index import CodeIndex, PackedCodes, pack, radius_search, rank_all, unpack
+from .index import CodeIndex, Hits, PackedCodes, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
 from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
 from .sdh import (
@@ -31,6 +31,7 @@ __all__ = [
     "DatasetFingerprint",
     "EvalReport",
     "HashModel",
+    "Hits",
     "KernelMap",
     "ObjectiveBreakdown",
     "PackedCodes",

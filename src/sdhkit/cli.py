@@ -13,6 +13,7 @@ import csv
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -447,11 +448,13 @@ def _figure_losses(cfg, out: Path) -> None:
     options = _sdh_options(cfg)
     data = _load_dataset(cfg)
     kmap, features = _kernel_features(cfg, data)
+    # The fsdh model first: `_train_model` checks the classes before either
+    # trainer runs. Its S does not depend on L, so one solve serves every L.
+    solved, _, _ = _train_model("fsdh", kmap, features, data, cfg["bits_list"][0], options)
     rows = []
     for bits in cfg["bits_list"]:
-        # The fsdh model first: `_train_model` checks the classes before
-        # either trainer runs.
-        model, _, _ = _train_model("fsdh", kmap, features, data, bits, options)
+        # Checks assumptions A1 and A2 for this L before its sdh run.
+        model = replace(solved, class_codes=codes.hadamard_codes(bits, data.class_count))
         state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits, **options)
         row = evaluate.loss_table(state, model, features, data.labels)
         rows.append([row.bits, repr(row.sdh_w_loss), repr(row.sdh_p_loss),

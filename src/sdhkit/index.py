@@ -16,10 +16,15 @@ bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
 caller could still write to is copied once at construction. So the
 column-major layout the kernel scans is built once per database, the first
 time the codes serve as one, and a lookup then does no work that grows with
-the database beyond one XOR and popcount pass per word and the sort.
+the database beyond one XOR and popcount pass per word, the threshold and
+the sort. `radius_search` returns its hits as a `Hits`, two flat arrays of
+ids and distances, and creates no Python object per hit; a caller that
+indexes or iterates it gets (id, distance) tuples of Python ints, built as
+they are read.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,6 +161,50 @@ def hamming_matrix(database: PackedCodes, queries: PackedCodes) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Hits(Sequence):
+    """Database codes within a search radius, ascending by (distance, id).
+
+    `ids` (int64) and `distances` (the kernel's uint8 or uint16) are aligned
+    read-only arrays. As a sequence the hits are (id, distance) tuples of
+    Python ints, made only when read; a slice is again a `Hits`. Hits compare
+    equal to a `Hits`, list or tuple holding the same tuples.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=np.int64).view()
+        distances = np.asarray(self.distances).view()
+        if ids.ndim != 1 or distances.shape != ids.shape:
+            raise ValueError(
+                f"ids and distances must be 1-D and aligned, got shapes "
+                f"{ids.shape} and {distances.shape}"
+            )
+        ids.flags.writeable = distances.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "distances", distances)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Hits(ids=self.ids[key], distances=self.distances[key])
+        return int(self.ids[key]), int(self.distances[key])
+
+    def __iter__(self):
+        return zip(self.ids.tolist(), self.distances.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (Hits, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """Distances from one word row to every database code."""
     words = np.asarray(query, dtype=np.uint64)
@@ -170,15 +219,15 @@ def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     return hamming_matrix(index.codes, row)[0]
 
 
-def radius_search(index: CodeIndex, query: np.ndarray,
-                  radius: int) -> list[tuple[int, int]]:
-    """All (id, distance) pairs within the radius, ascending by (distance, id)."""
+def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
+    """All database codes within the radius, ascending by (distance, id)."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     dist = _query_distances(index, query)
-    hits = np.flatnonzero(dist <= radius)
-    order = hits[np.argsort(dist[hits], kind="stable")]
-    return list(zip(order.tolist(), dist[order].tolist()))
+    within = np.flatnonzero(dist <= radius)
+    near = dist[within]
+    order = np.argsort(near, kind="stable")
+    return Hits(ids=within[order], distances=near[order])
 
 
 def rank_all(index: CodeIndex, query: np.ndarray) -> np.ndarray:

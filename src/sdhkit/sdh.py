@@ -72,11 +72,16 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
 def _cho_factor(a: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
     """Cholesky factor of a symmetric positive definite system matrix.
 
+    The factor overwrites `a`, a matrix the caller owns that must be exactly
+    symmetric, as `x @ x.T` is. Its transpose is then the same matrix, and
+    for a C-ordered `a` it is in the Fortran order LAPACK factors without a
+    copy.
+
     Raises ValueError naming `context` when the matrix is singular or so
     ill-conditioned that the factor cannot be trusted.
     """
     try:
-        factor = scipy.linalg.cho_factor(a)
+        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"{context}: system matrix is singular "
                          f"(not positive definite): {exc}") from None
@@ -115,7 +120,7 @@ class ProjectionSolver:
         if jitter is None:
             jitter = 1e-8 * float(np.trace(lhs)) / x.shape[0]
         if jitter:
-            lhs = lhs + jitter * np.eye(x.shape[0])
+            lhs.flat[::x.shape[0] + 1] += jitter
         self._features = x
         self._factor = _cho_factor(lhs, "projection step")
 

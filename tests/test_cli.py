@@ -166,6 +166,38 @@ class TestFigures:
             _, sdh_w, _, fsdh_w, _ = row.split(",")
             assert float(fsdh_w) <= float(sdh_w)
 
+    def test_losses_solve_once_and_match_one_solve_per_bits(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 2\n")
+        # Reference: one run per code length, so each row has its own solve.
+        rows = []
+        for bits in (16, 32, 64):
+            out = tmp_path / f"losses{bits}"
+            assert run(["figures", "losses", "--config", cfg, "--set", f"bits_list={bits}",
+                        "--outdir", str(out)]) == 0
+            header, row = (out / "losses.csv").read_text().splitlines(keepends=True)
+            rows.append(row)
+        solves = []
+        train_fsdh = fsdh.train_fsdh
+        monkeypatch.setattr(fsdh, "train_fsdh",
+                            lambda *args: solves.append(args[3]) or train_fsdh(*args))
+        out = tmp_path / "losses"
+        assert run(["figures", "losses", "--config", cfg, "--set", "bits_list=16,32,64",
+                    "--outdir", str(out)]) == 0
+        assert solves == [16]
+        assert (out / "losses.csv").read_text() == header + "".join(rows)
+
+    def test_losses_check_each_code_length_before_its_sdh_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 1\n")
+        runs = []
+        train_sdh = sdh.train_sdh
+        monkeypatch.setattr(sdh, "train_sdh", lambda *args, **kwargs:
+                            runs.append(args[3]) or train_sdh(*args, **kwargs))
+        assert run(["figures", "losses", "--config", cfg, "--set", "bits_list=16,24",
+                    "--outdir", str(tmp_path / "losses")]) == 2
+        assert "A1" in capsys.readouterr().err
+        assert runs == [16]
+
     def test_biasmap_blocks_equal_bits(self, tmp_path):
         cfg = write_cfg(tmp_path / "bias.cfg",
                         "source = synth\nclasses = 3\nper_class = 5\ndim = 6\n"

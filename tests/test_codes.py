@@ -61,6 +61,17 @@ class TestHadamardCodes:
         gram = cc.codes.astype(np.int64).T @ cc.codes.astype(np.int64)
         assert np.array_equal(gram, 16 * np.eye(10, dtype=np.int64))
 
+    @pytest.mark.parametrize("bits,classes", [(2 ** k, 10) for k in range(4, 13)]
+                             + [(64, 3), (64, 5), (256, 100)])
+    def test_rows_repeat_with_the_class_count_period(self, bits, classes):
+        # Entry (j, c) is (-1)^popcount(j & c), and for c < C that reads only
+        # the low ceil(log2 C) bits of j: p = 2^ceil(log2 C) distinct rows,
+        # tiled L / p times.
+        period = 1 << (classes - 1).bit_length()
+        cc = codes.hadamard_codes(bits, classes).codes
+        assert len(np.unique(cc[:period], axis=0)) == period
+        assert np.array_equal(cc, np.tile(cc[:period], (bits // period, 1)))
+
 
 class TestExpandCodes:
     def test_lines_up_by_label(self):

@@ -72,6 +72,16 @@ class TestTrainFsdh:
         for other in solutions[1:]:
             assert other.tobytes() == solutions[0].tobytes()
 
+    def test_codes_tile_the_class_count_period(self):
+        # Ten classes give Hadamard rows of period 16, so a 512-bit code is
+        # its 16-bit code 32 times over and carries no more distinct bits.
+        rng = np.random.default_rng(2)
+        short, data, _ = toy_model(rng, classes=10, bits=16)
+        long, _, _ = toy_model(rng, classes=10, bits=512)
+        short_bits = index.unpack(encode(short, data.features))
+        assert np.array_equal(index.unpack(encode(long, data.features)),
+                              np.tile(short_bits, (32, 1)))
+
     def test_self_retrieval_on_blobs(self):
         data = dataset.normalize(dataset.synth_blobs(10, 100, 16, 0.3, seed=1))
         kmap = kernelmap.fit_anchors(data, 64, 0.4, seed=2)

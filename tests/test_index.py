@@ -281,3 +281,72 @@ def test_writes_to_the_source_array_do_not_reach_the_index(bits):
     assert index.radius_search(idx, query, bits // 2) == sorted(
         ((int(i), int(expected[i])) for i in within), key=lambda hit: (hit[1], hit[0]))
     assert not idx.codes.words.flags.writeable
+
+
+class TestHits:
+    @pytest.mark.parametrize("bits,dtype", [(32, np.uint8), (300, np.uint16)])
+    def test_arrays_are_read_only_in_the_kernel_dtype(self, bits, dtype):
+        signs = random_signs(np.random.default_rng(bits), bits, 50)
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(50, dtype=np.int64))
+        hits = index.radius_search(idx, idx.codes.words[0], bits)
+        assert hits.ids.dtype == np.int64 and hits.distances.dtype == dtype
+        assert not hits.ids.flags.writeable and not hits.distances.flags.writeable
+        assert len(hits) == 50
+
+    def test_arrays_match_the_sign_oracle_in_distance_then_id_order(self):
+        signs = random_signs(np.random.default_rng(14), 16, 400)
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(400, dtype=np.int64))
+        for qi in range(5):
+            expected = oracles.sign_distances(signs, signs[:, qi])
+            within = np.flatnonzero(expected <= 5)
+            within = within[np.lexsort((within, expected[within]))]
+            hits = index.radius_search(idx, idx.codes.words[qi], 5)
+            assert np.array_equal(hits.ids, within)
+            assert np.array_equal(hits.distances, expected[within])
+
+    def test_a_slice_is_hits(self):
+        signs = random_signs(np.random.default_rng(15), 8, 40)
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(40, dtype=np.int64))
+        hits = index.radius_search(idx, idx.codes.words[0], 3)
+        head = hits[1:4]
+        assert isinstance(head, index.Hits)
+        assert head == list(hits)[1:4]
+        assert hits[-1] == list(hits)[-1]
+
+    def test_equality_with_lists_tuples_and_hits(self):
+        hits = index.Hits(ids=np.array([4, 2]), distances=np.array([0, 1], dtype=np.uint8))
+        assert hits == [(4, 0), (2, 1)]
+        assert hits == ((4, 0), (2, 1))
+        assert hits == index.Hits(ids=np.array([4, 2]),
+                                  distances=np.array([0, 1], dtype=np.uint16))
+        assert [(4, 0), (2, 1)] == hits
+        assert hits != [(4, 0), (2, 2)]
+        assert hits != [(4, 0)]
+        assert hits.__eq__(np.array([[4, 0], [2, 1]])) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(hits)
+
+    def test_an_empty_result_equals_an_empty_list(self):
+        signs = np.ones((64, 20), dtype=np.int8)
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(20, dtype=np.int64))
+        query = index.pack(-np.ones((64, 1), dtype=np.int8)).words[0]
+        hits = index.radius_search(idx, query, 2)
+        assert hits == [] and len(hits) == 0 and list(hits) == []
+        assert hits.ids.dtype == np.int64
+
+
+def test_search_allocates_no_object_per_hit():
+    # Every code matches, so a result of tuples would hold 10,000 of them
+    # (about 1.1 MB); the arrays take 90 kB.
+    idx = index.CodeIndex(codes=index.pack(np.ones((64, 10_000), dtype=np.int8)),
+                          labels=np.zeros(10_000, dtype=np.int64))
+    query = idx.codes.words[0]
+    index.radius_search(idx, query, 0)
+    tracemalloc.start()
+    try:
+        hits = index.radius_search(idx, query, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 10_000
+    assert peak < 400_000

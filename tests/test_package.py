@@ -4,7 +4,7 @@ import sdhkit
 
 PUBLIC_NAMES = [
     "ClassCodes", "CodeIndex", "DatasetFingerprint",
-    "EvalReport", "HashModel", "KernelMap", "ObjectiveBreakdown", "PackedCodes",
+    "EvalReport", "HashModel", "Hits", "KernelMap", "ObjectiveBreakdown", "PackedCodes",
     "ProjectionSolver", "RawDataset", "SdhState", "b_step", "bias_term_diagnostics",
     "encode", "evaluate_retrieval", "expand_codes", "fit_anchors", "hadamard_codes",
     "load_csv", "load_mnist", "load_model", "loss_table",

@@ -152,6 +152,31 @@ class TestProjectionSolver:
             tracemalloc.stop()
         assert peak < x.nbytes / 10
 
+    @pytest.mark.parametrize("jitter", [None, 0.0, 0.5])
+    def test_solution_equals_the_solve_on_a_fresh_jittered_gram(self, jitter):
+        # Reference: the jittered Gram built beside X X^T and factored in a copy.
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((40, 300))
+        y = rng.standard_normal((3, 300))
+        gram = x @ x.T
+        diagonal = 1e-8 * float(np.trace(gram)) / x.shape[0] if jitter is None else jitter
+        factor = scipy.linalg.cho_factor(gram + diagonal * np.eye(x.shape[0]))
+        expected = scipy.linalg.cho_solve(factor, x @ y.T)
+        assert np.array_equal(sdh.ProjectionSolver(x, jitter).solve(y), expected)
+
+    def test_construction_holds_one_gram(self):
+        # The jitter goes onto the Gram's diagonal and the factor overwrites
+        # the Gram, so no second M x M matrix is built beside it.
+        m = 1_000
+        x = np.random.default_rng(25).standard_normal((m, 2 * m))
+        tracemalloc.start()
+        try:
+            sdh.ProjectionSolver(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m * m * 8
+
 
 class TestBStep:
     def test_zero_weights_reduce_to_projection_sign(self):
