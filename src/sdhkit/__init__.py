@@ -17,7 +17,6 @@ from .sdh import (
     ProjectionSolver,
     SdhState,
     b_step,
-    magnitude_report,
     objective,
     train_sdh,
     w_step,
@@ -49,7 +48,6 @@ __all__ = [
     "load_mnist",
     "load_model",
     "loss_table",
-    "magnitude_report",
     "normalize",
     "objective",
     "optimal_weights",

@@ -12,21 +12,20 @@ One kernel, `hamming_matrix`, computes every distance: `radius_search`,
 the narrowest unsigned dtype that holds the code length (uint8 up to 255
 bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
 
-`PackedCodes` words are read-only and owned by the codes: an array its
-caller could still write to is copied once at construction. So the
-column-major layout the kernel scans is built once per database, the first
-time the codes serve as one, and a lookup then does no work that grows with
-the database beyond one XOR and popcount pass per word, the threshold and
-the sort. `radius_search` returns its hits as a `Hits`, two flat arrays of
-ids and distances, and creates no Python object per hit; a caller that
-indexes or iterates it gets (id, distance) tuples of Python ints, built as
-they are read.
+`PackedCodes` copies its words once, at construction, into one read-only
+Fortran-ordered array that the codes own. `words` reads as one row per
+code, and its transpose `words.T` is the contiguous one-row-per-word layout
+the kernel scans, so a lookup does no work that grows with the database
+beyond one XOR and popcount pass per word, the threshold and the sort.
+`radius_search` returns its hits as a `Hits`, two flat arrays of ids and
+distances, and creates no Python object per hit; a caller that indexes or
+iterates it gets (id, distance) tuples of Python ints, built as they are
+read.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +36,12 @@ WORD_BITS = 64
 class PackedCodes:
     """N binary codes of length `bits`, one row of words per code."""
 
-    words: np.ndarray  # (count, ceil(bits/64)) uint64
+    words: np.ndarray  # (count, ceil(bits/64)) uint64, Fortran-ordered
     bits: int
 
     def __post_init__(self):
-        words = self.words
-        if not _frozen(words):
-            words = np.array(words, dtype=np.uint64)
-            words.flags.writeable = False
+        words = np.array(self.words, dtype=np.uint64, order="F")
+        words.flags.writeable = False
         if words.ndim != 2:
             raise ValueError(f"words must be 2-D, got shape {words.shape}")
         if self.bits < 1:
@@ -64,26 +61,6 @@ class PackedCodes:
     @property
     def count(self) -> int:
         return self.words.shape[0]
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """(words, count) read-only layout, one contiguous row per word, built
-        the first time it is read; for one-word codes it is a view of `words`."""
-        columns = np.ascontiguousarray(self.words.T)
-        columns.flags.writeable = False
-        return columns
-
-
-def _frozen(words) -> bool:
-    """True for a uint64 array that no one can write to: neither it nor any
-    array it views is writeable, and the last of them owns its memory."""
-    if not (isinstance(words, np.ndarray) and words.dtype == np.uint64):
-        return False
-    while words is not None:
-        if not isinstance(words, np.ndarray) or words.flags.writeable:
-            return False
-        words = words.base
-    return True
 
 
 @dataclass(frozen=True)
@@ -124,7 +101,6 @@ def _pack_rows(positive: np.ndarray, bits: int) -> PackedCodes:
     # Little-endian bit order within bytes and bytes within a word puts bit
     # j at position j % 64 of word j // 64; the zero padding keeps tail bits clear.
     octets = np.packbits(positive, axis=1, bitorder="little")
-    octets.flags.writeable = False  # nothing else holds it, so no copy is needed
     return PackedCodes(words=octets.view("<u8"), bits=bits)
 
 
@@ -151,8 +127,8 @@ def hamming_matrix(database: PackedCodes, queries: PackedCodes) -> np.ndarray:
     count = database.count
     out = np.empty((queries.count, count), dtype=np.min_scalar_type(database.bits))
     scratch = np.empty((queries.count, count), dtype=np.uint64)
-    # One contiguous column per word, so each XOR streams the database once.
-    for j, column in enumerate(database.columns):
+    # words.T holds one contiguous row per word, so each XOR streams the database once.
+    for j, column in enumerate(database.words.T):
         np.bitwise_xor(queries.words[:, j, None], column, out=scratch)
         if j == 0:
             np.bitwise_count(scratch, out=out)

@@ -72,6 +72,11 @@ class HashModel:
                 f"the model has {self.class_codes.classes} class codes but was "
                 f"trained on {self.trained_on.class_count} classes"
             )
+        if self.trained_on.dim != self.kernel.source_dim:
+            raise ValueError(
+                f"the kernel map takes {self.kernel.source_dim}-dimensional samples but "
+                f"the model was trained on {self.trained_on.dim} dimensions"
+            )
         object.__setattr__(self, "projection", projection)
 
     @property

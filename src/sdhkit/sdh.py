@@ -31,7 +31,6 @@ class SdhState:
     projection: np.ndarray  # (features, bits)
     lam: float
     nu: float
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,6 @@ class ObjectiveBreakdown:
             raise ValueError("objective terms must be non-negative")
         if abs(self.total - sum(parts)) > 1e-9:
             raise ValueError("total must equal the sum of the three terms")
-
-
-@dataclass(frozen=True)
-class MagnitudeReport:
-    """Relative size of the classification and bias contributions to the
-    code-step linear term; a large ratio justifies dropping the bias."""
-
-    classification_magnitude: float  # ||W Y||^2
-    bias_magnitude: float            # nu * ||P^T X||^2
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -180,17 +170,6 @@ def objective(state: SdhState, labels: np.ndarray, *,
     )
 
 
-def magnitude_report(state: SdhState, features: np.ndarray,
-                     labels: np.ndarray) -> MagnitudeReport:
-    y = one_hot(labels, state.weights.shape[1])
-    wy = state.weights @ y
-    px = state.projection.T @ np.asarray(features, dtype=np.float64)
-    return MagnitudeReport(
-        classification_magnitude=float((wy ** 2).sum()),
-        bias_magnitude=state.nu * float((px ** 2).sum()),
-    )
-
-
 def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
               bits: int, lam: float = DEFAULT_LAMBDA, nu: float = DEFAULT_NU,
               max_iters: int = DEFAULT_MAX_ITERS, seed: int = 0,
@@ -228,14 +207,13 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     )
     projection_solver = ProjectionSolver(x, jitter)
     trajectory: list[ObjectiveBreakdown] = []
-    for it in range(max_iters):
+    for _ in range(max_iters):
         state.projection = projection_solver.solve(state.codes)
         state.weights = w_step(state.codes, labels, class_count, lam)
         # One P^T X per iteration feeds both the code step and the objective.
         projected = state.projection.T @ x
         state.codes, _ = b_step(state, labels, solver, projected=projected,
                                 sweeps=sweeps, budget_nodes=budget_nodes)
-        state.iteration = it + 1
         trajectory.append(objective(state, labels, projected=projected))
     return state, trajectory
 

@@ -252,6 +252,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="3 class codes but was trained on 4 classes"):
             replace(model, trained_on=replace(model.trained_on, class_count=4))
 
+    def test_model_rejects_a_fingerprint_of_another_dimension(self):
+        # The file stores one dim, written from the kernel map, so such a model
+        # used to load back with a different fingerprint.
+        rng = np.random.default_rng(13)
+        model, _, _ = toy_model(rng)
+        dim = model.kernel.source_dim
+        with pytest.raises(ValueError, match=f"takes {dim}-dimensional samples but the "
+                                             f"model was trained on {dim + 1} dimensions"):
+            replace(model, trained_on=replace(model.trained_on, dim=dim + 1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_model_rejects_non_finite_projection(self, bad):
         rng = np.random.default_rng(13)

@@ -249,12 +249,11 @@ def test_search_at_sixteen_bit_distances_matches_oracle():
 
 
 def test_lookup_does_not_copy_the_database():
-    # The column layout the kernel scans is built once per database, so a
-    # lookup after the first allocates only per-query rows, not the codes.
+    # The codes hold the layout the kernel scans from construction on, so even
+    # the first lookup on a fresh index allocates only per-query rows.
     signs = random_signs(np.random.default_rng(13), 512, 10_000)
     idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(10_000, dtype=np.int64))
     query = idx.codes.words[17]
-    index.rank_all(idx, query)
     tracemalloc.start()
     try:
         index.rank_all(idx, query)
@@ -265,22 +264,30 @@ def test_lookup_does_not_copy_the_database():
     assert peak < idx.codes.words.nbytes / 2
 
 
-@pytest.mark.parametrize("bits", [65, 130, 512])
+@pytest.mark.parametrize("bits", [64, 65, 130, 512])
 def test_writes_to_the_source_array_do_not_reach_the_index(bits):
+    # Neither a writable array nor a read-only view of one can change the
+    # codes, and every index, packed ones too, scans a read-only, contiguous
+    # row per word.
     rng = np.random.default_rng(bits)
     signs = random_signs(rng, bits, 60)
     source = oracles.pack_loop(signs)
-    idx = index.CodeIndex(codes=index.PackedCodes(words=source, bits=bits),
-                          labels=np.zeros(60, dtype=np.int64))
-    query = idx.codes.words[4].copy()
-    index.rank_all(idx, query)  # builds the column layout
+    view = source.view()
+    view.flags.writeable = False
+    codes = [index.PackedCodes(words=source, bits=bits),
+             index.PackedCodes(words=view, bits=bits), index.pack(signs)]
+    indexes = [index.CodeIndex(codes=c, labels=np.zeros(60, dtype=np.int64)) for c in codes]
+    query = indexes[0].codes.words[4].copy()
     source[:] = 0
     expected = oracles.sign_distances(signs, signs[:, 4])
-    assert np.array_equal(index.rank_all(idx, query), np.lexsort((np.arange(60), expected)))
     within = np.flatnonzero(expected <= bits // 2)
-    assert index.radius_search(idx, query, bits // 2) == sorted(
-        ((int(i), int(expected[i])) for i in within), key=lambda hit: (hit[1], hit[0]))
-    assert not idx.codes.words.flags.writeable
+    for idx in indexes:
+        assert np.array_equal(index.rank_all(idx, query), np.lexsort((np.arange(60), expected)))
+        assert index.radius_search(idx, query, bits // 2) == sorted(
+            ((int(i), int(expected[i])) for i in within), key=lambda hit: (hit[1], hit[0]))
+        scanned = idx.codes.words.T
+        assert scanned.shape == (-(-bits // 64), 60)
+        assert scanned.flags.c_contiguous and not scanned.flags.writeable
 
 
 class TestHits:

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "ProjectionSolver", "RawDataset", "SdhState", "b_step", "bias_term_diagnostics",
     "encode", "evaluate_retrieval", "expand_codes", "fit_anchors", "hadamard_codes",
     "load_csv", "load_mnist", "load_model", "loss_table",
-    "magnitude_report", "normalize", "objective", "optimal_weights", "pack",
+    "normalize", "objective", "optimal_weights", "pack",
     "radius_search", "rank_all", "save_model",
     "synth_blobs", "train_fsdh", "train_sdh", "transform", "unpack", "w_step",
 ]
