@@ -1,16 +1,19 @@
 """Solvers for the per-sample binary quadratic program.
 
-Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b. Three
-solvers are provided: greedy cyclic coordinate descent, exhaustive search,
-and depth-first branch-and-bound with an absolute-mass interval bound. The
-eigenvalue relaxation bound is useless here because Q = W W^T is rank
-deficient whenever L > C, so its smallest eigenvalue is zero.
-`solve_batch` is the one entry point: it solves many problems sharing one
-Q with any of the three, as the alternating trainer's code step does. DCC
-and exhaustive search take the whole set at once; the enumeration computes
-b^T Q b once per assignment for all the problems. Branch-and-bound seeds
-every incumbent with one DCC call, then searches the problems one at a
-time. Every term must be finite.
+Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b, with
+Q = W W^T given by its (L, rank) factor W, so Q is positive semidefinite.
+Three solvers are provided: greedy cyclic coordinate descent, exhaustive
+search, and depth-first branch-and-bound with an absolute-mass interval
+bound whose free-bit quadratic part is clipped at zero, which PSD Q allows.
+The eigenvalue relaxation bound is useless here because Q is rank deficient
+whenever L > rank, so its smallest eigenvalue is zero.
+`solve_batch` is the one entry point: it builds Q once from W and solves
+many problems sharing it with any of the three, as the alternating
+trainer's code step does. DCC and exhaustive search take the whole set at
+once; the enumeration computes b^T Q b once per assignment for all the
+problems. Branch-and-bound seeds every incumbent with one DCC call, builds
+its Q-only constants once, then searches the problems one at a time. Every
+term must be finite.
 """
 from __future__ import annotations
 
@@ -23,20 +26,22 @@ EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
 
 
-def _checked_terms(quadratic, linear) -> tuple[np.ndarray, np.ndarray]:
-    """Both terms as float64 arrays, `linear` holding one problem per column.
-    NaN or inf would void every comparison the solvers make, so they are
-    rejected."""
-    q = np.asarray(quadratic, dtype=np.float64)
+def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
+    """Q = W W^T from the (bits, rank) factor W and `linear` as float64
+    arrays, `linear` holding one problem per column. NaN or inf would void
+    every comparison the solvers make, so they are rejected."""
+    w = np.asarray(factor, dtype=np.float64)
     f = np.asarray(linear, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"quadratic must be square, got shape {q.shape}")
-    if f.ndim != 2 or f.shape[0] != q.shape[0]:
-        raise ValueError(f"linear term shape {f.shape} does not match ({q.shape[0]}, problems)")
-    if not (np.isfinite(q).all() and np.isfinite(f).all()):
-        raise ValueError("quadratic and linear terms must be finite")
-    if q.size and np.abs(q - q.T).max() > 1e-12:
-        raise ValueError("quadratic matrix must be symmetric within 1e-12")
+    if w.ndim != 2:
+        raise ValueError(f"factor must be 2-D (bits, rank), got shape {w.shape}")
+    if f.ndim != 2 or f.shape[0] != w.shape[0]:
+        raise ValueError(f"linear term shape {f.shape} does not match ({w.shape[0]}, problems)")
+    if not (np.isfinite(w).all() and np.isfinite(f).all()):
+        raise ValueError("factor and linear terms must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = w @ w.T
+    if not np.isfinite(q).all():
+        raise ValueError("W W^T must be finite; the factor's entries are too large")
     return q, f
 
 
@@ -130,13 +135,17 @@ def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
                           budget_nodes: int | None
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Depth-first search on every column's problem, fixing bits in order
-    and pruning by a lower bound.
+    and pruning by a lower bound. Q must be positive semidefinite, as
+    `solve_batch` makes it by building Q = W W^T from the factor.
 
     The bound for a partial assignment adds the exact value of the fixed
-    prefix, -|f_l + coupling-to-fixed| for every free bit, and -|Q_lm| for
-    every free-free pair (plus the constant free diagonal). It is loose but
-    valid, and exact once Q has no free-free couplings, so separable
-    problems solve in a single descent. Every incumbent starts from one
+    prefix, -|f_l + coupling-to-fixed| for every free bit, and the free
+    bits' quadratic part b_f^T Q_ff b_f bounded below by the free diagonal
+    minus the |Q_lm| of every free-free pair, clipped at zero: Q_ff is a
+    principal submatrix of a PSD Q, so the quadratic part is never negative.
+    The bound is exact once Q has no free-free couplings, so separable
+    problems solve in a single descent. Everything but f depends on Q alone
+    and is built once for the set. Every incumbent starts from one
     `dcc_batch` call from all +1; a problem whose node budget runs out keeps
     its incumbent and is not exact. Returns the (bits, problems) int8
     codes, the (problems,) exact flags and the (problems,) node counts.
@@ -144,48 +153,54 @@ def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
     if budget_nodes is not None and budget_nodes < 1:
         raise ValueError(f"budget_nodes must be >= 1, got {budget_nodes}")
     incumbents = dcc_batch(quadratic, linear, np.ones(linear.shape, dtype=np.int8))
+    bits = quadratic.shape[0]
+    diag = np.diag(quadratic)
+    abs_q = np.abs(quadratic - np.diag(diag))
+    # Per-depth constants, each built by the expression the bound would
+    # otherwise evaluate at every node, so every bound rounds the same. The
+    # free-pair mass (|Q_lm| over distinct free pairs, both orders) left once
+    # bit d is fixed depends on the depth only.
+    diag_at = [float(x) for x in diag]
+    free_quadratic = []
+    mass = float(abs_q.sum())
+    for d in range(bits):
+        mass -= float(2.0 * abs_q[d, d + 1:].sum())
+        free_quadratic.append(max(0.0, float(diag[d + 1:].sum()) - mass))
+    # Row 0 fixes bit d to -1, row 1 to +1.
+    coupling_step = [np.array([[-2.0], [2.0]]) * quadratic[:, d] for d in range(bits)]
+    shared = (quadratic, diag_at, free_quadratic, coupling_step)
+
     codes = np.empty(linear.shape, dtype=np.int8)
     exact = np.empty(linear.shape[1], dtype=bool)
     nodes = np.empty(linear.shape[1], dtype=np.int64)
     for k in range(linear.shape[1]):
         codes[:, k], exact[k], nodes[k] = _branch_and_bound(
-            quadratic, np.ascontiguousarray(linear[:, k]), incumbents[:, k], budget_nodes)
+            shared, np.ascontiguousarray(linear[:, k]), incumbents[:, k], budget_nodes)
     return codes, exact, nodes
 
 
-def _branch_and_bound(q: np.ndarray, f: np.ndarray, incumbent: np.ndarray,
+def _branch_and_bound(shared: tuple, f: np.ndarray, incumbent: np.ndarray,
                       budget_nodes: int | None) -> tuple[np.ndarray, bool, int]:
-    """One problem's search; returns (assignment, exact, nodes)."""
+    """One problem's search over the set's `shared` constants; returns
+    (assignment, exact, nodes)."""
+    q, diag_at, free_quadratic, coupling_step = shared
+
     def objective(b: np.ndarray) -> float:
         b = np.asarray(b, dtype=np.float64)
         return float(b @ q @ b + f @ b)
 
     bits = f.shape[0]
-    abs_q = np.abs(q - np.diag(np.diag(q)))
-    diag = np.diag(q)
-
     best_val = objective(incumbent)
     best_b = incumbent.copy()
     nodes = 0
 
-    # Per-depth constants, each built by the expression the bound would
-    # otherwise evaluate at every node, so every bound rounds the same.
-    diag_at = [float(x) for x in diag]
     f_at = [float(x) for x in f]
     f_free = [f[d + 1:] for d in range(bits)]
-    diag_free = [float(diag[d + 1:].sum()) for d in range(bits)]
-    row_mass = [float(2.0 * abs_q[d, d + 1:].sum()) for d in range(bits)]
-    coupling_step = [{sign: 2.0 * sign * q[:, d] for sign in (-1, 1)} for d in range(bits)]
-
     prefix = np.zeros(bits, dtype=np.int8)
-    # coupling[l] = 2 * sum_{j fixed} Q_{l,j} b_j for free l; fixed_val is the
-    # prefix's exact objective contribution; free_pair_mass = sum of |Q_lm|
-    # over distinct free pairs (both orders).
-    coupling = np.zeros(bits)
-    free_pair_mass = float(abs_q.sum())
 
-    def visit(depth: int, fixed_val: float, coupling: np.ndarray,
-              free_pair_mass: float) -> None:
+    # coupling[l] = 2 * sum_{j fixed} Q_{l,j} b_j for free l; fixed_val is the
+    # prefix's exact objective contribution.
+    def visit(depth: int, fixed_val: float, coupling: np.ndarray) -> None:
         nonlocal nodes, best_val, best_b
         if budget_nodes is not None and nodes >= budget_nodes:
             raise _BudgetExhausted
@@ -197,17 +212,15 @@ def _branch_and_bound(q: np.ndarray, f: np.ndarray, incumbent: np.ndarray,
                 best_val = val
                 best_b = prefix.copy()
             return
-        child_mass = free_pair_mass - row_mass[depth]
         base = fixed_val + diag_at[depth]
         pull = f_at[depth] + float(coupling[depth])
+        child_coupling = coupling + coupling_step[depth]
+        free_linear = np.abs(f_free[depth] + child_coupling[:, depth + 1:]).sum(axis=1).tolist()
         children = []
-        for sign in (-1, 1):
+        for row, sign in enumerate((-1, 1)):
             child_fixed = base + sign * pull
-            child_coupling = coupling + coupling_step[depth][sign]
-            child_bound = (child_fixed + diag_free[depth]
-                           - float(np.abs(f_free[depth] + child_coupling[depth + 1:]).sum())
-                           - child_mass)
-            children.append((child_bound, sign, child_fixed, child_coupling))
+            child_bound = child_fixed - free_linear[row] + free_quadratic[depth]
+            children.append((child_bound, sign, child_fixed, child_coupling[row]))
         # The lower bound goes first; -1 wins a tie.
         if children[1][0] < children[0][0]:
             children.reverse()
@@ -215,33 +228,36 @@ def _branch_and_bound(q: np.ndarray, f: np.ndarray, incumbent: np.ndarray,
             if child_bound > best_val:
                 continue
             prefix[depth] = sign
-            visit(depth + 1, child_fixed, child_coupling, child_mass)
+            visit(depth + 1, child_fixed, child_coupling)
         prefix[depth] = 0
 
     exact = True
     try:
-        visit(0, 0.0, coupling, free_pair_mass)
+        visit(0, 0.0, np.zeros(bits))
     except _BudgetExhausted:
         exact = False
     return best_b, exact, nodes
 
 
-def solve_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
+def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
                 solver: str = "dcc", *, max_sweeps: int = 3,
                 budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
-    """Solve one problem per column of `linear`, all sharing `quadratic`.
+    """Solve one problem per column of `linear`, all sharing Q = W W^T.
+
+    `factor` is the (bits, rank) W, so Q is positive semidefinite by
+    construction; any rank is allowed. Q is built once, as `w @ w.T`.
 
     DCC runs every problem at once from the columns of `init`. Exhaustive
     search enumerates the assignments once for the whole set, and
     branch-and-bound takes the problems one at a time after seeding every
     incumbent with one DCC call; both ignore `init`.
     Returns the (bits, problems) int8 solutions and whether every one is
-    proven optimal, which DCC never claims. Terms that are non-finite,
-    misshapen or asymmetric raise ValueError before any solver runs.
+    proven optimal, which DCC never claims. Terms that are non-finite or
+    misshapen raise ValueError before any solver runs.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    quadratic, linear = _checked_terms(quadratic, linear)
+    quadratic, linear = _checked_terms(factor, linear)
     if solver == "dcc":
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
     if solver == "exhaustive":

@@ -333,6 +333,8 @@ def cmd_train(cfg, out: Path) -> int:
             log.update(final_total=repr(final.total),
                        final_classification_term=repr(final.classification_term),
                        final_p_loss=repr(final.p_loss))
+        else:
+            log["distinct_bits"] = model.class_codes.distinct_bits
 
     with stage("save"):
         save_model(model, out / "model.fsdh")
@@ -437,11 +439,12 @@ def _figure_bitscale(cfg, out: Path) -> None:
             query_codes = encode(model, test.features)
             precision = evaluate.evaluate_retrieval(
                 code_index, query_codes, test.labels, cfg["radius"]).precision_at_radius
-            rows.append([method, bits, f"{elapsed:.3f}", repr(precision)])
+            distinct = "" if model.class_codes is None else model.class_codes.distinct_bits
+            rows.append([method, bits, f"{elapsed:.3f}", repr(precision), distinct])
             print(f"bitscale method={method} bits={bits} "
                   f"train_seconds={elapsed:.3f} precision={precision:.4f}")
     _write_csv(out / "bitscale.csv",
-               ["method", "bits", "train_seconds", "precision_at_radius"], rows)
+               ["method", "bits", "train_seconds", "precision_at_radius", "distinct_bits"], rows)
 
 
 def _figure_losses(cfg, out: Path) -> None:

@@ -50,6 +50,13 @@ class ClassCodes:
     def classes(self) -> int:
         return self.codes.shape[1]
 
+    @property
+    def distinct_bits(self) -> int:
+        """The number of distinct rows of the code matrix: bits that split
+        the classes apart differently. Hadamard codes of C classes repeat
+        with period 2^ceil(log2 C), so C = 10 gives 16 at any L >= 16."""
+        return len(np.unique(self.codes, axis=0))
+
 
 def hadamard_codes(bits: int, classes: int) -> ClassCodes:
     """The first `classes` columns of the order-`bits` Sylvester Hadamard

@@ -128,7 +128,7 @@ def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
 
     Sample i's problem has Q = W W^T and linear term f_i =
     -2*(W y_i + nu * P^T x_i), and all of them go to one `biqp.solve_batch`
-    call. With nu = 0 the linear term depends on the label only, so one
+    call, which takes W and builds Q itself. With nu = 0 the linear term depends on the label only, so one
     problem per class present is solved, started from the code of its first
     sample, and broadcast to every sample of that class. Returns
     (codes, exact).
@@ -144,7 +144,7 @@ def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
         problem_of = np.arange(labels.shape[0])
         linear = -2.0 * (w @ one_hot(labels, w.shape[1]) + state.nu * projected)
         init = state.codes
-    codes, exact = biqp.solve_batch(w @ w.T, linear, init, solver,
+    codes, exact = biqp.solve_batch(w, linear, init, solver,
                                     max_sweeps=sweeps, budget_nodes=budget_nodes)
     # np.take returns C order; a Fortran-ordered code matrix would change the
     # rounding of every later sum over it.

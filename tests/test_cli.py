@@ -33,6 +33,8 @@ class TestTrain:
         assert (tmp_path / "run" / "config.txt").exists()
         log = (tmp_path / "run" / "train_log.txt").read_text()
         assert "learning_time_s=" in log
+        # 4 classes: the 16-bit class codes have 4 distinct rows.
+        assert "distinct_bits=4" in log.splitlines()
         model = load_model(tmp_path / "run" / "model.fsdh")
         assert model.bits == 16
         assert model.trained_on.class_count == 4
@@ -46,6 +48,18 @@ class TestTrain:
         model = load_model(tmp_path / "run" / "model.fsdh")
         assert model.bits == 24
         assert model.class_codes is None
+        assert "distinct_bits" not in (tmp_path / "run" / "train_log.txt").read_text()
+
+    @pytest.mark.parametrize("bits", [32, 512])
+    def test_fsdh_log_counts_distinct_bits(self, tmp_path, bits):
+        # 10 classes: Hadamard class codes repeat every 16 rows at any L.
+        cfg = write_cfg(tmp_path / "train.cfg",
+                        SYNTH_KEYS + f"method = fsdh\nbits = {bits}\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+        assert run(["train", "--config", cfg, "--set", "classes=10"]) == 0
+        log = (tmp_path / "run" / "train_log.txt").read_text().splitlines()
+        assert f"bits={bits}" in log
+        assert "distinct_bits=16" in log
 
     def test_fsdh_rejects_non_power_of_two_bits(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "train.cfg",
@@ -150,10 +164,31 @@ class TestFigures:
                         f"outdir = {tmp_path / 'bs'}\n")
         assert run(["figures", "bitscale", "--config", cfg]) == 0
         rows = (tmp_path / "bs" / "bitscale.csv").read_text().strip().splitlines()
-        assert rows[0] == "method,bits,train_seconds,precision_at_radius"
+        assert rows[0] == "method,bits,train_seconds,precision_at_radius,distinct_bits"
         assert len(rows) == 3
         precisions = [float(r.split(",")[3]) for r in rows[1:]]
         assert max(precisions) - min(precisions) <= 0.03
+        assert [r.split(",")[4] for r in rows[1:]] == ["4", "4"]
+
+    def test_bitscale_distinct_bits_at_32_and_512(self, tmp_path):
+        # 10 classes: 16 distinct fsdh bits at L = 32 and L = 512 alike; an
+        # sdh row leaves the column empty.
+        cfg = write_cfg(tmp_path / "bs.cfg",
+                        "source = synth\nclasses = 10\nper_class = 12\ndim = 8\n"
+                        "spread = 0.2\ndata_seed = 3\nanchors = 32\nsigma = 0.4\n"
+                        "bits_list = 32,512\ntest_per_class = 2\niters = 1\n"
+                        f"outdir = {tmp_path / 'bs'}\n")
+        assert run(["figures", "bitscale", "--config", cfg, "--set",
+                    "bitscale_methods=fsdh", "--set", "bits_list=32,512"]) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "bs" / "bitscale.csv").read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[4]) for r in rows] == [("fsdh", "32", "16"),
+                                                      ("fsdh", "512", "16")]
+        assert run(["figures", "bitscale", "--config", cfg, "--set",
+                    "bitscale_methods=sdh", "--set", "bits_list=32"]) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "bs" / "bitscale.csv").read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[4]) for r in rows] == [("sdh", "32", "")]
 
     def test_losses_bundle(self, tmp_path):
         cfg = write_cfg(tmp_path / "losses.cfg",

@@ -71,6 +71,7 @@ class TestHadamardCodes:
         cc = codes.hadamard_codes(bits, classes).codes
         assert len(np.unique(cc[:period], axis=0)) == period
         assert np.array_equal(cc, np.tile(cc[:period], (bits // period, 1)))
+        assert codes.hadamard_codes(bits, classes).distinct_bits == period
 
 
 class TestExpandCodes:

@@ -42,8 +42,28 @@ class TestPack:
         assert np.array_equal(packed.words, oracles.pack_loop(signs))
 
     def test_rejects_invalid_entries(self):
-        with pytest.raises(ValueError, match="-1 and \\+1"):
-            index.pack(np.array([[0], [1]]))
+        for bad in (np.array([[0], [1]]), np.array([[1, 2]]), np.array([[1.0, 0.5]]),
+                    np.array([[-1.0, np.nan]]), np.array([[1, -128]], dtype=np.int8),
+                    np.array([[-1, 0]], dtype=np.int8)):
+            with pytest.raises(ValueError, match="-1 and \\+1"):
+                index.pack(bad)
+
+    def test_accepts_any_dtype_holding_only_signs(self):
+        signs = random_signs(np.random.default_rng(4), 70, 9)
+        expected = oracles.pack_loop(signs)
+        for dtype in (np.int8, np.int64, np.float64):
+            assert np.array_equal(index.pack(signs.astype(dtype)).words, expected)
+
+    def test_peak_memory_is_a_small_multiple_of_the_signs(self):
+        # The sign check once took about 12 bytes per int8 sign.
+        signs = random_signs(np.random.default_rng(5), 512, 10_300)
+        tracemalloc.start()
+        try:
+            index.pack(signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * signs.nbytes
 
     def test_tail_bits_validated(self):
         with pytest.raises(ValueError, match="tail bits"):

@@ -26,11 +26,10 @@ def per_class_code_step(state, labels, solver):
     """The nu = 0 code step one class at a time: each class's problem goes to
     its own solver call (DCC starts from the class's first sample), and the
     solution is copied into a C-ordered code matrix."""
-    q = state.weights @ state.weights.T
     codes = np.empty(state.codes.shape, dtype=np.int8, order="C")
     for cls in np.unique(labels):
         cols = np.flatnonzero(labels == cls)
-        solution, _ = biqp.solve_batch(q, -2.0 * state.weights[:, cls:cls + 1],
+        solution, _ = biqp.solve_batch(state.weights, -2.0 * state.weights[:, cls:cls + 1],
                                        state.codes[:, cols[:1]], solver)
         codes[:, cols] = solution
     return codes
@@ -246,9 +245,9 @@ class TestBStep:
         problem_sets = []
         solve_batch = biqp.solve_batch
 
-        def record(quadratic, linear, init, solver, **options):
-            problem_sets.append((quadratic, linear, init, options["max_sweeps"]))
-            return solve_batch(quadratic, linear, init, solver, **options)
+        def record(factor, linear, init, solver, **options):
+            problem_sets.append((factor @ factor.T, linear, init, options["max_sweeps"]))
+            return solve_batch(factor, linear, init, solver, **options)
 
         monkeypatch.setattr(biqp, "solve_batch", record)
         sdh.train_sdh(features, data.labels, 10, 64, nu=1e-5, max_iters=2, solver="dcc")
