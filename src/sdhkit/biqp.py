@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .codes import only_signs
+
 SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
 EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
@@ -45,13 +47,6 @@ def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
     return q, f
 
 
-def _check_signs(b: np.ndarray, what: str) -> np.ndarray:
-    b = np.asarray(b)
-    if not np.isin(b, (-1, 1)).all():
-        raise ValueError(f"{what} must contain only -1 and +1")
-    return b.astype(np.int8)
-
-
 def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
               max_sweeps: int = 3) -> np.ndarray:
     """Cyclic coordinate descent on many problems sharing one Q.
@@ -65,7 +60,10 @@ def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     q = np.asarray(quadratic, dtype=np.float64)
     f = np.asarray(linear, dtype=np.float64)
-    b = _check_signs(init, "init").astype(np.float64).copy()
+    init = np.asarray(init)
+    if not only_signs(init):
+        raise ValueError("init must contain only -1 and +1")
+    b = init.astype(np.float64)
     if b.shape != f.shape:
         raise ValueError(f"init shape {b.shape} does not match linear term shape {f.shape}")
     # The update sum skips i == l, so the diagonal never contributes.
@@ -75,9 +73,11 @@ def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
         changed = False
         for l in range(bits):
             arg = 2.0 * (q_off[l] @ b) + f[l]
-            new_row = np.where(arg > 0, -1.0, np.where(arg < 0, 1.0, b[l]))
-            if not np.array_equal(new_row, b[l]):
-                b[l] = new_row
+            # b is +-1, so the product is exact: positive exactly where the
+            # bit points along its argument and must flip.
+            flips = arg * b[l] > 0
+            if flips.any():
+                np.negative(b[l], out=b[l], where=flips)
                 changed = True
         if not changed:
             break

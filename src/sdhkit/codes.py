@@ -16,6 +16,14 @@ def is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def only_signs(values: np.ndarray) -> bool:
+    """Whether every entry is -1 or +1. Uses two one-byte masks per entry,
+    whatever the dtype."""
+    valid = values == 1
+    valid |= values == -1
+    return bool(valid.all())
+
+
 @dataclass(frozen=True)
 class ClassCodes:
     """One length-L binary code per class, stored as (bits, classes) columns.
@@ -27,7 +35,7 @@ class ClassCodes:
     codes: np.ndarray  # (bits, classes) int8 in {-1, +1}
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int8)
+        codes = np.asarray(self.codes)
         if codes.ndim != 2:
             raise ValueError(f"codes must be (bits, classes), got shape {codes.shape}")
         bits, classes = codes.shape
@@ -35,8 +43,9 @@ class ClassCodes:
             raise ValueError(f"code length must be a power of two, got {bits}")
         if classes < 1 or classes > bits:
             raise ValueError(f"class count must be in [1, {bits}], got {classes}")
-        if not np.isin(codes, (-1, 1)).all():
+        if not only_signs(codes):
             raise ValueError("codes must contain only -1 and +1")
+        codes = codes.astype(np.int8, copy=False)
         gram = codes.astype(np.int64).T @ codes.astype(np.int64)
         if not np.array_equal(gram, bits * np.eye(classes, dtype=np.int64)):
             raise ValueError("class codes must be pairwise orthogonal with squared norm = bits")

@@ -91,23 +91,34 @@ class RetrievalCounts:
     class_sizes: np.ndarray  # (n_queries,) database items sharing the query label
     ap: np.ndarray           # (n_queries,) tie-averaged AP of the full ranking
 
-    def point(self, threshold: int, zero_retrieval: str) -> tuple[float, float]:
-        """Mean (recall, precision) over queries at one distance threshold."""
-        retrieved = self.retrieved[:, threshold]
-        relevant = self.relevant[:, threshold]
-        nonzero = retrieved > 0
-        precision_per_query = np.zeros(retrieved.shape[0])
-        precision_per_query[nonzero] = relevant[nonzero] / retrieved[nonzero]
-        if zero_retrieval == "skip":
-            precision = float(precision_per_query[nonzero].mean()) if nonzero.any() else 0.0
-        else:
-            precision = float(precision_per_query.mean())
-        recall = float((relevant / self.class_sizes).mean())
-        return recall, precision
-
     def curve(self, zero_retrieval: str) -> list[tuple[float, float]]:
-        """`point` at every threshold 0..L."""
-        return [self.point(t, zero_retrieval) for t in range(self.retrieved.shape[1])]
+        """Mean (recall, precision) over queries at every threshold 0..L.
+
+        The counts are laid out one contiguous row per threshold, so every
+        mean is NumPy's pairwise sum over that threshold's values in query
+        order, as a one-dimensional mean of them would be.
+        """
+        retrieved = np.ascontiguousarray(self.retrieved.T)
+        relevant = np.ascontiguousarray(self.relevant.T)
+        recall = (relevant / self.class_sizes).mean(axis=1)
+        nonzero = retrieved > 0
+        per_query = np.divide(relevant, retrieved, out=np.zeros(retrieved.shape),
+                              where=nonzero)
+        if zero_retrieval == "skip":
+            # A threshold averages only its queries that retrieve something.
+            # `kept` holds those values threshold after threshold; the
+            # thresholds with equally many are gathered into one array.
+            precision = np.zeros(len(per_query))
+            found = nonzero.sum(axis=1)
+            starts = np.cumsum(found) - found
+            kept = per_query[nonzero]
+            for width in np.unique(found[found > 0]):
+                levels = np.flatnonzero(found == width)
+                rows = kept[starts[levels, None] + np.arange(width)]
+                precision[levels] = rows.mean(axis=1)
+        else:
+            precision = per_query.mean(axis=1)
+        return list(zip(recall.tolist(), precision.tolist()))
 
 
 def retrieval_counts(index: CodeIndex, queries: PackedCodes,

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import only_signs
+
 WORD_BITS = 64
 
 
@@ -84,13 +86,8 @@ def pack(signs: np.ndarray) -> PackedCodes:
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ValueError(f"signs must be (bits, count), got shape {signs.shape}")
-    # Two one-byte masks per sign, whatever its dtype, freed before the bit
-    # matrix is built.
-    valid = signs == 1
-    valid |= signs == -1
-    if not valid.all():
+    if not only_signs(signs):
         raise ValueError("signs must contain only -1 and +1")
-    del valid
     bits, count = signs.shape
     positive = np.zeros((count, -(-bits // WORD_BITS) * WORD_BITS), dtype=bool)
     positive[:, :bits] = signs.T > 0

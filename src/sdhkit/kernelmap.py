@@ -15,6 +15,9 @@ from .dataset import RawDataset
 # Samples per block of `transform`, and of `model.encode`, which streams
 # through it.
 BLOCK = 4096
+# Bytes per row tile of a block. `transform` runs its elementwise passes one
+# tile at a time, so a tile and its scratch stay in a core's L2 cache.
+TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,33 +84,43 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
 
     Entry (m, k) is exp(-||x_k - a_m||^2 / sigma), so values lie in (0, 1]
     and a sample equal to anchor a_m maps to exactly 1 in component m.
-    Squared distances use the Gram-matrix expansion (a + c) - 2G, computed
-    BLOCK samples at a time in place in the output; entries that land
-    within rounding error of zero are recomputed by direct differencing so
-    coincident pairs come out exactly zero.
+    Squared distances use the Gram-matrix expansion (a + c) - 2G. Each
+    block of BLOCK samples writes its G straight into its slice of the
+    output; the elementwise passes then run over row tiles of TILE_BYTES,
+    with one reused tile of scratch. Memory is the output plus that scratch.
+    Entries that land within rounding error of zero are recomputed by
+    direct differencing so coincident pairs come out exactly zero.
     """
     samples = _checked_samples(kmap, samples)
     anchors = kmap.anchors
     anchor_sq = np.einsum("dm,dm->m", anchors, anchors)
-    largest_sq = anchor_sq.max()
-    out = np.empty((kmap.anchor_count, samples.shape[1]))
-    for start in range(0, samples.shape[1], BLOCK):
+    count = samples.shape[1]
+    out = np.empty((kmap.anchor_count, count))
+    width = max(1, min(BLOCK, count))
+    tile_rows = max(1, min(kmap.anchor_count, TILE_BYTES // (8 * width)))
+    scratch = np.empty((tile_rows, width))
+    for start in range(0, count, BLOCK):
         chunk = samples[:, start:start + BLOCK]
         chunk_sq = np.einsum("dk,dk->k", chunk, chunk)
-        sq = out[:, start:start + BLOCK]
-        gram = anchors.T @ chunk
-        gram *= 2.0
-        np.add(anchor_sq[:, None], chunk_sq[None, :], out=sq)
-        sq -= gram
-        np.maximum(sq, 0.0, out=sq)
-        # A column's smallest entry bounds every entry's rounding test from
-        # below, and the largest anchor norm bounds its tolerance from above,
-        # so these columns hold every entry the exact test selects.
-        cols = np.flatnonzero(sq.min(axis=0) <= 1e-12 * (largest_sq + chunk_sq))
-        rows, picks = np.nonzero(sq[:, cols] <= 1e-12 * (anchor_sq[:, None] + chunk_sq[cols]))
-        for m, k in zip(rows, cols[picks]):
-            diff = anchors[:, m] - chunk[:, k]
-            sq[m, k] = diff @ diff
-        np.divide(sq, -kmap.sigma, out=sq)
-        np.exp(sq, out=sq)
+        block = out[:, start:start + BLOCK]
+        np.matmul(anchors.T, chunk, out=block)
+        for top in range(0, kmap.anchor_count, tile_rows):
+            sq = block[top:top + tile_rows]
+            tile_sq = anchor_sq[top:top + tile_rows]
+            sums = scratch[:sq.shape[0], :sq.shape[1]]
+            sq *= 2.0
+            np.add(tile_sq[:, None], chunk_sq[None, :], out=sums)
+            np.subtract(sums, sq, out=sq)
+            np.maximum(sq, 0.0, out=sq)
+            # A column's smallest entry bounds every entry's rounding test
+            # from below, and the tile's largest anchor norm bounds its
+            # tolerance from above, so these columns hold every entry the
+            # exact test selects.
+            cols = np.flatnonzero(sq.min(axis=0) <= 1e-12 * (tile_sq.max() + chunk_sq))
+            hits, picks = np.nonzero(sq[:, cols] <= 1e-12 * (tile_sq[:, None] + chunk_sq[cols]))
+            for m, k in zip(hits, cols[picks]):
+                diff = anchors[:, top + m] - chunk[:, k]
+                sq[m, k] = diff @ diff
+            np.divide(sq, -kmap.sigma, out=sq)
+            np.exp(sq, out=sq)
     return out

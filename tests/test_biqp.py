@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,55 @@ class TestDcc:
         for i in range(8):
             single, _ = solve_one(w, linears[:, i], "dcc", inits[:, i])
             assert np.array_equal(batch[:, i], single)
+
+    def test_flip_mask_matches_the_three_way_rule(self):
+        # Integer Q and even f make many arguments exactly zero, where the
+        # three-way rule keeps the bit as it is.
+        def three_way(q, f, init, sweeps):
+            b = init.astype(np.float64)
+            q_off = q - np.diag(np.diag(q))
+            zeros = 0
+            for _ in range(sweeps):
+                for l in range(len(q)):
+                    arg = 2.0 * (q_off[l] @ b) + f[l]
+                    zeros += int((arg == 0).sum())
+                    b[l] = np.where(arg > 0, -1.0, np.where(arg < 0, 1.0, b[l]))
+            return b.astype(np.int8), zeros
+
+        rng = np.random.default_rng(8)
+        zeros = 0
+        for bits, rank in ((4, 1), (8, 3), (16, 5)):
+            w = rng.integers(-1, 2, (bits, rank)).astype(np.float64)
+            f = 2.0 * rng.integers(-2, 3, (bits, 40))
+            init = (2 * rng.integers(0, 2, (bits, 40)) - 1).astype(np.int8)
+            for sweeps in (1, 2, 3):
+                expected, found = three_way(w @ w.T, f, init, sweeps)
+                zeros += found
+                assert np.array_equal(biqp.dcc_batch(w @ w.T, f, init, sweeps), expected)
+        assert zeros > 500
+
+    @pytest.mark.parametrize("bad", [0, 2, 0.5, np.nan, np.int8(-128)])
+    def test_rejects_init_entries_other_than_signs(self, bad):
+        init = np.ones((3, 2), dtype=np.asarray(bad).dtype)
+        init[1, 1] = bad
+        with pytest.raises(ValueError, match="init must contain only -1 and \\+1"):
+            biqp.dcc_batch(np.eye(3), np.ones((3, 2)), init)
+
+    def test_peak_memory_is_one_float_copy_of_the_signs(self):
+        # The sign check once took about 12 bytes per int8 sign on top of
+        # the 8 of the float64 working copy.
+        rng = np.random.default_rng(9)
+        w, _ = random_psd_problem(rng, 64, 8)
+        linear = rng.standard_normal((64, 20_000))
+        init = (2 * rng.integers(0, 2, linear.shape) - 1).astype(np.int8)
+        quadratic = w @ w.T
+        tracemalloc.start()
+        try:
+            biqp.dcc_batch(quadratic, linear, init, max_sweeps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * init.nbytes
 
     def test_rejects_init_of_another_shape(self):
         # One linear term with three init columns used to solve three

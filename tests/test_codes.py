@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,30 @@ class TestClassCodesValidation:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             codes.ClassCodes(codes=np.ones((3, 1), dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [0, 2, 0.5, 1.5, np.nan, np.int8(-128)])
+    def test_rejects_entries_other_than_signs(self, bad):
+        # 1.5 once passed as the int8 1 it casts to.
+        signs = np.array([[1, 1], [1, -1]], dtype=np.asarray(bad).dtype)
+        signs[1, 1] = bad
+        with pytest.raises(ValueError, match="-1 and \\+1"):
+            codes.ClassCodes(codes=signs)
+
+    def test_accepts_signs_of_any_dtype_and_stores_int8(self):
+        expected = codes.hadamard_codes(16, 10).codes
+        for dtype in (np.int8, np.int64, np.float64):
+            stored = codes.ClassCodes(codes=expected.astype(dtype)).codes
+            assert stored.dtype == np.int8 and np.array_equal(stored, expected)
+
+    def test_sign_check_peak_is_a_small_multiple_of_the_codes(self):
+        # The sign check once took about 12 bytes per int8 sign.
+        signs = codes.hadamard_codes(512, 512).codes.copy()
+        signs[-1, -1] = 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="-1 and \\+1"):
+                codes.ClassCodes(codes=signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * signs.nbytes

@@ -210,6 +210,32 @@ class TestPrCurve:
         recalls = [r for r, _ in curve]
         assert all(b >= a for a, b in zip(recalls, recalls[1:]))
 
+    @pytest.mark.parametrize("bits", [16, 64, 512])
+    @pytest.mark.parametrize("zero_retrieval", ["zero", "skip"])
+    def test_curve_equals_one_mean_per_threshold(self, bits, zero_retrieval):
+        # Every threshold's means, taken over that threshold's column alone.
+        # The flip rate leaves some queries with nothing at small
+        # thresholds, so "skip" averages over subsets of varying size.
+        rng = np.random.default_rng(bits + 1)
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, bits, 300, 160,
+                                                                    flip=0.2)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        counts = evaluate.retrieval_counts(idx, pack_signs(q_signs), q_labels)
+        expected = []
+        for t in range(bits + 1):
+            retrieved, relevant = counts.retrieved[:, t], counts.relevant[:, t]
+            nonzero = retrieved > 0
+            precision = np.zeros(len(retrieved))
+            precision[nonzero] = relevant[nonzero] / retrieved[nonzero]
+            if zero_retrieval == "zero":
+                mean_precision = float(precision.mean())
+            else:
+                mean_precision = float(precision[nonzero].mean()) if nonzero.any() else 0.0
+            expected.append((float((relevant / counts.class_sizes).mean()), mean_precision))
+        found = (counts.retrieved > 0).sum(axis=0)
+        assert np.unique(found[(found > 0) & (found < len(q_labels))]).size > 1
+        assert counts.curve(zero_retrieval) == expected
+
 
 def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
     """Codes scattered around one random prototype per class, so radius

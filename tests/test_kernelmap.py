@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sdhkit import dataset, kernelmap
+from sdhkit import codes, dataset, kernelmap
+from sdhkit.model import DatasetFingerprint, HashModel, encode
 
 import oracles
 
@@ -109,6 +112,75 @@ def test_blocked_transform_matches_unblocked(monkeypatch):
     whole = kernelmap.transform(kmap, samples)
     monkeypatch.setattr(kernelmap, "BLOCK", 5)  # four full blocks and one of 3
     assert np.array_equal(kernelmap.transform(kmap, samples), whole)
+
+
+def test_uneven_row_tiles_match_one_tile(monkeypatch):
+    # Eleven anchors in tiles of 3, 3, 3 and 2 rows. The last tile holds an
+    # anchor that the samples repeat; the first holds one whose squared
+    # norm is 1e6 times as large, which sets a one-tile prefilter's
+    # tolerance but not the last tile's.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        anchors = rng.standard_normal((4, 11))
+        anchors[:, 1] *= 1e3
+        samples = np.column_stack([rng.standard_normal((4, 3)), anchors[:, 10],
+                                   rng.standard_normal((4, 3))])
+        kmap = kernelmap.KernelMap(anchors=anchors, sigma=0.5)
+        whole = kernelmap.transform(kmap, samples)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernelmap, "TILE_BYTES", 3 * 8 * samples.shape[1])
+            tiled = kernelmap.transform(kmap, samples)
+        assert np.array_equal(tiled, whole)
+        assert tiled[10, 3] == 1.0
+
+
+def test_row_tiles_of_a_short_last_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    kmap = kernelmap.KernelMap(anchors=rng.standard_normal((5, 13)), sigma=0.6)
+    samples = np.column_stack([rng.standard_normal((5, 17)), kmap.anchors[:, [12, 0]]])
+    monkeypatch.setattr(kernelmap, "BLOCK", 6)  # blocks of 6, 6, 6 and 1
+    blocked = kernelmap.transform(kmap, samples)
+    monkeypatch.setattr(kernelmap, "TILE_BYTES", 5 * 8 * 6)  # tiles of 5, 5 and 3
+    tiled = kernelmap.transform(kmap, samples)
+    assert np.array_equal(tiled, blocked)
+    assert tiled[12, 17] == 1.0 and tiled[0, 18] == 1.0
+
+
+def test_empty_sample_set():
+    kmap = kernelmap.KernelMap(anchors=np.ones((3, 2)), sigma=1.0)
+    assert kernelmap.transform(kmap, np.zeros((3, 0))).shape == (2, 0)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def thousand_anchor_map():
+    rng = np.random.default_rng(9)
+    return (kernelmap.KernelMap(anchors=rng.standard_normal((16, 1000)), sigma=8.0),
+            rng.standard_normal((16, kernelmap.BLOCK)))
+
+
+def test_transform_peak_is_its_output_and_one_tile():
+    # The block's Gram matrix once sat beside the output, doubling it.
+    kmap, samples = thousand_anchor_map()
+    output_bytes = kmap.anchor_count * samples.shape[1] * 8
+    assert traced_peak(lambda: kernelmap.transform(kmap, samples)) < output_bytes + (2 << 20)
+
+
+def test_encode_peak_is_one_block_of_features_and_one_tile():
+    kmap, samples = thousand_anchor_map()
+    rng = np.random.default_rng(10)
+    model = HashModel(kernel=kmap, projection=rng.standard_normal((kmap.anchor_count, 10)),
+                      class_codes=codes.hadamard_codes(16, 10), lam=1.0,
+                      trained_on=DatasetFingerprint(5000, kmap.source_dim, 10, 0))
+    block_bytes = kmap.anchor_count * kernelmap.BLOCK * 8
+    assert traced_peak(lambda: encode(model, samples)) < block_bytes + (2 << 20)
 
 
 def test_dimension_mismatch():
