@@ -26,6 +26,7 @@ from .codes import only_signs
 SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
 EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
+DEFAULT_SWEEPS = 3
 
 
 def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +49,7 @@ def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
-              max_sweeps: int = 3) -> np.ndarray:
+              max_sweeps: int = DEFAULT_SWEEPS) -> np.ndarray:
     """Cyclic coordinate descent on many problems sharing one Q.
 
     `linear` and `init` hold one column per problem. Bit l is set to
@@ -127,13 +128,8 @@ def _enumerate(quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return _signs(bits, best_idx).astype(np.int8)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
-                          budget_nodes: int | None
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-first search on every column's problem, fixing bits in order
     and pruning by a lower bound. Q must be positive semidefinite, as
     `solve_batch` makes it by building Q = W W^T from the factor.
@@ -146,12 +142,10 @@ def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
     The bound is exact once Q has no free-free couplings, so separable
     problems solve in a single descent. Everything but f depends on Q alone
     and is built once for the set. Every incumbent starts from one
-    `dcc_batch` call from all +1; a problem whose node budget runs out keeps
-    its incumbent and is not exact. Returns the (bits, problems) int8
-    codes, the (problems,) exact flags and the (problems,) node counts.
+    `dcc_batch` call from all +1, and every search runs to completion, so
+    each code is a global minimizer. Returns the (bits, problems) int8
+    codes and the (problems,) node counts.
     """
-    if budget_nodes is not None and budget_nodes < 1:
-        raise ValueError(f"budget_nodes must be >= 1, got {budget_nodes}")
     incumbents = dcc_batch(quadratic, linear, np.ones(linear.shape, dtype=np.int8))
     bits = quadratic.shape[0]
     diag = np.diag(quadratic)
@@ -171,18 +165,17 @@ def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray,
     shared = (quadratic, diag_at, free_quadratic, coupling_step)
 
     codes = np.empty(linear.shape, dtype=np.int8)
-    exact = np.empty(linear.shape[1], dtype=bool)
     nodes = np.empty(linear.shape[1], dtype=np.int64)
     for k in range(linear.shape[1]):
-        codes[:, k], exact[k], nodes[k] = _branch_and_bound(
-            shared, np.ascontiguousarray(linear[:, k]), incumbents[:, k], budget_nodes)
-    return codes, exact, nodes
+        codes[:, k], nodes[k] = _branch_and_bound(
+            shared, np.ascontiguousarray(linear[:, k]), incumbents[:, k])
+    return codes, nodes
 
 
-def _branch_and_bound(shared: tuple, f: np.ndarray, incumbent: np.ndarray,
-                      budget_nodes: int | None) -> tuple[np.ndarray, bool, int]:
+def _branch_and_bound(shared: tuple, f: np.ndarray,
+                      incumbent: np.ndarray) -> tuple[np.ndarray, int]:
     """One problem's search over the set's `shared` constants; returns
-    (assignment, exact, nodes)."""
+    (assignment, nodes)."""
     q, diag_at, free_quadratic, coupling_step = shared
 
     def objective(b: np.ndarray) -> float:
@@ -202,8 +195,6 @@ def _branch_and_bound(shared: tuple, f: np.ndarray, incumbent: np.ndarray,
     # prefix's exact objective contribution.
     def visit(depth: int, fixed_val: float, coupling: np.ndarray) -> None:
         nonlocal nodes, best_val, best_b
-        if budget_nodes is not None and nodes >= budget_nodes:
-            raise _BudgetExhausted
         nodes += 1
         if depth == bits:
             val = objective(prefix)
@@ -231,17 +222,12 @@ def _branch_and_bound(shared: tuple, f: np.ndarray, incumbent: np.ndarray,
             visit(depth + 1, child_fixed, child_coupling)
         prefix[depth] = 0
 
-    exact = True
-    try:
-        visit(0, 0.0, np.zeros(bits))
-    except _BudgetExhausted:
-        exact = False
-    return best_b, exact, nodes
+    visit(0, 0.0, np.zeros(bits))
+    return best_b, nodes
 
 
 def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
-                solver: str = "dcc", *, max_sweeps: int = 3,
-                budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
+                solver: str = "dcc", *, max_sweeps: int = DEFAULT_SWEEPS) -> np.ndarray:
     """Solve one problem per column of `linear`, all sharing Q = W W^T.
 
     `factor` is the (bits, rank) W, so Q is positive semidefinite by
@@ -251,16 +237,16 @@ def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
     search enumerates the assignments once for the whole set, and
     branch-and-bound takes the problems one at a time after seeding every
     incumbent with one DCC call; both ignore `init`.
-    Returns the (bits, problems) int8 solutions and whether every one is
-    proven optimal, which DCC never claims. Terms that are non-finite or
-    misshapen raise ValueError before any solver runs.
+    Returns the (bits, problems) int8 solutions. Exhaustive search and
+    branch-and-bound return global minimizers; DCC returns a local one.
+    Terms that are non-finite or misshapen raise ValueError before any
+    solver runs.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     quadratic, linear = _checked_terms(factor, linear)
     if solver == "dcc":
-        return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps), False
+        return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps)
     if solver == "exhaustive":
-        return _enumerate(quadratic, linear), True
-    codes, exact, _ = _branch_and_bound_set(quadratic, linear, budget_nodes)
-    return codes, bool(exact.all())
+        return _enumerate(quadratic, linear)
+    return _branch_and_bound_set(quadratic, linear)[0]

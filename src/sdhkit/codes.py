@@ -46,8 +46,11 @@ class ClassCodes:
         if not only_signs(codes):
             raise ValueError("codes must contain only -1 and +1")
         codes = codes.astype(np.int8, copy=False)
-        gram = codes.astype(np.int64).T @ codes.astype(np.int64)
-        if not np.array_equal(gram, bits * np.eye(classes, dtype=np.int64)):
+        wide = codes.astype(np.int64)
+        gram = wide.T @ wide
+        # C^T C must equal bits * I; comparing in place keeps one C x C matrix.
+        gram.flat[::classes + 1] -= bits
+        if gram.any():
             raise ValueError("class codes must be pairwise orthogonal with squared norm = bits")
         object.__setattr__(self, "codes", codes)
 

@@ -106,16 +106,8 @@ class RetrievalCounts:
                               where=nonzero)
         if zero_retrieval == "skip":
             # A threshold averages only its queries that retrieve something.
-            # `kept` holds those values threshold after threshold; the
-            # thresholds with equally many are gathered into one array.
-            precision = np.zeros(len(per_query))
-            found = nonzero.sum(axis=1)
-            starts = np.cumsum(found) - found
-            kept = per_query[nonzero]
-            for width in np.unique(found[found > 0]):
-                levels = np.flatnonzero(found == width)
-                rows = kept[starts[levels, None] + np.arange(width)]
-                precision[levels] = rows.mean(axis=1)
+            precision = np.array([row[keep].mean() if keep.any() else 0.0
+                                  for row, keep in zip(per_query, nonzero)])
         else:
             precision = per_query.mean(axis=1)
         return list(zip(recall.tolist(), precision.tolist()))

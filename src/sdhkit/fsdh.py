@@ -26,12 +26,13 @@ from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
 
 
 def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
-               bits: int, jitter: float | None = None) -> tuple[np.ndarray, ClassCodes]:
+               bits: int) -> tuple[np.ndarray, ClassCodes]:
     """Closed-form training on already kernel-transformed features.
 
     Builds the per-class Hadamard codes C and returns (S, C), where
     S = (X X^T + jitter*I)^-1 X Y^T is the (M, C) solution against the class
-    indicators Y (assumption A3). The projection solving
+    indicators Y (assumption A3), with `ProjectionSolver`'s default jitter
+    1e-8 * trace(X X^T) / M. The projection solving
     (X X^T + jitter*I) P = X B^T for the per-sample codes B = C Y is
     P = S C^T; it is never formed. S does not depend on L, so neither does
     the cost. No iteration and no randomness: repeated calls return
@@ -44,7 +45,7 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     if labels.shape[0] != x.shape[1]:
         raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
     indicators = one_hot(labels, class_count)
-    return ProjectionSolver(x, jitter).solve(indicators), class_codes
+    return ProjectionSolver(x).solve(indicators), class_codes
 
 
 def optimal_weights(class_codes: ClassCodes, lam: float = DEFAULT_LAMBDA) -> np.ndarray:

@@ -19,7 +19,6 @@ from . import biqp
 DEFAULT_LAMBDA = 1.0
 DEFAULT_NU = 1e-5
 DEFAULT_MAX_ITERS = 5
-DEFAULT_SWEEPS = 3
 
 
 @dataclass
@@ -122,16 +121,15 @@ class ProjectionSolver:
 
 
 def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
-           projected: np.ndarray, sweeps: int = DEFAULT_SWEEPS,
-           budget_nodes: int | None = None) -> tuple[np.ndarray, bool]:
+           projected: np.ndarray, sweeps: int = biqp.DEFAULT_SWEEPS) -> np.ndarray:
     """Update the binary codes with W and P fixed, given P^T X (`projected`).
 
     Sample i's problem has Q = W W^T and linear term f_i =
     -2*(W y_i + nu * P^T x_i), and all of them go to one `biqp.solve_batch`
-    call, which takes W and builds Q itself. With nu = 0 the linear term depends on the label only, so one
-    problem per class present is solved, started from the code of its first
-    sample, and broadcast to every sample of that class. Returns
-    (codes, exact).
+    call, which takes W and builds Q itself. With nu = 0 the linear term
+    depends on the label only, so one problem per class present is solved,
+    started from the code of its first sample, and broadcast to every
+    sample of that class. Returns the (bits, samples) int8 codes.
     """
     labels = np.asarray(labels, dtype=np.int64)
     w = state.weights
@@ -144,11 +142,10 @@ def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
         problem_of = np.arange(labels.shape[0])
         linear = -2.0 * (w @ one_hot(labels, w.shape[1]) + state.nu * projected)
         init = state.codes
-    codes, exact = biqp.solve_batch(w, linear, init, solver,
-                                    max_sweeps=sweeps, budget_nodes=budget_nodes)
+    codes = biqp.solve_batch(w, linear, init, solver, max_sweeps=sweeps)
     # np.take returns C order; a Fortran-ordered code matrix would change the
     # rounding of every later sum over it.
-    return np.take(codes, problem_of, axis=1), exact
+    return np.take(codes, problem_of, axis=1)
 
 
 def objective(state: SdhState, labels: np.ndarray, *,
@@ -173,9 +170,8 @@ def objective(state: SdhState, labels: np.ndarray, *,
 def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
               bits: int, lam: float = DEFAULT_LAMBDA, nu: float = DEFAULT_NU,
               max_iters: int = DEFAULT_MAX_ITERS, seed: int = 0,
-              solver: str = "dcc", *, sweeps: int = DEFAULT_SWEEPS,
-              jitter: float | None = None,
-              budget_nodes: int | None = None) -> tuple[SdhState, list[ObjectiveBreakdown]]:
+              solver: str = "dcc", *,
+              sweeps: int = biqp.DEFAULT_SWEEPS) -> tuple[SdhState, list[ObjectiveBreakdown]]:
     """Run the alternating optimization from a random code initialization.
 
     Each iteration runs the projection step, the classifier step, and the
@@ -205,15 +201,14 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         lam=float(lam),
         nu=float(nu),
     )
-    projection_solver = ProjectionSolver(x, jitter)
+    projection_solver = ProjectionSolver(x)
     trajectory: list[ObjectiveBreakdown] = []
     for _ in range(max_iters):
         state.projection = projection_solver.solve(state.codes)
         state.weights = w_step(state.codes, labels, class_count, lam)
         # One P^T X per iteration feeds both the code step and the objective.
         projected = state.projection.T @ x
-        state.codes, _ = b_step(state, labels, solver, projected=projected,
-                                sweeps=sweeps, budget_nodes=budget_nodes)
+        state.codes = b_step(state, labels, solver, projected=projected, sweeps=sweeps)
         trajectory.append(objective(state, labels, projected=projected))
     return state, trajectory
 

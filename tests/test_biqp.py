@@ -20,17 +20,16 @@ def zero_factor(bits):
 
 
 def solve_one(w, f, solver, init=None, **options):
-    """One problem through `solve_batch`: its (bits,) codes and exact flag."""
+    """One problem through `solve_batch`: its (bits,) codes."""
     if init is not None:
         init = np.asarray(init)[:, None]
-    codes, exact = biqp.solve_batch(w, np.asarray(f)[:, None], init, solver, **options)
-    return codes[:, 0], exact
+    return biqp.solve_batch(w, np.asarray(f)[:, None], init, solver, **options)[:, 0]
 
 
-def branch_and_bound_one(w, f, budget_nodes=None):
-    """One problem's (codes, exact, nodes) from `_branch_and_bound_set`."""
-    codes, exact, nodes = biqp._branch_and_bound_set(w @ w.T, f[:, None], budget_nodes)
-    return codes[:, 0], bool(exact[0]), int(nodes[0])
+def branch_and_bound_one(w, f):
+    """One problem's (codes, nodes) from `_branch_and_bound_set`."""
+    codes, nodes = biqp._branch_and_bound_set(w @ w.T, f[:, None])
+    return codes[:, 0], int(nodes[0])
 
 
 class TestProblemValidation:
@@ -62,15 +61,14 @@ class TestProblemValidation:
 class TestDcc:
     def test_zero_quadratic_reduces_to_sign_rule(self):
         w, f = zero_factor(2), np.array([3.0, -2.0])
-        b, exact = solve_one(w, f, "dcc", np.ones(2, dtype=np.int8))
+        b = solve_one(w, f, "dcc", np.ones(2, dtype=np.int8))
         assert np.array_equal(b, [-1, 1])
         assert oracles.biqp_objective(w @ w.T, f, b) == -5.0
-        assert not exact
 
     def test_diagonal_is_irrelevant(self):
         f = np.array([3.0, -2.0])
-        plain, _ = solve_one(zero_factor(2), f, "dcc", np.ones(2, dtype=np.int8))
-        diag, _ = solve_one(np.eye(2), f, "dcc", np.ones(2, dtype=np.int8))
+        plain = solve_one(zero_factor(2), f, "dcc", np.ones(2, dtype=np.int8))
+        diag = solve_one(np.eye(2), f, "dcc", np.ones(2, dtype=np.int8))
         assert np.array_equal(plain, diag)
 
     def test_matches_step_by_step_simulator(self):
@@ -79,7 +77,7 @@ class TestDcc:
             w, f = random_psd_problem(rng, 4)
             init = np.ones(4, dtype=np.int8)
             for sweeps in (1, 2, 3):
-                fast, _ = solve_one(w, f, "dcc", init, max_sweeps=sweeps)
+                fast = solve_one(w, f, "dcc", init, max_sweeps=sweeps)
                 slow = oracles.dcc_simulator(w @ w.T, f, init, sweeps)
                 assert np.array_equal(fast, slow), trial
 
@@ -91,7 +89,7 @@ class TestDcc:
             init = (2 * rng.integers(0, 2, 6) - 1).astype(np.int8)
             start = oracles.biqp_objective(q, f, init)
             objectives = [oracles.biqp_objective(q, f, solve_one(w, f, "dcc", init,
-                                                                 max_sweeps=s)[0])
+                                                                 max_sweeps=s))
                           for s in (1, 2, 3, 4)]
             assert objectives[0] <= start + 1e-12
             assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
@@ -103,7 +101,7 @@ class TestDcc:
         inits = (2 * rng.integers(0, 2, (5, 8)) - 1).astype(np.int8)
         batch = biqp.dcc_batch(w @ w.T, linears, inits)
         for i in range(8):
-            single, _ = solve_one(w, linears[:, i], "dcc", inits[:, i])
+            single = solve_one(w, linears[:, i], "dcc", inits[:, i])
             assert np.array_equal(batch[:, i], single)
 
     def test_flip_mask_matches_the_three_way_rule(self):
@@ -167,17 +165,16 @@ class TestDcc:
 class TestExhaustive:
     def test_separable(self):
         w, f = zero_factor(3), np.ones(3)
-        b, exact = solve_one(w, f, "exhaustive")
+        b = solve_one(w, f, "exhaustive")
         assert np.array_equal(b, [-1, -1, -1])
         assert oracles.biqp_objective(w @ w.T, f, b) == -3.0
-        assert exact
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             w, f = random_psd_problem(rng, 3)
             q = w @ w.T
-            b, _ = solve_one(w, f, "exhaustive")
+            b = solve_one(w, f, "exhaustive")
             expected_b, expected_val = oracles.biqp_brute_force(q, f)
             assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
             assert np.array_equal(b, expected_b)
@@ -186,15 +183,15 @@ class TestExhaustive:
         rng = np.random.default_rng(4)
         w, f = random_psd_problem(rng, 3)[0], np.zeros(3)
         q = w @ w.T
-        b, _ = solve_one(w, f, "exhaustive")
+        b = solve_one(w, f, "exhaustive")
         _, expected_val = oracles.biqp_brute_force(q, f)
         assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
 
     def test_negating_f_negates_assignment(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal(6)
-        pos, _ = solve_one(zero_factor(6), f, "exhaustive")
-        neg, _ = solve_one(zero_factor(6), -f, "exhaustive")
+        pos = solve_one(zero_factor(6), f, "exhaustive")
+        neg = solve_one(zero_factor(6), -f, "exhaustive")
         assert np.array_equal(pos, -neg)
 
     def test_budget_guard(self):
@@ -203,7 +200,7 @@ class TestExhaustive:
 
     def test_tie_break_is_lexicographic(self):
         # Every assignment has objective 0: the all-minus vector must win.
-        b, _ = solve_one(zero_factor(4), np.zeros(4), "exhaustive")
+        b = solve_one(zero_factor(4), np.zeros(4), "exhaustive")
         assert np.array_equal(b, [-1, -1, -1, -1])
 
 
@@ -249,12 +246,11 @@ class TestBranchAndBound:
         problems = list(fig1_like_problems())
         assert len(problems) == len(FIG1_LIKE_BB)
         for (w, f), (bits, nodes, index) in zip(problems, FIG1_LIKE_BB):
-            b, exact, visited = branch_and_bound_one(w, f)
+            b, visited = branch_and_bound_one(w, f)
             assert f.shape == (bits,)
-            assert exact
             assert visited == nodes, (bits, index)
             assert enumeration_index(b) == index
-            assert np.array_equal(b, solve_one(w, f, "exhaustive")[0])
+            assert np.array_equal(b, solve_one(w, f, "exhaustive"))
 
     def test_one_dcc_call_seeds_a_set_with_the_pinned_node_counts(self, monkeypatch):
         # Each code length's problems share one Q, as a code step's set does.
@@ -268,9 +264,8 @@ class TestBranchAndBound:
         monkeypatch.setattr(biqp, "dcc_batch", record)
         for w, linear in fig1_like_factors():
             bits = w.shape[0]
-            codes, exact, nodes = biqp._branch_and_bound_set(w @ w.T, linear, None)
+            codes, nodes = biqp._branch_and_bound_set(w @ w.T, linear)
             assert codes.shape == linear.shape and codes.dtype == np.int8
-            assert exact.dtype == bool and exact.all()
             assert nodes.dtype == np.int64
             assert [(bits, int(n), enumeration_index(codes[:, k]))
                     for k, n in enumerate(nodes)] == [
@@ -283,10 +278,10 @@ class TestBranchAndBound:
         # one of these problems (34,960 for the set); the clipped one needs
         # at most 2,231 (11,264 for the set).
         (w, linear), = fig1_like_factors(((20, 10),))
-        codes, exact = biqp.solve_batch(w, linear, None, "branch_and_bound",
-                                        budget_nodes=2500)
-        assert exact
-        assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive")[0])
+        codes, nodes = biqp._branch_and_bound_set(w @ w.T, linear)
+        assert nodes.max() == 2231
+        assert nodes.sum() == 11_264
+        assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive"))
 
     @pytest.mark.parametrize("bits, rank", [(6, 1), (8, 3), (10, 4), (12, 6), (16, 10)])
     def test_matches_brute_force_on_rank_deficient_factors(self, bits, rank):
@@ -294,17 +289,15 @@ class TestBranchAndBound:
         for _ in range(3 if bits < 16 else 1):
             w, f = random_psd_problem(rng, bits, rank=rank)
             q = w @ w.T
-            b, exact = solve_one(w, f, "branch_and_bound")
+            b = solve_one(w, f, "branch_and_bound")
             expected_b, expected_val = oracles.biqp_brute_force(q, f)
-            assert exact
             assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
             assert np.array_equal(b, expected_b)
 
     def test_all_zero_factor_matches_brute_force(self):
         f = np.random.default_rng(17).standard_normal(8)
-        b, exact = solve_one(np.zeros((8, 3)), f, "branch_and_bound")
+        b = solve_one(np.zeros((8, 3)), f, "branch_and_bound")
         expected_b, _ = oracles.biqp_brute_force(np.zeros((8, 8)), f)
-        assert exact
         assert np.array_equal(b, expected_b)
 
     def test_matches_exhaustive_on_small_instances(self):
@@ -313,9 +306,8 @@ class TestBranchAndBound:
             for _ in range(10):
                 w, f = random_psd_problem(rng, bits)
                 q = w @ w.T
-                exact_b, _ = solve_one(w, f, "exhaustive")
-                bnb_b, bnb_exact = solve_one(w, f, "branch_and_bound")
-                assert bnb_exact
+                exact_b = solve_one(w, f, "exhaustive")
+                bnb_b = solve_one(w, f, "branch_and_bound")
                 assert oracles.biqp_objective(q, f, bnb_b) == oracles.biqp_objective(q, f, exact_b)
                 assert np.array_equal(bnb_b, exact_b)
 
@@ -324,7 +316,7 @@ class TestBranchAndBound:
         bits = 9
         f = rng.standard_normal(bits) + np.sign(rng.standard_normal(bits)) * 0.1
         w = zero_factor(bits)
-        b, _, nodes = branch_and_bound_one(w, f)
+        b, nodes = branch_and_bound_one(w, f)
         assert nodes == bits + 1
         assert oracles.biqp_objective(w @ w.T, f, b) == pytest.approx(-np.abs(f).sum(),
                                                                        abs=1e-12)
@@ -332,32 +324,8 @@ class TestBranchAndBound:
     def test_tie_break_is_lexicographic(self):
         # Every assignment has objective 0 and the DCC incumbent is all plus;
         # the all-minus leaf ties with it and must replace it.
-        b, exact, _ = branch_and_bound_one(zero_factor(4), np.zeros(4))
-        assert exact
+        b, _ = branch_and_bound_one(zero_factor(4), np.zeros(4))
         assert np.array_equal(b, [-1, -1, -1, -1])
-
-    def test_budget_of_one_returns_dcc_incumbent(self):
-        rng = np.random.default_rng(8)
-        w, f = random_psd_problem(rng, 6)
-        b, exact, _ = branch_and_bound_one(w, f, budget_nodes=1)
-        dcc, _ = solve_one(w, f, "dcc", np.ones(6, dtype=np.int8))
-        assert not exact
-        assert np.array_equal(b, dcc)
-
-    def test_budget_exhaustion_is_flagged_not_raised(self):
-        rng = np.random.default_rng(9)
-        w, f = random_psd_problem(rng, 10, rank=10)
-        q = w @ w.T
-        b, exact, nodes = branch_and_bound_one(w, f, budget_nodes=5)
-        dcc, _ = solve_one(w, f, "dcc", np.ones(10, dtype=np.int8))
-        assert not exact
-        assert nodes == 5
-        assert oracles.biqp_objective(q, f, b) <= oracles.biqp_objective(q, f, dcc)
-
-    def test_rejects_a_budget_below_one(self):
-        w, f = random_psd_problem(np.random.default_rng(10), 4)
-        with pytest.raises(ValueError, match="budget_nodes must be >= 1"):
-            solve_one(w, f, "branch_and_bound", budget_nodes=0)
 
 
 class TestSolveBatch:
@@ -372,19 +340,12 @@ class TestSolveBatch:
     @pytest.mark.parametrize("solver", biqp.SOLVERS)
     def test_matches_one_solver_call_per_problem(self, solver):
         w, linears, inits = self.batch(np.random.default_rng(11))
-        codes, exact = biqp.solve_batch(w, linears, inits, solver, max_sweeps=2)
+        codes = biqp.solve_batch(w, linears, inits, solver, max_sweeps=2)
         assert codes.dtype == np.int8 and codes.shape == linears.shape
         for k in range(linears.shape[1]):
-            alone, alone_exact = biqp.solve_batch(w, linears[:, k:k + 1], inits[:, k:k + 1],
-                                                  solver, max_sweeps=2)
+            alone = biqp.solve_batch(w, linears[:, k:k + 1], inits[:, k:k + 1],
+                                     solver, max_sweeps=2)
             assert np.array_equal(codes[:, k], alone[:, 0]), k
-            assert alone_exact == exact
-        assert exact == (solver != "dcc")
-
-    def test_exhausted_budget_clears_exact(self):
-        w, linears, inits = self.batch(np.random.default_rng(12))
-        _, exact = biqp.solve_batch(w, linears, inits, "branch_and_bound", budget_nodes=1)
-        assert not exact
 
     def test_unknown_solver(self):
         w, linears, inits = self.batch(np.random.default_rng(13))
@@ -442,8 +403,7 @@ class TestSolveBatch:
         second_chunk = rng.standard_normal(bits)
         second_chunk[0] = -20.0
         linears = np.column_stack([second_chunk, np.zeros(bits), rng.standard_normal(bits)])
-        codes, exact = biqp.solve_batch(w, linears, None, "exhaustive")
-        assert exact
+        codes = biqp.solve_batch(w, linears, None, "exhaustive")
         for k in range(linears.shape[1]):
             expected, _ = oracles.biqp_brute_force(q, linears[:, k])
             assert np.array_equal(codes[:, k], expected), k
@@ -462,10 +422,10 @@ class TestSolveBatch:
         linears = np.column_stack([-2.0 * w, -2.0 * w[:, :2] + rng.standard_normal((bits, 2)),
                                    np.zeros(bits), 100.0 * rng.standard_normal(bits),
                                    rng.standard_normal((bits, 3)) * 1e-3])
-        codes, exact = biqp.solve_batch(w, linears, None, "exhaustive")
-        assert exact and codes.flags.c_contiguous
+        codes = biqp.solve_batch(w, linears, None, "exhaustive")
+        assert codes.flags.c_contiguous
         for k in range(linears.shape[1]):
-            alone, _ = solve_one(w, linears[:, k], "exhaustive")
+            alone = solve_one(w, linears[:, k], "exhaustive")
             assert np.array_equal(codes[:, k], alone), k
 
     def test_exhaustive_bit_guard_precedes_enumeration(self, monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,17 @@ class TestLimit:
 
 
 class TestConfigValidation:
+    def test_sdh_defaults_match_the_library(self):
+        # Each config default, typed by its own parser and mapped as `train`
+        # maps it, must be `train_sdh`'s default, so the two cannot drift.
+        keys = ("lambda", "nu", "iters", "sweeps", "seed", "solver")
+        cfg = {key: cli.SCHEMA[key][1](cli.SCHEMA[key][0]) for key in keys}
+        parameters = inspect.signature(sdh.train_sdh).parameters
+        options = cli._sdh_options(cfg)
+        assert len(options) == len(keys)
+        for name, value in options.items():
+            assert parameters[name].default == value, name
+
     @pytest.mark.parametrize("command, key, value", [
         (["train"], "method", "fsdhh"),
         (["train"], "solver", "dccc"),

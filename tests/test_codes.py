@@ -189,3 +189,15 @@ class TestClassCodesValidation:
         finally:
             tracemalloc.stop()
         assert peak < 3 * signs.nbytes
+
+    def test_orthogonality_check_peak_is_one_int64_gram(self):
+        # One int64 copy of the codes and one C x C int64 Gram, 16 bytes per
+        # sign at C = L; two copies and a separate bits * I took 24 bytes.
+        signs = codes.hadamard_codes(512, 512).codes.copy()
+        tracemalloc.start()
+        try:
+            codes.ClassCodes(codes=signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * signs.nbytes

@@ -29,8 +29,8 @@ def per_class_code_step(state, labels, solver):
     codes = np.empty(state.codes.shape, dtype=np.int8, order="C")
     for cls in np.unique(labels):
         cols = np.flatnonzero(labels == cls)
-        solution, _ = biqp.solve_batch(state.weights, -2.0 * state.weights[:, cls:cls + 1],
-                                       state.codes[:, cols[:1]], solver)
+        solution = biqp.solve_batch(state.weights, -2.0 * state.weights[:, cls:cls + 1],
+                                    state.codes[:, cols[:1]], solver)
         codes[:, cols] = solution
     return codes
 
@@ -186,7 +186,7 @@ class TestBStep:
         state = sdh.SdhState(codes=np.ones((4, 12), dtype=np.int8),
                              weights=np.zeros((4, 2)), projection=p,
                              lam=1.0, nu=0.5)
-        b, _ = sdh.b_step(state, labels, "dcc", projected=p.T @ x)
+        b = sdh.b_step(state, labels, "dcc", projected=p.T @ x)
         assert np.array_equal(b, np.sign(p.T @ x).astype(np.int8))
 
     def test_nu_zero_yields_one_code_per_class(self):
@@ -197,7 +197,7 @@ class TestBStep:
                              weights=rng.standard_normal((8, 2)),
                              projection=rng.standard_normal((6, 8)),
                              lam=1.0, nu=0.0)
-        b, _ = sdh.b_step(state, labels, "dcc", projected=state.projection.T @ x)
+        b = sdh.b_step(state, labels, "dcc", projected=state.projection.T @ x)
         assert len(np.unique(b.T, axis=0)) == 2
         for cls in (0, 1):
             block = b[:, labels == cls]
@@ -212,26 +212,14 @@ class TestBStep:
         p = rng.standard_normal((5, bits))
         state = sdh.SdhState(codes=np.ones((bits, samples), dtype=np.int8),
                              weights=w, projection=p, lam=1.0, nu=1e-3)
-        b, exact = sdh.b_step(state, labels, "exhaustive", projected=p.T @ x)
-        assert exact
+        b = sdh.b_step(state, labels, "exhaustive", projected=p.T @ x)
+        assert b.dtype == np.int8
         q = w @ w.T
         y = sdh.one_hot(labels, classes)
         f_all = -2.0 * (w @ y + state.nu * (p.T @ x))
         for i in range(samples):
             expected, _ = oracles.biqp_brute_force(q, f_all[:, i])
             assert np.array_equal(b[:, i], expected), i
-
-    def test_inexact_budget_propagates(self):
-        rng = np.random.default_rng(10)
-        state = sdh.SdhState(codes=np.ones((6, 4), dtype=np.int8),
-                             weights=rng.standard_normal((6, 2)),
-                             projection=rng.standard_normal((3, 6)),
-                             lam=1.0, nu=0.0)
-        x = rng.standard_normal((3, 4))
-        labels = np.array([0, 1, 0, 1])
-        _, exact = sdh.b_step(state, labels, "branch_and_bound",
-                              projected=state.projection.T @ x, budget_nodes=1)
-        assert not exact
 
     def test_dcc_code_does_not_depend_on_batch(self, monkeypatch):
         # dcc_batch computes each bit's argument as one product over every
@@ -310,8 +298,7 @@ class TestTrainSdh:
                                  max_iters=1, seed=1, solver="exhaustive")
         projected = state.projection.T @ x
         before = sdh.objective(state, labels, projected=projected)
-        new_codes, _ = sdh.b_step(state, labels, "exhaustive", projected=projected)
-        state.codes = new_codes
+        state.codes = sdh.b_step(state, labels, "exhaustive", projected=projected)
         after = sdh.objective(state, labels, projected=projected)
         assert after.total <= before.total + 1e-9
 
@@ -360,20 +347,13 @@ class TestTrainSdh:
             if nu == 0.0:
                 ref.codes = per_class_code_step(ref, labels, solver)
             else:
-                ref.codes, _ = sdh.b_step(ref, labels, solver, projected=projected)
+                ref.codes = sdh.b_step(ref, labels, solver, projected=projected)
             ref_trajectory.append(sdh.objective(ref, labels, projected=projected))
 
         assert np.array_equal(state.projection, ref.projection)
         assert np.array_equal(state.weights, ref.weights)
         assert np.array_equal(state.codes, ref.codes)
         assert trajectory == ref_trajectory
-
-    def test_singular_without_jitter(self):
-        rng = np.random.default_rng(23)
-        x = rank_deficient_features(rng)
-        labels = np.arange(x.shape[1]) % 2
-        with pytest.raises(ValueError, match="singular"):
-            sdh.train_sdh(x, labels, 2, 4, jitter=0.0)
 
 
 class TestObjective:
