@@ -3,17 +3,18 @@
 Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b, with
 Q = W W^T given by its (L, rank) factor W, so Q is positive semidefinite.
 Three solvers are provided: greedy cyclic coordinate descent, exhaustive
-search, and depth-first branch-and-bound with an absolute-mass interval
-bound whose free-bit quadratic part is clipped at zero, which PSD Q allows.
+search, and branch-and-bound pruned by the larger of an absolute-mass
+interval bound, whose free-bit quadratic part is clipped at zero, which PSD
+Q allows, and a box bound in the rank-dimensional space of W^T b.
 The eigenvalue relaxation bound is useless here because Q is rank deficient
 whenever L > rank, so its smallest eigenvalue is zero.
 `solve_batch` is the one entry point: it builds Q once from W and solves
 many problems sharing it with any of the three, as the alternating
-trainer's code step does. DCC and exhaustive search take the whole set at
-once; the enumeration computes b^T Q b once per assignment for all the
-problems. Branch-and-bound seeds every incumbent with one DCC call, builds
-its Q-only constants once, then searches the problems one at a time. Every
-term must be finite.
+trainer's code step does. Every solver takes the whole set at once. The
+enumeration computes b^T Q b once per assignment for all the problems.
+Branch-and-bound seeds every incumbent with one DCC call, then expands
+one frontier holding the nodes of every problem, a depth at a time, by
+array operations. Every term must be finite.
 """
 from __future__ import annotations
 
@@ -26,11 +27,15 @@ from .codes import only_signs
 SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
 EXHAUSTIVE_MAX_BITS = 24
 _ENUM_CHUNK = 1 << 16
+# Most nodes one branch-and-bound block holds; one pending block per depth.
+_BLOCK = 1024
+# A child's two bit values, -1 first.
+_SIGNS = np.array([-1.0, 1.0])
 DEFAULT_SWEEPS = 3
 
 
-def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
-    """Q = W W^T from the (bits, rank) factor W and `linear` as float64
+def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, Q = W W^T from the (bits, rank) factor W, and `linear` as float64
     arrays, `linear` holding one problem per column. NaN or inf would void
     every comparison the solvers make, so they are rejected."""
     w = np.asarray(factor, dtype=np.float64)
@@ -45,7 +50,7 @@ def _checked_terms(factor, linear) -> tuple[np.ndarray, np.ndarray]:
         q = w @ w.T
     if not np.isfinite(q).all():
         raise ValueError("W W^T must be finite; the factor's entries are too large")
-    return q, f
+    return w, q, f
 
 
 def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
@@ -128,102 +133,116 @@ def _enumerate(quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return _signs(bits, best_idx).astype(np.int8)
 
 
-def _branch_and_bound_set(quadratic: np.ndarray, linear: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Depth-first search on every column's problem, fixing bits in order
-    and pruning by a lower bound. Q must be positive semidefinite, as
-    `solve_batch` makes it by building Q = W W^T from the factor.
+def _objective(quadratic: np.ndarray, linear: np.ndarray, b: np.ndarray) -> float:
+    """b^T Q b + f^T b for one assignment, the one expression every leaf and
+    incumbent is scored by, so equal assignments score bitwise equal."""
+    b = np.asarray(b, dtype=np.float64)
+    return float(b @ quadratic @ b + linear @ b)
 
-    The bound for a partial assignment adds the exact value of the fixed
-    prefix, -|f_l + coupling-to-fixed| for every free bit, and the free
-    bits' quadratic part b_f^T Q_ff b_f bounded below by the free diagonal
-    minus the |Q_lm| of every free-free pair, clipped at zero: Q_ff is a
-    principal submatrix of a PSD Q, so the quadratic part is never negative.
-    The bound is exact once Q has no free-free couplings, so separable
-    problems solve in a single descent. Everything but f depends on Q alone
-    and is built once for the set. Every incumbent starts from one
-    `dcc_batch` call from all +1, and every search runs to completion, so
-    each code is a global minimizer. Returns the (bits, problems) int8
-    codes and the (problems,) node counts.
+
+def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-and-bound on every column's problem at once, fixing bits in
+    order and pruning by the larger of two lower bounds. Q = W W^T must be
+    built from the factor `w`, as `solve_batch` builds it.
+
+    The interval bound adds the exact value of the fixed prefix,
+    -|f_l + coupling-to-fixed| for every free bit, and the free bits'
+    quadratic part bounded below by the free diagonal minus the |Q_lm| of
+    every free-free pair, clipped at zero: Q_ff is a principal submatrix of
+    a PSD Q. The box bound splits f = -2 W t + f_perp by least squares, so
+    the objective is ||W^T b - t||^2 - ||t||^2 + f_perp^T b; with c = W_F^T
+    b_F over the fixed bits F, coordinate k of W^T b lies within
+    s_k = sum_free |W_lk| of c_k, which bounds the first term by
+    sum_k max(0, |t_k - c_k| - s_k)^2 and the last by f_perp_F^T b_F -
+    sum_free |f_perp_l|. A child is kept while its bound, less a relative
+    slack far above rounding, is at most its problem's best value, so
+    rounding never prunes a tied optimum.
+
+    The frontier holds nodes of every problem and is expanded one depth at
+    a time by array operations, depth first in blocks of at most `_BLOCK`
+    nodes: at most one block per depth waits, and the leaves of the most
+    promising block tighten the incumbents before the others expand. Every
+    incumbent starts from one `dcc_batch` call from all +1; every leaf kept
+    is scored by `_objective` and replaces the best one when lower, or equal
+    and lexicographically smaller (-1 < +1), so each code is the smallest
+    global minimizer whatever order the leaves come in. Nodes are the root
+    plus every child kept. Returns the (bits, problems) int8 codes and the
+    (problems,) node counts.
     """
+    bits, problems = linear.shape
     incumbents = dcc_batch(quadratic, linear, np.ones(linear.shape, dtype=np.int8))
-    bits = quadratic.shape[0]
+    rows = np.ascontiguousarray(linear.T)
+    best_val = np.array([_objective(quadratic, rows[k], incumbents[:, k])
+                         for k in range(problems)])
+    best = np.ascontiguousarray(incumbents.T)
+    nodes = np.ones(problems, dtype=np.int64)
+
+    # Interval bound constants: the free-pair mass (|Q_lm| over distinct free
+    # pairs, both orders) left once bit d is fixed depends on the depth only,
+    # and fixing bit d to -1 (row 0) or +1 (row 1) moves every later bit's
+    # linear term by -+2 Q_ld.
     diag = np.diag(quadratic)
     abs_q = np.abs(quadratic - np.diag(diag))
-    # Per-depth constants, each built by the expression the bound would
-    # otherwise evaluate at every node, so every bound rounds the same. The
-    # free-pair mass (|Q_lm| over distinct free pairs, both orders) left once
-    # bit d is fixed depends on the depth only.
-    diag_at = [float(x) for x in diag]
     free_quadratic = []
     mass = float(abs_q.sum())
     for d in range(bits):
         mass -= float(2.0 * abs_q[d, d + 1:].sum())
         free_quadratic.append(max(0.0, float(diag[d + 1:].sum()) - mass))
-    # Row 0 fixes bit d to -1, row 1 to +1.
-    coupling_step = [np.array([[-2.0], [2.0]]) * quadratic[:, d] for d in range(bits)]
-    shared = (quadratic, diag_at, free_quadratic, coupling_step)
+    steps = [_SIGNS[:, None] * (2.0 * quadratic[d, d + 1:]) for d in range(bits)]
 
-    codes = np.empty(linear.shape, dtype=np.int8)
-    nodes = np.empty(linear.shape[1], dtype=np.int64)
-    for k in range(linear.shape[1]):
-        codes[:, k], nodes[k] = _branch_and_bound(
-            shared, np.ascontiguousarray(linear[:, k]), incumbents[:, k])
-    return codes, nodes
+    # Box bound constants: t and f_perp per problem, s and the free
+    # sum_free |f_perp_l| per depth.
+    t = np.linalg.lstsq(w, -0.5 * linear, rcond=None)[0]
+    t_sq = (t * t).sum(axis=0)
+    perp = linear + 2.0 * (w @ t)
+    abs_w = np.abs(w)
+    reach = [abs_w[d + 1:].sum(axis=0) for d in range(bits)]
+    free_perp = np.array([np.abs(perp[d + 1:]).sum(axis=0) for d in range(bits)])
+    # Every term a bound or a leaf value sums is at most this large.
+    slack = 1e-9 * (1.0 + t_sq + np.abs(perp).sum(axis=0)
+                    + np.abs(linear).sum(axis=0) + float((abs_w.sum(axis=0) ** 2).sum()))
 
+    # A block: its depth, then per node the problem, the prefix, the prefix's
+    # value, the free bits' linear terms f_l + coupling-to-fixed, t - c, and
+    # f_perp_F^T b_F - ||t||^2.
+    stack = []
 
-def _branch_and_bound(shared: tuple, f: np.ndarray,
-                      incumbent: np.ndarray) -> tuple[np.ndarray, int]:
-    """One problem's search over the set's `shared` constants; returns
-    (assignment, nodes)."""
-    q, diag_at, free_quadratic, coupling_step = shared
+    def push(depth, *nodes_at):
+        # The first block ends up on top.
+        for start in range(((len(nodes_at[0]) - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
+            stack.append((depth, *(a[start:start + _BLOCK] for a in nodes_at)))
 
-    def objective(b: np.ndarray) -> float:
-        b = np.asarray(b, dtype=np.float64)
-        return float(b @ q @ b + f @ b)
-
-    bits = f.shape[0]
-    best_val = objective(incumbent)
-    best_b = incumbent.copy()
-    nodes = 0
-
-    f_at = [float(x) for x in f]
-    f_free = [f[d + 1:] for d in range(bits)]
-    prefix = np.zeros(bits, dtype=np.int8)
-
-    # coupling[l] = 2 * sum_{j fixed} Q_{l,j} b_j for free l; fixed_val is the
-    # prefix's exact objective contribution.
-    def visit(depth: int, fixed_val: float, coupling: np.ndarray) -> None:
-        nonlocal nodes, best_val, best_b
-        nodes += 1
-        if depth == bits:
-            val = objective(prefix)
-            # Ties go to the lexicographically smallest assignment (-1 < +1).
-            if val < best_val or (val == best_val and prefix.tolist() < best_b.tolist()):
-                best_val = val
-                best_b = prefix.copy()
-            return
-        base = fixed_val + diag_at[depth]
-        pull = f_at[depth] + float(coupling[depth])
-        child_coupling = coupling + coupling_step[depth]
-        free_linear = np.abs(f_free[depth] + child_coupling[:, depth + 1:]).sum(axis=1).tolist()
-        children = []
-        for row, sign in enumerate((-1, 1)):
-            child_fixed = base + sign * pull
-            child_bound = child_fixed - free_linear[row] + free_quadratic[depth]
-            children.append((child_bound, sign, child_fixed, child_coupling[row]))
-        # The lower bound goes first; -1 wins a tie.
-        if children[1][0] < children[0][0]:
-            children.reverse()
-        for child_bound, sign, child_fixed, child_coupling in children:
-            if child_bound > best_val:
-                continue
-            prefix[depth] = sign
-            visit(depth + 1, child_fixed, child_coupling)
-        prefix[depth] = 0
-
-    visit(0, 0.0, np.zeros(bits))
-    return best_b, nodes
+    push(0, np.arange(problems), np.zeros((problems, bits), np.int8), np.zeros(problems),
+         rows, t.T, -t_sq)
+    while stack:
+        d, prob, prefix, fixed, free_linear, residual, fixed_perp = stack.pop()
+        child_fixed = (fixed + diag[d])[:, None] + _SIGNS * free_linear[:, :1]
+        child_linear = free_linear[:, None, 1:] + steps[d]
+        interval = child_fixed - np.abs(child_linear).sum(axis=2) + free_quadratic[d]
+        child_residual = residual[:, None, :] - _SIGNS[:, None] * w[d]
+        gap = np.maximum(np.abs(child_residual) - reach[d], 0.0)
+        child_perp = fixed_perp[:, None] + _SIGNS * perp[d, prob][:, None]
+        box = (gap * gap).sum(axis=2) + child_perp - free_perp[d, prob][:, None]
+        margin = np.maximum(interval, box) - (best_val + slack)[prob][:, None]
+        node, side = np.nonzero(margin <= 0.0)
+        # The most promising children go first, so the first block dives.
+        order = np.argsort(margin[node, side], kind="stable")
+        node, side = node[order], side[order]
+        prob = prob[node]
+        prefix = prefix[node]
+        prefix[:, d] = _SIGNS[side]
+        nodes += np.bincount(prob, minlength=problems)
+        if d + 1 == bits:
+            for k, b in zip(prob.tolist(), prefix):
+                val = _objective(quadratic, rows[k], b)
+                if val < best_val[k] or (val == best_val[k] and b.tolist() < best[k].tolist()):
+                    best_val[k] = val
+                    best[k] = b
+            continue
+        push(d + 1, prob, prefix, child_fixed[node, side], child_linear[node, side],
+             child_residual[node, side], child_perp[node, side])
+    return np.ascontiguousarray(best.T), nodes
 
 
 def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
@@ -235,7 +254,7 @@ def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
 
     DCC runs every problem at once from the columns of `init`. Exhaustive
     search enumerates the assignments once for the whole set, and
-    branch-and-bound takes the problems one at a time after seeding every
+    branch-and-bound searches every problem at once after seeding every
     incumbent with one DCC call; both ignore `init`.
     Returns the (bits, problems) int8 solutions. Exhaustive search and
     branch-and-bound return global minimizers; DCC returns a local one.
@@ -244,9 +263,9 @@ def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    quadratic, linear = _checked_terms(factor, linear)
+    factor, quadratic, linear = _checked_terms(factor, linear)
     if solver == "dcc":
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps)
     if solver == "exhaustive":
         return _enumerate(quadratic, linear)
-    return _branch_and_bound_set(quadratic, linear)[0]
+    return _branch_and_bound_set(factor, quadratic, linear)[0]

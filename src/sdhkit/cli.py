@@ -48,6 +48,20 @@ def _positive_integer(text: str) -> int:
     return value
 
 
+def _positive_number(text: str) -> float:
+    value = _number(text)
+    if value <= 0:
+        raise ValueError(f"must be a positive number, got {value}")
+    return value
+
+
+def _non_negative_number(text: str) -> float:
+    value = _number(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative number, got {value}")
+    return value
+
+
 def _optional_integer(text: str) -> int | None:
     return _integer(text) if text else None
 
@@ -90,21 +104,21 @@ SCHEMA = {
     "features": (None, str),
     "limit": ("", _optional_integer),
     "normalize": ("unit_norm", _one_of(*dataset.NORMALIZE_MODES, "none")),
-    "classes": ("10", _integer),
-    "per_class": ("100", _integer),
-    "dim": ("16", _integer),
+    "classes": ("10", _positive_integer),
+    "per_class": ("100", _positive_integer),
+    "dim": ("16", _positive_integer),
     "spread": ("0.3", _number),
     "data_seed": ("7", _integer),
-    "anchors": ("1000", _integer),
-    "sigma": ("0.4", _number),
+    "anchors": ("1000", _positive_integer),
+    "sigma": ("0.4", _positive_number),
     "seed": ("0", _integer),
     "method": ("fsdh", _one_of(*METHODS)),
-    "bits": ("32", _integer),
-    "lambda": ("1.0", _number),
-    "nu": ("1e-5", _number),
-    "iters": ("5", _integer),
+    "bits": ("32", _positive_integer),
+    "lambda": ("1.0", _non_negative_number),
+    "nu": ("1e-5", _non_negative_number),
+    "iters": ("5", _positive_integer),
     "solver": ("dcc", _one_of(*biqp.SOLVERS)),
-    "sweeps": ("3", _integer),
+    "sweeps": ("3", _positive_integer),
     "radius": ("2", _integer),
     "zero_retrieval": ("zero", _one_of(*evaluate.ZERO_RETRIEVAL_MODES)),
     "repeats": ("3", _positive_integer),
@@ -387,7 +401,7 @@ def _figure_fig1(cfg, out: Path) -> None:
     rng = np.random.default_rng(cfg["data_seed"])
     features = rng.standard_normal((classes, classes))
 
-    for solver in ("dcc", "exhaustive"):
+    for solver in ("dcc", "branch_and_bound"):
         for s in range(cfg["fig1_seeds"]):
             _, trajectory = sdh.train_sdh(features, labels, classes, bits,
                                           lam=lam, nu=0.0, max_iters=cfg["iters"],

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,10 +27,27 @@ def solve_one(w, f, solver, init=None, **options):
     return biqp.solve_batch(w, np.asarray(f)[:, None], init, solver, **options)[:, 0]
 
 
+def branch_and_bound_set(w, linear):
+    """(codes, nodes) from `_branch_and_bound_set` for W and its linear terms."""
+    return biqp._branch_and_bound_set(w, w @ w.T, linear)
+
+
 def branch_and_bound_one(w, f):
     """One problem's (codes, nodes) from `_branch_and_bound_set`."""
-    codes, nodes = biqp._branch_and_bound_set(w @ w.T, f[:, None])
+    codes, nodes = branch_and_bound_set(w, f[:, None])
     return codes[:, 0], int(nodes[0])
+
+
+def per_sample_factors(bits, nu, samples=30, classes=10, seed=0):
+    """A nu > 0 code step's set: W from the classifier step on random codes
+    of `samples` samples, and one linear term -2 (W y_i + nu p_i) per sample,
+    with P^T x_i the codes plus noise."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(samples) % classes
+    b = (2 * rng.integers(0, 2, (bits, samples)) - 1).astype(np.int8)
+    w = sdh.w_step(b, labels, classes, 1.0)
+    projected = b + rng.standard_normal((bits, samples))
+    return w, -2.0 * (w @ sdh.one_hot(labels, classes) + nu * projected)
 
 
 class TestProblemValidation:
@@ -223,17 +241,27 @@ def fig1_like_problems():
             yield w, linear[:, c]
 
 
-# (bits, nodes, assignment as its enumeration index) for each of
-# fig1_like_problems(). Reassociating the bound's sum moves node counts here.
+# (bits, nodes alone, nodes in its set, assignment as its enumeration index)
+# for each of fig1_like_problems(). A node is the root or a child kept. In a
+# set, a frontier wider than one block dives first where the bound is most
+# promising, so the set's leaves tighten its problems' incumbents sooner.
+# Reassociating a bound's sum moves the counts here, never the assignments.
 FIG1_LIKE_BB = [
-    (8, 16, 0x00b7), (8, 30, 0x00bc), (8, 20, 0x00b8), (8, 9, 0x0036),
-    (8, 14, 0x0074), (12, 73, 0x069e), (12, 50, 0x02e6), (12, 44, 0x021f),
-    (12, 43, 0x0403), (12, 71, 0x07fc), (12, 64, 0x0df5), (12, 48, 0x0a99),
-    (12, 44, 0x0f0b), (12, 80, 0x07bc), (12, 37, 0x0e40), (16, 542, 0xb0a1),
-    (16, 1380, 0xf72d), (16, 663, 0x6725), (16, 392, 0x6179), (16, 471, 0x7ab5),
-    (16, 613, 0xdebc), (16, 608, 0x041c), (16, 881, 0xb9b3), (16, 668, 0x0dde),
-    (16, 929, 0x7604),
+    (8, 11, 11, 0x00b7), (8, 17, 17, 0x00bc), (8, 40, 40, 0x00b8), (8, 9, 9, 0x0036),
+    (8, 9, 9, 0x0074), (12, 322, 322, 0x069e), (12, 227, 227, 0x02e6),
+    (12, 31, 31, 0x021f), (12, 125, 125, 0x0403), (12, 56, 56, 0x07fc),
+    (12, 30, 30, 0x0df5), (12, 20, 20, 0x0a99), (12, 18, 18, 0x0f0b), (12, 75, 75, 0x07bc),
+    (12, 14, 14, 0x0e40), (16, 703, 695, 0xb0a1), (16, 1006, 983, 0xf72d),
+    (16, 1230, 1215, 0x6725), (16, 85, 85, 0x6179), (16, 108, 108, 0x7ab5),
+    (16, 1217, 1209, 0xdebc), (16, 1125, 1113, 0x041c), (16, 318, 318, 0xb9b3),
+    (16, 275, 275, 0x0dde), (16, 1434, 1405, 0x7604),
 ]
+
+# The 32-bit fig1-like set's codes from the recursive search this one
+# replaced (892,950 nodes, about 7 s), as enumeration indices. Exhaustive
+# search cannot reach 32 bits.
+FIG1_LIKE_32 = [0xd69eb0a1, 0xe2e6f72d, 0xe21f6725, 0x54036179, 0x47fc7ab5,
+                0x7df5debc, 0x6a99041c, 0x4f0bb9b3, 0x67bc0dde, 0xee407604]
 
 
 def enumeration_index(assignment):
@@ -245,7 +273,7 @@ class TestBranchAndBound:
     def test_fig1_like_node_counts_are_pinned(self):
         problems = list(fig1_like_problems())
         assert len(problems) == len(FIG1_LIKE_BB)
-        for (w, f), (bits, nodes, index) in zip(problems, FIG1_LIKE_BB):
+        for (w, f), (bits, nodes, _, index) in zip(problems, FIG1_LIKE_BB):
             b, visited = branch_and_bound_one(w, f)
             assert f.shape == (bits,)
             assert visited == nodes, (bits, index)
@@ -264,23 +292,82 @@ class TestBranchAndBound:
         monkeypatch.setattr(biqp, "dcc_batch", record)
         for w, linear in fig1_like_factors():
             bits = w.shape[0]
-            codes, nodes = biqp._branch_and_bound_set(w @ w.T, linear)
+            codes, nodes = branch_and_bound_set(w, linear)
             assert codes.shape == linear.shape and codes.dtype == np.int8
             assert nodes.dtype == np.int64
             assert [(bits, int(n), enumeration_index(codes[:, k]))
                     for k, n in enumerate(nodes)] == [
-                pinned for pinned in FIG1_LIKE_BB if pinned[0] == bits]
+                (b, in_set, index) for b, _, in_set, index in FIG1_LIKE_BB if b == bits]
         assert calls == [5, 10, 10]
 
-    def test_reaches_twenty_bits_within_a_small_budget(self):
-        # The free-bit quadratic part of the bound is clipped at zero, which
-        # Q = W W^T allows. The unclipped bound needed up to 5,418 nodes for
-        # one of these problems (34,960 for the set); the clipped one needs
-        # at most 2,231 (11,264 for the set).
+    def test_reaches_thirty_two_bits(self):
+        # The recursive search took 11,264 nodes (at most 2,231 for one
+        # problem) at 20 bits and 892,950 at 32; the box bound and the
+        # level-by-level search take 5,569 and 68,628.
         (w, linear), = fig1_like_factors(((20, 10),))
-        codes, nodes = biqp._branch_and_bound_set(w @ w.T, linear)
-        assert nodes.max() == 2231
-        assert nodes.sum() == 11_264
+        codes, nodes = branch_and_bound_set(w, linear)
+        assert nodes.max() == 3070
+        assert nodes.sum() == 5569
+        assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive"))
+        (w, linear), = fig1_like_factors(((32, 10),))
+        codes, nodes = branch_and_bound_set(w, linear)
+        assert nodes.sum() == 68_628
+        assert [enumeration_index(codes[:, k]) for k in range(10)] == FIG1_LIKE_32
+
+    @pytest.mark.parametrize("shapes", [((8, 5), (12, 10), (16, 10)), ((20, 10),),
+                                        ((16, 10), (20, 10))])
+    def test_matches_exhaustive_on_every_fig1_like_set(self, shapes):
+        for w, linear in fig1_like_factors(shapes):
+            assert np.array_equal(biqp.solve_batch(w, linear, None, "branch_and_bound"),
+                                  biqp.solve_batch(w, linear, None, "exhaustive"))
+
+    @pytest.mark.parametrize("bits", [6, 8, 10, 12])
+    def test_ties_and_nu_terms_match_brute_force(self, bits):
+        # Integer W makes many assignments tie exactly, so a slack too small
+        # for rounding, or one that pruned a tied leaf, would change the code
+        # the lexicographic tie rule picks. Each set mixes nu = 0 class terms,
+        # dyadic nu terms that keep the ties exact, and random nu > 0 terms.
+        rng = np.random.default_rng(200 + bits)
+        w = rng.integers(-1, 2, (bits, 4)).astype(np.float64)
+        p = rng.integers(-2, 3, (bits, 3)).astype(np.float64)
+        linear = np.column_stack([-2.0 * w, -2.0 * (w[:, :3] + 0.5 * p),
+                                  -2.0 * (w[:, :2] + 1e-5 * rng.standard_normal((bits, 2))),
+                                  np.zeros(bits)])
+        q = w @ w.T
+        codes = biqp.solve_batch(w, linear, None, "branch_and_bound")
+        tied = 0
+        for k in range(linear.shape[1]):
+            expected, value = oracles.biqp_brute_force(q, linear[:, k])
+            assert np.array_equal(codes[:, k], expected), k
+            values = [oracles.biqp_objective(q, linear[:, k], b)
+                      for b in itertools.product((-1, 1), repeat=bits)]
+            tied += values.count(value) > 1
+        assert tied >= linear.shape[1] // 2
+
+    @pytest.mark.parametrize("bits, nu", [(16, 1e-5), (16, 1.0), (20, 1.0)])
+    def test_per_sample_sets_match_exhaustive(self, bits, nu):
+        w, linear = per_sample_factors(bits, nu)
+        assert np.array_equal(biqp.solve_batch(w, linear, None, "branch_and_bound"),
+                              biqp.solve_batch(w, linear, None, "exhaustive"))
+
+    def test_frontier_memory_stays_within_its_blocks(self, monkeypatch):
+        # Weak pruning: nu = 1e-5 leaves the per-sample terms far from W's
+        # span. A block of root nodes holds each node's prefix, free linear
+        # terms, t - c and three scalars. The frontier keeps at most one
+        # pending block per depth plus the current block's children; searched
+        # as one level-wide frontier it peaked at 182 blocks (54 MB), where
+        # the blocked search peaked at 19.
+        bits = 20
+        w, linear = per_sample_factors(bits, 1e-5)
+        quadratic = w @ w.T
+        block_bytes = biqp._BLOCK * (bits + 8 * (bits + w.shape[1] + 4))
+        tracemalloc.start()
+        try:
+            codes, _ = biqp._branch_and_bound_set(w, quadratic, linear)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * bits * block_bytes
         assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive"))
 
     @pytest.mark.parametrize("bits, rank", [(6, 1), (8, 3), (10, 4), (12, 6), (16, 10)])

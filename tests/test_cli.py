@@ -254,9 +254,37 @@ class TestFigureKeys:
                     "--set", "iters=2", "--set", "fig1_seeds=1", "--outdir", str(out)]) == 0
         # One sample per class, so no class is left without a sample.
         assert "bits=8, classes=4, samples=4," in (out / "notes.txt").read_text()
-        assert len((out / "fig1_exhaustive_seed0.csv").read_text().splitlines()) == 3
+        assert len((out / "fig1_branch_and_bound_seed0.csv").read_text().splitlines()) == 3
         reference = (out / "fig1_reference.csv").read_text().splitlines()
         assert float(reference[1]) == pytest.approx(4 * 1.0 / (8 + 1.0), abs=1e-9)
+
+    def test_fig1_runs_past_the_exhaustive_bit_cap(self, tmp_path):
+        # Exhaustive search stops at 24 bits; branch-and-bound does not.
+        out = tmp_path / "fig1"
+        assert run(["figures", "fig1", "--set", "bits=32", "--set", "fig1_seeds=1",
+                    "--set", "iters=2", "--outdir", str(out)]) == 0
+        assert "bits=32, classes=10," in (out / "notes.txt").read_text()
+        for solver in ("dcc", "branch_and_bound"):
+            assert len((out / f"fig1_{solver}_seed0.csv").read_text().splitlines()) == 3
+
+    def test_fig1_exact_trajectories_equal_exhaustive_search(self, tmp_path, monkeypatch):
+        # At the default 16 bits both exact solvers return the same codes, so
+        # every objective in every trajectory is bitwise the same.
+        args = ["figures", "fig1", "--set", "fig1_seeds=2"]
+        assert run(args + ["--outdir", str(tmp_path / "bb")]) == 0
+        train_sdh = sdh.train_sdh
+
+        def exhaustive(*a, solver, **kw):
+            return train_sdh(*a, solver="exhaustive" if solver == "branch_and_bound" else solver,
+                             **kw)
+
+        monkeypatch.setattr(sdh, "train_sdh", exhaustive)
+        assert run(args + ["--outdir", str(tmp_path / "ex")]) == 0
+        for s in range(2):
+            name = f"fig1_branch_and_bound_seed{s}.csv"
+            rows = (tmp_path / "bb" / name).read_text()
+            assert len(rows.splitlines()) == 21
+            assert rows == (tmp_path / "ex" / name).read_text()
 
     def test_losses_reads_bits_list(self, tmp_path):
         cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 1\n")
@@ -566,12 +594,26 @@ class TestConfigValidation:
         (["figures", "bitscale"], "bitscale_methods", ","),
         (["figures", "fig1"], "fig1_seeds", "0"),
         (["figures", "fig1"], "fig1_seeds", "-3"),
+        (["train"], "iters", "0"),
+        (["train"], "sweeps", "0"),
+        (["train"], "bits", "0"),
+        (["train"], "anchors", "0"),
+        (["train"], "classes", "0"),
+        (["train"], "per_class", "0"),
+        (["train"], "dim", "0"),
+        (["train"], "sigma", "0"),
+        (["train"], "sigma", "-1"),
+        (["train"], "lambda", "-1"),
+        (["train"], "nu", "-1"),
+        (["figures", "fig1"], "bits", "-8"),
     ])
     def test_non_positive_count_or_empty_list_fails_before_any_data_loads(
             self, tmp_path, capsys, command, key, value):
         # `bench` with repeats=0 wrote nan timings, `test_per_class=-1` trained
         # on one sample per class, an empty list wrote a header-only CSV, and
-        # `fig1_seeds=0` wrote no trajectory.
+        # `fig1_seeds=0` wrote no trajectory. A count of zero, a sigma of zero
+        # or a negative lambda or nu wrote config.txt and failed only in the
+        # library.
         out = tmp_path / "run"
         assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
                               "--outdir", str(out)]) == 2
@@ -591,8 +633,9 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", sorted(key for key, (_, parse) in cli.SCHEMA.items()
-                                           if parse is cli._number))
+    @pytest.mark.parametrize("key", sorted(
+        key for key, (_, parse) in cli.SCHEMA.items()
+        if parse in (cli._number, cli._positive_number, cli._non_negative_number)))
     def test_non_finite_number_fails_before_any_output(self, tmp_path, capsys, key, value):
         # `sigma=nan` used to fail as `error [train]` after the transform ran,
         # and `lambda=inf` trained an fsdh model, each leaving config.txt behind.
