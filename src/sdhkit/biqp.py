@@ -2,31 +2,28 @@
 
 Each problem asks for b in {-1,+1}^L minimizing b^T Q b + f^T b, with
 Q = W W^T given by its (L, rank) factor W, so Q is positive semidefinite.
-Three solvers are provided: greedy cyclic coordinate descent, exhaustive
-search, and branch-and-bound pruned by the larger of an absolute-mass
+Two solvers are provided: greedy cyclic coordinate descent, and one exact
+search, branch-and-bound pruned by the larger of an absolute-mass
 interval bound, whose free-bit quadratic part is clipped at zero, which PSD
-Q allows, and a box bound in the rank-dimensional space of W^T b.
+Q allows, and a box bound in the rank-dimensional space of W^T b. The
+solver names "exhaustive" and "branch_and_bound" both run that exact
+search, at any code length.
 The eigenvalue relaxation bound is useless here because Q is rank deficient
 whenever L > rank, so its smallest eigenvalue is zero.
 `solve_batch` is the one entry point: it builds Q once from W and solves
-many problems sharing it with any of the three, as the alternating
-trainer's code step does. Every solver takes the whole set at once. The
-enumeration computes b^T Q b once per assignment for all the problems.
-Branch-and-bound seeds every incumbent with one DCC call, then expands
-one frontier holding the nodes of every problem, a depth at a time, by
-array operations. Every term must be finite.
+many problems sharing it, as the alternating trainer's code step does.
+Both solvers take the whole set at once. Branch-and-bound seeds every
+incumbent with one DCC call, then expands one frontier holding the nodes
+of every problem, a depth at a time, by array operations. Every term must
+be finite.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .codes import only_signs
 
 SOLVERS = ("dcc", "exhaustive", "branch_and_bound")
-EXHAUSTIVE_MAX_BITS = 24
-_ENUM_CHUNK = 1 << 16
 # Most nodes one branch-and-bound block holds; one pending block per depth.
 _BLOCK = 1024
 # A child's two bit values, -1 first.
@@ -88,49 +85,6 @@ def dcc_batch(quadratic: np.ndarray, linear: np.ndarray, init: np.ndarray,
         if not changed:
             break
     return b.astype(np.int8)
-
-
-def _signs(bits: int, idx: np.ndarray) -> np.ndarray:
-    """Assignment number idx of the lexicographic {-1,+1}^bits enumeration
-    (bit 0 most significant, -1 < +1), one column per entry of idx."""
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    flat = ((idx[None, :] >> shifts[:, None]) & 1).astype(np.float64)
-    return 2.0 * flat - 1.0
-
-
-@lru_cache(maxsize=4)
-def _sign_columns(bits: int, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop of the enumeration. Cached because the code step
-    solves many problem sets of one size; callers must not mutate it."""
-    return _signs(bits, np.arange(start, stop, dtype=np.uint64))
-
-
-def _enumerate(quadratic: np.ndarray, linear: np.ndarray) -> np.ndarray:
-    """Global minimizer of every column's problem over all 2^bits assignments.
-
-    All problems share Q, so b^T Q b is computed once per chunk of
-    assignments; each problem adds its own f^T b and keeps the first
-    minimum, which makes ties go to the lexicographically smallest
-    assignment. Returns the (bits, problems) int8 minimizers.
-    """
-    bits, problems = linear.shape
-    if bits > EXHAUSTIVE_MAX_BITS:
-        raise ValueError(
-            f"exhaustive search over {bits} bits exceeds the {EXHAUSTIVE_MAX_BITS}-bit budget"
-        )
-    best_val = [np.inf] * problems
-    best_idx = np.zeros(problems, dtype=np.uint64)
-    total = 1 << bits
-    for start in range(0, total, _ENUM_CHUNK):
-        cols = _sign_columns(bits, start, min(start + _ENUM_CHUNK, total))
-        shared = np.einsum("ln,ln->n", cols, quadratic @ cols)
-        for k in range(problems):
-            vals = shared + linear[:, k] @ cols
-            i = int(np.argmin(vals))
-            if vals[i] < best_val[k]:
-                best_val[k] = float(vals[i])
-                best_idx[k] = start + i
-    return _signs(bits, best_idx).astype(np.int8)
 
 
 def _objective(quadratic: np.ndarray, linear: np.ndarray, b: np.ndarray) -> float:
@@ -252,20 +206,18 @@ def solve_batch(factor: np.ndarray, linear: np.ndarray, init: np.ndarray,
     `factor` is the (bits, rank) W, so Q is positive semidefinite by
     construction; any rank is allowed. Q is built once, as `w @ w.T`.
 
-    DCC runs every problem at once from the columns of `init`. Exhaustive
-    search enumerates the assignments once for the whole set, and
-    branch-and-bound searches every problem at once after seeding every
-    incumbent with one DCC call; both ignore `init`.
-    Returns the (bits, problems) int8 solutions. Exhaustive search and
-    branch-and-bound return global minimizers; DCC returns a local one.
-    Terms that are non-finite or misshapen raise ValueError before any
-    solver runs.
+    DCC runs every problem at once from the columns of `init`. Any other
+    solver name, "exhaustive" or "branch_and_bound", runs the one
+    branch-and-bound search over every problem at once after seeding every
+    incumbent with one DCC call, and ignores `init`.
+    Returns the (bits, problems) int8 solutions. The exact search returns
+    each problem's lexicographically smallest global minimizer; DCC returns
+    a local one. Terms that are non-finite or misshapen raise ValueError
+    before any solver runs.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
     factor, quadratic, linear = _checked_terms(factor, linear)
     if solver == "dcc":
         return dcc_batch(quadratic, linear, init, max_sweeps=max_sweeps)
-    if solver == "exhaustive":
-        return _enumerate(quadratic, linear)
     return _branch_and_bound_set(factor, quadratic, linear)[0]

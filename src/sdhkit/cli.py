@@ -48,6 +48,13 @@ def _positive_integer(text: str) -> int:
     return value
 
 
+def _non_negative_integer(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _positive_number(text: str) -> float:
     value = _number(text)
     if value <= 0:
@@ -62,8 +69,8 @@ def _non_negative_number(text: str) -> float:
     return value
 
 
-def _optional_integer(text: str) -> int | None:
-    return _integer(text) if text else None
+def _optional_positive_integer(text: str) -> int | None:
+    return _positive_integer(text) if text else None
 
 
 def _integer_list(text: str) -> list[int]:
@@ -102,12 +109,12 @@ SCHEMA = {
     "images": (None, str),
     "labels": (None, str),
     "features": (None, str),
-    "limit": ("", _optional_integer),
+    "limit": ("", _optional_positive_integer),
     "normalize": ("unit_norm", _one_of(*dataset.NORMALIZE_MODES, "none")),
     "classes": ("10", _positive_integer),
     "per_class": ("100", _positive_integer),
     "dim": ("16", _positive_integer),
-    "spread": ("0.3", _number),
+    "spread": ("0.3", _non_negative_number),
     "data_seed": ("7", _integer),
     "anchors": ("1000", _positive_integer),
     "sigma": ("0.4", _positive_number),
@@ -119,7 +126,7 @@ SCHEMA = {
     "iters": ("5", _positive_integer),
     "solver": ("dcc", _one_of(*biqp.SOLVERS)),
     "sweeps": ("3", _positive_integer),
-    "radius": ("2", _integer),
+    "radius": ("2", _non_negative_integer),
     "zero_retrieval": ("zero", _one_of(*evaluate.ZERO_RETRIEVAL_MODES)),
     "repeats": ("3", _positive_integer),
     "bits_list": ("32,64,128,256,512", _integer_list),

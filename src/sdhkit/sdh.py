@@ -4,8 +4,9 @@ Minimizes ||Y - W^T B||^2 + lambda*||W||^2 + nu*||B - P^T X||^2 over the
 binary codes B, classifier W, and projection P by cycling through three
 conditional minimizations: a least-squares projection step, a ridge
 classifier step, and a per-sample binary quadratic program. The code step is
-pluggable between greedy coordinate descent, exhaustive search, and
-branch-and-bound.
+pluggable between greedy coordinate descent and one exact search,
+branch-and-bound, which the solver names "exhaustive" and
+"branch_and_bound" both run at any code length.
 """
 from __future__ import annotations
 

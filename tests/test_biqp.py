@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -180,48 +181,6 @@ class TestDcc:
             biqp.solve_batch(w, f[:, None], np.ones((6, 3), dtype=np.int8), "dcc")
 
 
-class TestExhaustive:
-    def test_separable(self):
-        w, f = zero_factor(3), np.ones(3)
-        b = solve_one(w, f, "exhaustive")
-        assert np.array_equal(b, [-1, -1, -1])
-        assert oracles.biqp_objective(w @ w.T, f, b) == -3.0
-
-    def test_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            w, f = random_psd_problem(rng, 3)
-            q = w @ w.T
-            b = solve_one(w, f, "exhaustive")
-            expected_b, expected_val = oracles.biqp_brute_force(q, f)
-            assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
-            assert np.array_equal(b, expected_b)
-
-    def test_psd_zero_linear_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        w, f = random_psd_problem(rng, 3)[0], np.zeros(3)
-        q = w @ w.T
-        b = solve_one(w, f, "exhaustive")
-        _, expected_val = oracles.biqp_brute_force(q, f)
-        assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
-
-    def test_negating_f_negates_assignment(self):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal(6)
-        pos = solve_one(zero_factor(6), f, "exhaustive")
-        neg = solve_one(zero_factor(6), -f, "exhaustive")
-        assert np.array_equal(pos, -neg)
-
-    def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
-            solve_one(zero_factor(25), np.zeros(25), "exhaustive")
-
-    def test_tie_break_is_lexicographic(self):
-        # Every assignment has objective 0: the all-minus vector must win.
-        b = solve_one(zero_factor(4), np.zeros(4), "exhaustive")
-        assert np.array_equal(b, [-1, -1, -1, -1])
-
-
 def fig1_like_factors(shapes=((8, 5), (12, 10), (16, 10))):
     """The fig1 study's first code step: random codes from seed 0, one
     sample per class, W from the classifier step and f = -2 w_c (nu = 0).
@@ -242,9 +201,10 @@ def fig1_like_problems():
 
 
 # (bits, nodes alone, nodes in its set, assignment as its enumeration index)
-# for each of fig1_like_problems(). A node is the root or a child kept. In a
-# set, a frontier wider than one block dives first where the bound is most
-# promising, so the set's leaves tighten its problems' incumbents sooner.
+# for each of fig1_like_problems(); every assignment is the one exhaustive
+# search returned. A node is the root or a child kept. In a set, a frontier
+# wider than one block dives first where the bound is most promising, so
+# the set's leaves tighten its problems' incumbents sooner.
 # Reassociating a bound's sum moves the counts here, never the assignments.
 FIG1_LIKE_BB = [
     (8, 11, 11, 0x00b7), (8, 17, 17, 0x00bc), (8, 40, 40, 0x00b8), (8, 9, 9, 0x0036),
@@ -257,16 +217,49 @@ FIG1_LIKE_BB = [
     (16, 275, 275, 0x0dde), (16, 1434, 1405, 0x7604),
 ]
 
+# The 20-bit fig1-like set's codes as enumeration indices, from exhaustive
+# search over all 2^20 assignments. The enumeration is deleted: branch-and-
+# bound returned the same codes on every set it was checked on.
+FIG1_LIKE_20 = [0xd69eb, 0xe2e6f, 0xe21f6, 0x54036, 0x47fc7, 0x7df5d, 0x6a990, 0x4f0bb,
+                0x67bc0, 0xee407]
+
 # The 32-bit fig1-like set's codes from the recursive search this one
 # replaced (892,950 nodes, about 7 s), as enumeration indices. Exhaustive
-# search cannot reach 32 bits.
+# search never reached 32 bits.
 FIG1_LIKE_32 = [0xd69eb0a1, 0xe2e6f72d, 0xe21f6725, 0x54036179, 0x47fc7ab5,
                 0x7df5debc, 0x6a99041c, 0x4f0bb9b3, 0x67bc0dde, 0xee407604]
+
+# Every fig1-like set's codes from exhaustive search, as enumeration indices
+# in the order fig1_like_factors(shapes) yields them. The shapes share one
+# generator, so a shape's set depends on the shapes drawn before it.
+FIG1_LIKE_SETS = {
+    ((8, 5), (12, 10), (16, 10)): [index for *_, index in FIG1_LIKE_BB],
+    ((20, 10),): FIG1_LIKE_20,
+    ((16, 10), (20, 10)): [
+        0xd69e, 0xe2e6, 0xe21f, 0x5403, 0x47fc, 0x7df5, 0x6a99, 0x4f0b, 0x67bc, 0xee40,
+        0xb0a12, 0xf72d1, 0x67256, 0x61793, 0x7ab57, 0xdebc5, 0x041c5, 0xb9b3d, 0x0dde9,
+        0x7604f],
+}
+
+# sha256 of each per_sample_factors(bits, nu) set's (bits, 30) int8 codes
+# from exhaustive search.
+PER_SAMPLE_SHA256 = {
+    (16, 1e-5): "3daaeb8dcba71644f8ba560ce82da02516ca636a137210d74c7b5b50fa39b1fd",
+    (16, 1.0): "f76c7d06453cbecd9bfbf5fa2bcf39cf3c708938d56c660cc32f5cd3248b53e5",
+    (20, 1.0): "7376697d48395570d51b44c581e02e0f9d61c67411a0ea520aa19545a84487cf",
+    (20, 1e-5): "4179ddc2f5d78ea5927f30f6b1387e9c073d4bdfd559793ed9004d70f6b25d28",
+}
 
 
 def enumeration_index(assignment):
     """Position in the lexicographic enumeration, bit 0 most significant."""
     return int("".join("1" if v > 0 else "0" for v in assignment), 2)
+
+
+def assert_per_sample_codes_pinned(codes, bits, nu):
+    """The set's codes equal exhaustive search's, by their pinned sha256."""
+    assert codes.shape == (bits, 30) and codes.dtype == np.int8
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == PER_SAMPLE_SHA256[bits, nu]
 
 
 class TestBranchAndBound:
@@ -278,7 +271,6 @@ class TestBranchAndBound:
             assert f.shape == (bits,)
             assert visited == nodes, (bits, index)
             assert enumeration_index(b) == index
-            assert np.array_equal(b, solve_one(w, f, "exhaustive"))
 
     def test_one_dcc_call_seeds_a_set_with_the_pinned_node_counts(self, monkeypatch):
         # Each code length's problems share one Q, as a code step's set does.
@@ -308,18 +300,18 @@ class TestBranchAndBound:
         codes, nodes = branch_and_bound_set(w, linear)
         assert nodes.max() == 3070
         assert nodes.sum() == 5569
-        assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive"))
+        assert [enumeration_index(codes[:, k]) for k in range(10)] == FIG1_LIKE_20
         (w, linear), = fig1_like_factors(((32, 10),))
         codes, nodes = branch_and_bound_set(w, linear)
         assert nodes.sum() == 68_628
         assert [enumeration_index(codes[:, k]) for k in range(10)] == FIG1_LIKE_32
 
-    @pytest.mark.parametrize("shapes", [((8, 5), (12, 10), (16, 10)), ((20, 10),),
-                                        ((16, 10), (20, 10))])
+    @pytest.mark.parametrize("shapes", list(FIG1_LIKE_SETS))
     def test_matches_exhaustive_on_every_fig1_like_set(self, shapes):
-        for w, linear in fig1_like_factors(shapes):
-            assert np.array_equal(biqp.solve_batch(w, linear, None, "branch_and_bound"),
-                                  biqp.solve_batch(w, linear, None, "exhaustive"))
+        indices = [enumeration_index(b)
+                   for w, linear in fig1_like_factors(shapes)
+                   for b in biqp.solve_batch(w, linear, None, "branch_and_bound").T]
+        assert indices == FIG1_LIKE_SETS[shapes]
 
     @pytest.mark.parametrize("bits", [6, 8, 10, 12])
     def test_ties_and_nu_terms_match_brute_force(self, bits):
@@ -347,8 +339,8 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("bits, nu", [(16, 1e-5), (16, 1.0), (20, 1.0)])
     def test_per_sample_sets_match_exhaustive(self, bits, nu):
         w, linear = per_sample_factors(bits, nu)
-        assert np.array_equal(biqp.solve_batch(w, linear, None, "branch_and_bound"),
-                              biqp.solve_batch(w, linear, None, "exhaustive"))
+        assert_per_sample_codes_pinned(biqp.solve_batch(w, linear, None, "branch_and_bound"),
+                                       bits, nu)
 
     def test_frontier_memory_stays_within_its_blocks(self, monkeypatch):
         # Weak pruning: nu = 1e-5 leaves the per-sample terms far from W's
@@ -368,7 +360,7 @@ class TestBranchAndBound:
         finally:
             tracemalloc.stop()
         assert peak < 2 * bits * block_bytes
-        assert np.array_equal(codes, biqp.solve_batch(w, linear, None, "exhaustive"))
+        assert_per_sample_codes_pinned(codes, bits, 1e-5)
 
     @pytest.mark.parametrize("bits, rank", [(6, 1), (8, 3), (10, 4), (12, 6), (16, 10)])
     def test_matches_brute_force_on_rank_deficient_factors(self, bits, rank):
@@ -387,16 +379,43 @@ class TestBranchAndBound:
         expected_b, _ = oracles.biqp_brute_force(np.zeros((8, 8)), f)
         assert np.array_equal(b, expected_b)
 
-    def test_matches_exhaustive_on_small_instances(self):
+    def test_matches_brute_force_on_small_instances(self):
         rng = np.random.default_rng(6)
         for bits in (2, 5, 8, 12):
             for _ in range(10):
                 w, f = random_psd_problem(rng, bits)
                 q = w @ w.T
-                exact_b = solve_one(w, f, "exhaustive")
-                bnb_b = solve_one(w, f, "branch_and_bound")
-                assert oracles.biqp_objective(q, f, bnb_b) == oracles.biqp_objective(q, f, exact_b)
-                assert np.array_equal(bnb_b, exact_b)
+                expected_b, expected_val = oracles.biqp_brute_force(q, f)
+                b = solve_one(w, f, "branch_and_bound")
+                assert oracles.biqp_objective(q, f, b) == expected_val
+                assert np.array_equal(b, expected_b)
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "branch_and_bound"])
+    def test_both_exact_names_match_brute_force(self, solver):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            w, f = random_psd_problem(rng, 3)
+            q = w @ w.T
+            b = solve_one(w, f, solver)
+            expected_b, expected_val = oracles.biqp_brute_force(q, f)
+            assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
+            assert np.array_equal(b, expected_b)
+
+    def test_psd_zero_linear_matches_brute_force(self):
+        rng = np.random.default_rng(4)
+        w, f = random_psd_problem(rng, 3)[0], np.zeros(3)
+        q = w @ w.T
+        b = solve_one(w, f, "branch_and_bound")
+        expected_b, expected_val = oracles.biqp_brute_force(q, f)
+        assert oracles.biqp_objective(q, f, b) == pytest.approx(expected_val, abs=1e-12)
+        assert np.array_equal(b, expected_b)
+
+    def test_negating_f_negates_assignment(self):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(6)
+        pos = solve_one(zero_factor(6), f, "branch_and_bound")
+        neg = solve_one(zero_factor(6), -f, "branch_and_bound")
+        assert np.array_equal(pos, -neg)
 
     def test_separable_needs_no_backtracking(self):
         rng = np.random.default_rng(7)
@@ -477,49 +496,20 @@ class TestSolveBatch:
         for quadratic in seen:
             assert np.array_equal(quadratic, w @ w.T)
 
-    def test_exhaustive_set_spans_enumeration_chunks(self):
-        # 17 bits enumerate in two chunks; bit 0 is the most significant, so
-        # the second chunk holds every assignment with b_0 = +1. Problem 0's
-        # optimum lies there. Problem 1 has f = 0, so b and -b tie exactly,
-        # one in each chunk, and the first chunk's must win.
-        bits = 17
-        assert 1 << bits == 2 * biqp._ENUM_CHUNK
-        rng = np.random.default_rng(15)
-        w = rng.standard_normal((bits, bits)) / bits
-        q = w @ w.T
-        second_chunk = rng.standard_normal(bits)
-        second_chunk[0] = -20.0
-        linears = np.column_stack([second_chunk, np.zeros(bits), rng.standard_normal(bits)])
-        codes = biqp.solve_batch(w, linears, None, "exhaustive")
-        for k in range(linears.shape[1]):
-            expected, _ = oracles.biqp_brute_force(q, linears[:, k])
-            assert np.array_equal(codes[:, k], expected), k
-        assert codes[0, 0] == 1
-        assert codes[0, 1] == -1
-        assert (oracles.biqp_objective(q, linears[:, 1], codes[:, 1])
-                == oracles.biqp_objective(q, linears[:, 1], -codes[:, 1]))
-
-    def test_exhaustive_set_matches_one_call_per_problem(self):
+    def test_exact_set_matches_one_call_per_problem(self):
         # One shared Q, and linear terms of several kinds: nu = 0 class
         # columns, perturbed ones, zeros (all ties), and terms much larger
-        # and much smaller than Q.
+        # and much smaller than Q. Each code is also the brute-force one.
         rng = np.random.default_rng(16)
         bits = 10
         w = rng.standard_normal((bits, 4))
         linears = np.column_stack([-2.0 * w, -2.0 * w[:, :2] + rng.standard_normal((bits, 2)),
                                    np.zeros(bits), 100.0 * rng.standard_normal(bits),
                                    rng.standard_normal((bits, 3)) * 1e-3])
-        codes = biqp.solve_batch(w, linears, None, "exhaustive")
+        codes = biqp.solve_batch(w, linears, None, "branch_and_bound")
         assert codes.flags.c_contiguous
         for k in range(linears.shape[1]):
-            alone = solve_one(w, linears[:, k], "exhaustive")
+            alone = solve_one(w, linears[:, k], "branch_and_bound")
             assert np.array_equal(codes[:, k], alone), k
-
-    def test_exhaustive_bit_guard_precedes_enumeration(self, monkeypatch):
-        def enumerate_columns(*args):
-            raise AssertionError("enumerated past the bit budget")
-
-        monkeypatch.setattr(biqp, "_sign_columns", enumerate_columns)
-        bits = biqp.EXHAUSTIVE_MAX_BITS + 1
-        with pytest.raises(ValueError, match="budget"):
-            biqp.solve_batch(zero_factor(bits), np.zeros((bits, 2)), None, "exhaustive")
+            expected, _ = oracles.biqp_brute_force(w @ w.T, linears[:, k])
+            assert np.array_equal(alone, expected), k

@@ -258,8 +258,8 @@ class TestFigureKeys:
         reference = (out / "fig1_reference.csv").read_text().splitlines()
         assert float(reference[1]) == pytest.approx(4 * 1.0 / (8 + 1.0), abs=1e-9)
 
-    def test_fig1_runs_past_the_exhaustive_bit_cap(self, tmp_path):
-        # Exhaustive search stops at 24 bits; branch-and-bound does not.
+    def test_fig1_runs_at_thirty_two_bits(self, tmp_path):
+        # The exact code step has no bit cap.
         out = tmp_path / "fig1"
         assert run(["figures", "fig1", "--set", "bits=32", "--set", "fig1_seeds=1",
                     "--set", "iters=2", "--outdir", str(out)]) == 0
@@ -267,24 +267,15 @@ class TestFigureKeys:
         for solver in ("dcc", "branch_and_bound"):
             assert len((out / f"fig1_{solver}_seed0.csv").read_text().splitlines()) == 3
 
-    def test_fig1_exact_trajectories_equal_exhaustive_search(self, tmp_path, monkeypatch):
-        # At the default 16 bits both exact solvers return the same codes, so
-        # every objective in every trajectory is bitwise the same.
-        args = ["figures", "fig1", "--set", "fig1_seeds=2"]
-        assert run(args + ["--outdir", str(tmp_path / "bb")]) == 0
-        train_sdh = sdh.train_sdh
-
-        def exhaustive(*a, solver, **kw):
-            return train_sdh(*a, solver="exhaustive" if solver == "branch_and_bound" else solver,
-                             **kw)
-
-        monkeypatch.setattr(sdh, "train_sdh", exhaustive)
-        assert run(args + ["--outdir", str(tmp_path / "ex")]) == 0
-        for s in range(2):
-            name = f"fig1_branch_and_bound_seed{s}.csv"
-            rows = (tmp_path / "bb" / name).read_text()
-            assert len(rows.splitlines()) == 21
-            assert rows == (tmp_path / "ex" / name).read_text()
+    def test_fig1_exact_trajectories_end_at_exhaustive_totals(self, tmp_path):
+        # Exhaustive search over all 2^16 codes ended each seed's 20
+        # iterations at these totals.
+        assert run(["figures", "fig1", "--set", "fig1_seeds=2", "--outdir", str(tmp_path)]) == 0
+        for seed, total in ((0, 1.0215836518564503), (1, 0.9272512138953171)):
+            rows = (tmp_path / f"fig1_branch_and_bound_seed{seed}.csv").read_text().splitlines()
+            assert len(rows) == 21
+            assert rows[0].split(",")[-1] == "total"
+            assert float(rows[-1].split(",")[-1]) == pytest.approx(total, rel=1e-12)
 
     def test_losses_reads_bits_list(self, tmp_path):
         cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 1\n")
@@ -517,10 +508,12 @@ class TestLimit:
         assert "samples=50" in (tmp_path / "run" / "train_log.txt").read_text()
 
     def test_csv_source_rejects_zero_limit(self, tmp_path, capsys):
+        # A limit below one is a config error, raised before any output.
         cfg = self.csv_train_cfg(tmp_path, "limit = 0\n")
         assert run(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "error [dataset]" in err and "limit=0" in err
+        assert "error [config]: key 'limit' must be a positive integer, got 0" in err
+        assert not (tmp_path / "run").exists()
 
     def test_eval_falls_back_to_unprefixed_limit(self, tmp_path):
         # Every dataset key resolves one way: its db_/query_ form, or else
@@ -606,14 +599,18 @@ class TestConfigValidation:
         (["train"], "lambda", "-1"),
         (["train"], "nu", "-1"),
         (["figures", "fig1"], "bits", "-8"),
+        (["figures", "bitscale"], "radius", "-1"),
+        (["train"], "spread", "-1"),
+        (["train"], "limit", "0"),
+        (["train"], "limit", "-1"),
     ])
     def test_non_positive_count_or_empty_list_fails_before_any_data_loads(
             self, tmp_path, capsys, command, key, value):
         # `bench` with repeats=0 wrote nan timings, `test_per_class=-1` trained
         # on one sample per class, an empty list wrote a header-only CSV, and
-        # `fig1_seeds=0` wrote no trajectory. A count of zero, a sigma of zero
-        # or a negative lambda or nu wrote config.txt and failed only in the
-        # library.
+        # `fig1_seeds=0` wrote no trajectory. A count of zero, a sigma of zero,
+        # a negative lambda, nu, radius or spread, or a limit below one wrote
+        # config.txt and failed only in the library.
         out = tmp_path / "run"
         assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
                               "--outdir", str(out)]) == 2

@@ -191,3 +191,10 @@ class TestRawDataset:
                                   labels=np.array([0, 0]), class_count=2)
         with pytest.raises(ValueError, match="class 1"):
             dataset.validate_training_labels(data)
+
+    @pytest.mark.parametrize("limit, message", [(0, "empty dataset requested"),
+                                                (-1, "limit must be positive")])
+    def test_truncate_rejects_a_limit_below_one(self, limit, message):
+        data = dataset.synth_blobs(2, 3, 4, 0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            dataset.truncate(data, limit)

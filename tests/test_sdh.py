@@ -203,7 +203,7 @@ class TestBStep:
             block = b[:, labels == cls]
             assert np.all(block == block[:, :1])
 
-    def test_exhaustive_matches_per_column_oracle(self):
+    def test_exact_search_matches_per_column_oracle(self):
         rng = np.random.default_rng(9)
         bits, classes, samples = 8, 3, 12
         x = rng.standard_normal((5, samples))
@@ -212,7 +212,7 @@ class TestBStep:
         p = rng.standard_normal((5, bits))
         state = sdh.SdhState(codes=np.ones((bits, samples), dtype=np.int8),
                              weights=w, projection=p, lam=1.0, nu=1e-3)
-        b = sdh.b_step(state, labels, "exhaustive", projected=p.T @ x)
+        b = sdh.b_step(state, labels, "branch_and_bound", projected=p.T @ x)
         assert b.dtype == np.int8
         q = w @ w.T
         y = sdh.one_hot(labels, classes)
@@ -288,17 +288,17 @@ class TestTrainSdh:
         x = rng.standard_normal((4, 6))
         labels = np.array([0, 1, 2, 0, 1, 2])
         _, traj = sdh.train_sdh(x, labels, 3, 4, nu=0.0, max_iters=2,
-                                seed=0, solver="exhaustive")
+                                seed=0, solver="branch_and_bound")
         assert traj[1].total <= traj[0].total + 1e-9
 
     def test_code_step_descends_at_fixed_weights(self):
         rng = np.random.default_rng(14)
         x, labels, classes, bits = toy_problem(rng, samples=10)
         state, _ = sdh.train_sdh(x, labels, classes, bits, nu=1e-3,
-                                 max_iters=1, seed=1, solver="exhaustive")
+                                 max_iters=1, seed=1, solver="branch_and_bound")
         projected = state.projection.T @ x
         before = sdh.objective(state, labels, projected=projected)
-        state.codes = sdh.b_step(state, labels, "exhaustive", projected=projected)
+        state.codes = sdh.b_step(state, labels, "branch_and_bound", projected=projected)
         after = sdh.objective(state, labels, projected=projected)
         assert after.total <= before.total + 1e-9
 
@@ -310,11 +310,10 @@ class TestTrainSdh:
 
     @pytest.mark.parametrize("solver, nu, shape", [
         pytest.param("dcc", 1e-2, (6, 30, 3, 8), id="dcc"),
-        pytest.param("exhaustive", 1e-2, (6, 30, 3, 8), id="exhaustive"),
+        pytest.param("branch_and_bound", 1e-2, (6, 30, 3, 8), id="branch_and_bound"),
         # In this shape a code matrix in Fortran order changes the rounding
         # of the next classifier and projection steps.
         pytest.param("dcc", 0.0, (8, 24, 4, 12), id="dcc-nu0"),
-        pytest.param("exhaustive", 0.0, (8, 24, 4, 12), id="exhaustive-nu0"),
         pytest.param("branch_and_bound", 0.0, (8, 24, 4, 12), id="branch_and_bound-nu0"),
     ])
     def test_matches_loop_that_refactors_every_iteration(self, solver, nu, shape):
