@@ -14,8 +14,10 @@ whenever L > rank, so its smallest eigenvalue is zero.
 many problems sharing it, as the alternating trainer's code step does.
 Both solvers take the whole set at once. Branch-and-bound seeds every
 incumbent with one DCC call, then expands one frontier holding the nodes
-of every problem, a depth at a time, by array operations. Every term must
-be finite.
+of every problem, a depth at a time, by array operations. A node stores
+only its problem, its prefix b_F, the residual r = t - W_F^T b_F of the
+split f = -2 W t + f_perp, and f_perp_F^T b_F - ||t||^2; both bounds read
+their inputs from r. Every term must be finite.
 """
 from __future__ import annotations
 
@@ -113,6 +115,12 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
     slack far above rounding, is at most its problem's best value, so
     rounding never prunes a tied optimum.
 
+    A node holds its problem, its prefix, r = t - c and f_perp_F^T b_F -
+    ||t||^2; the interval bound's inputs follow from these because Q = W W^T
+    and f = -2 W t + f_perp. The prefix's value b_F^T Q_FF b_F + f_F^T b_F
+    is ||r||^2 + f_perp_F^T b_F - ||t||^2, and free bit l's linear term
+    f_l + 2 sum_F Q_li b_i is f_perp_l - 2 w_l . r, w_l being row l of W.
+
     The frontier holds nodes of every problem and is expanded one depth at
     a time by array operations, depth first in blocks of at most `_BLOCK`
     nodes: at most one block per depth waits, and the leaves of the most
@@ -132,10 +140,8 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
     best = np.ascontiguousarray(incumbents.T)
     nodes = np.ones(problems, dtype=np.int64)
 
-    # Interval bound constants: the free-pair mass (|Q_lm| over distinct free
-    # pairs, both orders) left once bit d is fixed depends on the depth only,
-    # and fixing bit d to -1 (row 0) or +1 (row 1) moves every later bit's
-    # linear term by -+2 Q_ld.
+    # Interval bound constant: the free-pair mass (|Q_lm| over distinct free
+    # pairs, both orders) left once bit d is fixed depends on the depth only.
     diag = np.diag(quadratic)
     abs_q = np.abs(quadratic - np.diag(diag))
     free_quadratic = []
@@ -143,7 +149,6 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
     for d in range(bits):
         mass -= float(2.0 * abs_q[d, d + 1:].sum())
         free_quadratic.append(max(0.0, float(diag[d + 1:].sum()) - mass))
-    steps = [_SIGNS[:, None] * (2.0 * quadratic[d, d + 1:]) for d in range(bits)]
 
     # Box bound constants: t and f_perp per problem, s and the free
     # sum_free |f_perp_l| per depth.
@@ -157,9 +162,8 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
     slack = 1e-9 * (1.0 + t_sq + np.abs(perp).sum(axis=0)
                     + np.abs(linear).sum(axis=0) + float((abs_w.sum(axis=0) ** 2).sum()))
 
-    # A block: its depth, then per node the problem, the prefix, the prefix's
-    # value, the free bits' linear terms f_l + coupling-to-fixed, t - c, and
-    # f_perp_F^T b_F - ||t||^2.
+    # A block: its depth, then per node the problem, the prefix, r = t - c
+    # and f_perp_F^T b_F - ||t||^2.
     stack = []
 
     def push(depth, *nodes_at):
@@ -167,16 +171,19 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
         for start in range(((len(nodes_at[0]) - 1) // _BLOCK) * _BLOCK, -1, -_BLOCK):
             stack.append((depth, *(a[start:start + _BLOCK] for a in nodes_at)))
 
-    push(0, np.arange(problems), np.zeros((problems, bits), np.int8), np.zeros(problems),
-         rows, t.T, -t_sq)
+    push(0, np.arange(problems), np.zeros((problems, bits), np.int8), t.T, -t_sq)
     while stack:
-        d, prob, prefix, fixed, free_linear, residual, fixed_perp = stack.pop()
-        child_fixed = (fixed + diag[d])[:, None] + _SIGNS * free_linear[:, :1]
-        child_linear = free_linear[:, None, 1:] + steps[d]
-        interval = child_fixed - np.abs(child_linear).sum(axis=2) + free_quadratic[d]
+        d, prob, prefix, residual, fixed_perp = stack.pop()
         child_residual = residual[:, None, :] - _SIGNS[:, None] * w[d]
-        gap = np.maximum(np.abs(child_residual) - reach[d], 0.0)
         child_perp = fixed_perp[:, None] + _SIGNS * perp[d, prob][:, None]
+        # The interval bound's prefix value and free linear terms, read from
+        # each child's residual by the two identities above.
+        coupling = child_residual.reshape(-1, w.shape[1]) @ w[d + 1:].T
+        free_linear = (perp[d + 1:, prob].T[:, None]
+                       - 2.0 * coupling.reshape(len(prob), 2, bits - d - 1))
+        interval = ((child_residual * child_residual).sum(axis=2) + child_perp
+                    - np.abs(free_linear).sum(axis=2) + free_quadratic[d])
+        gap = np.maximum(np.abs(child_residual) - reach[d], 0.0)
         box = (gap * gap).sum(axis=2) + child_perp - free_perp[d, prob][:, None]
         margin = np.maximum(interval, box) - (best_val + slack)[prob][:, None]
         node, side = np.nonzero(margin <= 0.0)
@@ -194,8 +201,7 @@ def _branch_and_bound_set(w: np.ndarray, quadratic: np.ndarray, linear: np.ndarr
                     best_val[k] = val
                     best[k] = b
             continue
-        push(d + 1, prob, prefix, child_fixed[node, side], child_linear[node, side],
-             child_residual[node, side], child_perp[node, side])
+        push(d + 1, prob, prefix, child_residual[node, side], child_perp[node, side])
     return np.ascontiguousarray(best.T), nodes
 
 

@@ -73,13 +73,10 @@ def _optional_positive_integer(text: str) -> int | None:
     return _positive_integer(text) if text else None
 
 
-def _integer_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError("must be comma-separated integers") from None
+def _positive_integer_list(text: str) -> list[int]:
+    values = [_positive_integer(v) for v in text.split(",") if v.strip()]
     if not values:
-        raise ValueError("must list at least one integer")
+        raise ValueError("must list at least one positive integer")
     return values
 
 
@@ -129,7 +126,7 @@ SCHEMA = {
     "radius": ("2", _non_negative_integer),
     "zero_retrieval": ("zero", _one_of(*evaluate.ZERO_RETRIEVAL_MODES)),
     "repeats": ("3", _positive_integer),
-    "bits_list": ("32,64,128,256,512", _integer_list),
+    "bits_list": ("32,64,128,256,512", _positive_integer_list),
     "bitscale_methods": ("fsdh,sdh", _list_of(*METHODS)),
     "test_per_class": ("30", _positive_integer),
     "fig1_seeds": ("10", _positive_integer),
@@ -407,6 +404,8 @@ def _figure_fig1(cfg, out: Path) -> None:
     labels = np.arange(classes, dtype=np.int64)
     rng = np.random.default_rng(cfg["data_seed"])
     features = rng.standard_normal((classes, classes))
+    # Checks assumptions A1 and A2 before any run writes a trajectory.
+    class_codes = codes.hadamard_codes(bits, classes)
 
     for solver in ("dcc", "branch_and_bound"):
         for s in range(cfg["fig1_seeds"]):
@@ -415,7 +414,6 @@ def _figure_fig1(cfg, out: Path) -> None:
                                           seed=s, solver=solver)
             _write_trajectory(out / f"fig1_{solver}_seed{s}.csv", trajectory)
 
-    class_codes = codes.hadamard_codes(bits, classes)
     w = fsdh.optimal_weights(class_codes, lam)
     b = codes.expand_codes(class_codes, labels).astype(np.float64)
     y = sdh.one_hot(labels, classes)
@@ -435,15 +433,7 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
         cols = np.flatnonzero(data.labels == cls)
         test_cols.append(cols[:test_per_class])
         train_cols.append(cols[test_per_class:])
-    train_cols = np.concatenate(train_cols)
-    test_cols = np.concatenate(test_cols)
-    train = dataset.RawDataset(features=data.features[:, train_cols],
-                               labels=data.labels[train_cols],
-                               class_count=data.class_count)
-    test = dataset.RawDataset(features=data.features[:, test_cols],
-                              labels=data.labels[test_cols],
-                              class_count=data.class_count)
-    return train, test
+    return data.subset(np.concatenate(train_cols)), data.subset(np.concatenate(test_cols))
 
 
 def _figure_bitscale(cfg, out: Path) -> None:
@@ -489,10 +479,7 @@ def _figure_losses(cfg, out: Path) -> None:
 
 def _figure_biasmap(cfg, out: Path) -> None:
     data = _load_dataset(cfg)
-    order = np.argsort(data.labels, kind="stable")
-    data = dataset.RawDataset(features=data.features[:, order],
-                              labels=data.labels[order],
-                              class_count=data.class_count)
+    data = data.subset(np.argsort(data.labels, kind="stable"))
     _, features = _kernel_features(cfg, data)
     class_codes = codes.hadamard_codes(cfg["bits"], data.class_count)
     expanded = codes.expand_codes(class_codes, data.labels)

@@ -59,6 +59,11 @@ class RawDataset:
     def sample_count(self) -> int:
         return self.features.shape[1]
 
+    def subset(self, cols) -> RawDataset:
+        """The samples at `cols`, an index array or a slice, in that order."""
+        return RawDataset(features=self.features[:, cols], labels=self.labels[cols],
+                          class_count=self.class_count)
+
 
 def validate_training_labels(dataset: RawDataset) -> None:
     """Check that every class in [0, class_count) has at least one sample.
@@ -168,8 +173,7 @@ def truncate(dataset: RawDataset, limit: int | None) -> RawDataset:
     if limit is None:
         return dataset
     _check_limit(limit)
-    return RawDataset(features=dataset.features[:, :limit], labels=dataset.labels[:limit],
-                      class_count=dataset.class_count)
+    return dataset.subset(slice(limit))
 
 
 def load_mnist(images_path: str | Path, labels_path: str | Path,

@@ -344,15 +344,15 @@ class TestBranchAndBound:
 
     def test_frontier_memory_stays_within_its_blocks(self, monkeypatch):
         # Weak pruning: nu = 1e-5 leaves the per-sample terms far from W's
-        # span. A block of root nodes holds each node's prefix, free linear
-        # terms, t - c and three scalars. The frontier keeps at most one
-        # pending block per depth plus the current block's children; searched
-        # as one level-wide frontier it peaked at 182 blocks (54 MB), where
-        # the blocked search peaked at 19.
+        # span. A block holds each node's problem, prefix, residual t - c and
+        # f_perp value. The frontier keeps at most one pending block per depth
+        # plus the current block's children. One level-wide frontier peaked
+        # at 54 MB, and nodes that also stored the prefix value and the free
+        # linear terms at 5.66 MB, both above this bound.
         bits = 20
         w, linear = per_sample_factors(bits, 1e-5)
         quadratic = w @ w.T
-        block_bytes = biqp._BLOCK * (bits + 8 * (bits + w.shape[1] + 4))
+        block_bytes = biqp._BLOCK * (bits + 8 * (w.shape[1] + 2))
         tracemalloc.start()
         try:
             codes, _ = biqp._branch_and_bound_set(w, quadratic, linear)

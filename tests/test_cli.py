@@ -267,6 +267,17 @@ class TestFigureKeys:
         for solver in ("dcc", "branch_and_bound"):
             assert len((out / f"fig1_{solver}_seed0.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("bits, assumption", [("12", "A1"), ("8", "A2")])
+    def test_fig1_checks_its_code_length_before_any_run(self, tmp_path, capsys, bits,
+                                                         assumption):
+        # bits=12 ran four trainings and wrote four trajectories before the
+        # closed form's class codes failed A1.
+        out = tmp_path / "fig1"
+        assert run(["figures", "fig1", "--set", f"bits={bits}", "--set", "fig1_seeds=2",
+                    "--outdir", str(out)]) == 2
+        assert f"violates assumption {assumption}" in capsys.readouterr().err
+        assert not list(out.glob("fig1_*.csv"))
+
     def test_fig1_exact_trajectories_end_at_exhaustive_totals(self, tmp_path):
         # Exhaustive search over all 2^16 codes ended each seed's 20
         # iterations at these totals.
@@ -603,14 +614,17 @@ class TestConfigValidation:
         (["train"], "spread", "-1"),
         (["train"], "limit", "0"),
         (["train"], "limit", "-1"),
+        (["figures", "losses"], "bits_list", "16,-8"),
+        (["bench"], "bits_list", "0"),
     ])
     def test_non_positive_count_or_empty_list_fails_before_any_data_loads(
             self, tmp_path, capsys, command, key, value):
         # `bench` with repeats=0 wrote nan timings, `test_per_class=-1` trained
         # on one sample per class, an empty list wrote a header-only CSV, and
         # `fig1_seeds=0` wrote no trajectory. A count of zero, a sigma of zero,
-        # a negative lambda, nu, radius or spread, or a limit below one wrote
-        # config.txt and failed only in the library.
+        # a negative lambda, nu, radius or spread, a limit below one, or a
+        # code length below one in `bits_list` wrote config.txt and failed
+        # only in the library.
         out = tmp_path / "run"
         assert run(command + ["--set", f"{key}={value}", "--set", "source=mnist",
                               "--outdir", str(out)]) == 2

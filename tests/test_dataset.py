@@ -192,6 +192,15 @@ class TestRawDataset:
         with pytest.raises(ValueError, match="class 1"):
             dataset.validate_training_labels(data)
 
+    def test_subset_takes_columns_in_the_given_order(self):
+        data = dataset.synth_blobs(3, 4, 5, 0.1, seed=0)
+        cols = np.array([7, 0, 7, 11])
+        part = data.subset(cols)
+        assert np.array_equal(part.features, data.features[:, cols])
+        assert np.array_equal(part.labels, data.labels[cols])
+        assert part.class_count == 3
+        assert np.array_equal(data.subset(slice(5)).features, data.features[:, :5])
+
     @pytest.mark.parametrize("limit, message", [(0, "empty dataset requested"),
                                                 (-1, "limit must be positive")])
     def test_truncate_rejects_a_limit_below_one(self, limit, message):
