@@ -11,8 +11,13 @@ analysis since either reading is defensible.
 Every retrieval metric comes from one streaming pass, `retrieval_counts`,
 which computes each block of query distances once; `evaluate_retrieval`
 reads precision and recall at a radius, MAP, the per-query average
-precisions and the PR curve from it, so memory stays O(n_queries * bits +
-block * database size) however many queries there are.
+precisions and the PR curve from it. The metrics need only per-(query,
+class, distance) totals, so the pass first groups the database into
+buckets of items with the same code and label and scores each bucket once,
+counted with its multiplicity; supervised codes collapse onto a few codes
+per class, so there are far fewer buckets than items. Memory stays
+O(n_queries * bits + database size * words + block * buckets) however many
+queries there are.
 """
 from __future__ import annotations
 
@@ -21,19 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import expand_codes
-from .index import CodeIndex, PackedCodes, hamming_matrix
+from .index import CodeIndex, PackedCodes, hamming_matrix, integer_labels
 from .model import HashModel, _scorer
 from .sdh import SdhState, one_hot, w_step
 
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
 BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
 # Scratch bytes one evaluation block may hold; the bytes it holds at most per
-# (query, database item) pair: distance (at most uint16), int64 bin key and
-# the kernel's uint64 XOR; and per (query, class, distance) bin: its int64
-# count.
-EVAL_BLOCK_BYTES = 8 << 20
+# (query, database bucket) pair: distance (at most uint16), int64 bin key and
+# the kernel's uint64 XOR, plus the pair's float64 bincount weight when some
+# bucket holds more than one item; and per (query, class, distance) bin: its
+# int64 or float64 count.
+EVAL_BLOCK_BYTES = 4 << 20
 EVAL_PAIR_BYTES = 18
+EVAL_WEIGHT_BYTES = 8
 EVAL_BIN_BYTES = 8
+# Odd multiplier of the 64-bit fold that sorts the database into buckets.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ def _check_query_inputs(index: CodeIndex, queries: PackedCodes,
         raise ValueError("empty database")
     if queries.count == 0:
         raise ValueError("no queries")
-    query_labels = np.asarray(query_labels, dtype=np.int64)
+    query_labels = integer_labels(query_labels, "query labels")
     if query_labels.shape != (queries.count,):
         raise ValueError(
             f"query label count {query_labels.shape} does not match {queries.count} queries"
@@ -117,15 +126,19 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                      query_labels: np.ndarray) -> RetrievalCounts:
     """Score every query against the database in one streaming pass.
 
-    Queries go through in blocks sized so that a block's distances, bin
-    keys and histograms stay within EVAL_BLOCK_BYTES; memory is
-    O(n_queries * bits + block * count). Each block's distances are computed
-    once and binned by (query, database class, distance) in one bincount.
-    The cumulative bins over all classes give `retrieved`, those of the
-    query's class give `relevant`, and the same per-distance counts give
-    average precision as the expected AP over every ordering of
-    equidistant items (McSherry and Najork, ECIR 2008). No ranking is
-    built, so the result does not depend on the database's storage order.
+    The database is first grouped into buckets of items with the same words
+    and the same label (`_buckets`), and each query is scored once per
+    bucket, its distance counted with the bucket's multiplicity. Queries go
+    through in blocks sized so that a block's distances, bin keys, weights
+    and histograms stay within EVAL_BLOCK_BYTES; memory is
+    O(n_queries * bits + count * words + block * buckets). Each block's
+    distances are computed once and binned by (query, database class,
+    distance) in one bincount. The cumulative bins over all classes give
+    `retrieved`, those of the query's class give `relevant`, and the same
+    per-distance counts give average precision as the expected AP over
+    every ordering of equidistant items (McSherry and Najork, ECIR 2008).
+    No ranking is built, so the result does not depend on the database's
+    storage order.
     """
     query_labels = _check_query_inputs(index, queries, query_labels)
     classes, db_class, class_counts = np.unique(
@@ -137,28 +150,36 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         raise ValueError(f"query label {bad} absent from database")
     class_sizes = class_counts[slot]
 
-    count, bits = index.codes.count, index.codes.bits
+    codes, bucket_class, multiplicity = _buckets(index.codes, db_class)
+    count, buckets, bits = index.codes.count, codes.count, index.codes.bits
     levels = bits + 1
     bins = classes.size * levels
-    # Bin key of database item j against query row i of a block:
+    # Bin key of bucket j against query row i of a block:
     # dist + levels * class(j) + bins * i.
-    class_key = db_class.astype(np.int64) * levels
+    class_key = bucket_class.astype(np.int64) * levels
     # harmonic[k] = 1 + 1/2 + ... + 1/k.
     harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, count + 1))))
     retrieved = np.empty((queries.count, levels), dtype=np.int64)
     relevant = np.empty_like(retrieved)
     ap = np.empty(queries.count)
-    block = max(1, EVAL_BLOCK_BYTES // (EVAL_PAIR_BYTES * count + EVAL_BIN_BYTES * bins))
+    pair_bytes = EVAL_PAIR_BYTES + (0 if multiplicity is None else EVAL_WEIGHT_BYTES)
+    block = max(1, EVAL_BLOCK_BYTES // (pair_bytes * buckets + EVAL_BIN_BYTES * bins))
+    # Each key's weight is its bucket's multiplicity; the float64 sums are
+    # whole numbers below 2**53, so they convert back to int64 exactly.
+    weights = None if multiplicity is None else np.tile(multiplicity,
+                                                        min(block, queries.count))
     for start in range(0, queries.count, block):
         rows = PackedCodes(words=queries.words[start:start + block], bits=queries.bits)
         stop = start + rows.count
-        key = hamming_matrix(index.codes, rows) + class_key
+        key = hamming_matrix(codes, rows) + class_key
         key += np.arange(0, rows.count * bins, bins)[:, None]
-        hist = np.bincount(key.ravel(), minlength=rows.count * bins).reshape(
-            rows.count, classes.size, levels)
+        hist = np.bincount(key.ravel(), None if weights is None else weights[:key.size],
+                           minlength=rows.count * bins).reshape(rows.count, classes.size,
+                                                                levels)
         del key  # so the next block's kernel scratch does not sit beside it
-        at_level = hist.sum(axis=1)
-        relevant_at_level = hist[np.arange(rows.count), slot[start:stop]]
+        at_level = hist.sum(axis=1).astype(np.int64, copy=False)
+        relevant_at_level = hist[np.arange(rows.count), slot[start:stop]].astype(
+            np.int64, copy=False)
         np.cumsum(at_level, axis=1, out=retrieved[start:stop])
         np.cumsum(relevant_at_level, axis=1, out=relevant[start:stop])
         ap[start:stop] = _tie_average_precision(
@@ -166,6 +187,39 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
             harmonic) / class_sizes[start:stop]
     return RetrievalCounts(retrieved=retrieved, relevant=relevant,
                            class_sizes=class_sizes, ap=ap)
+
+
+def _buckets(codes: PackedCodes, db_class: np.ndarray
+             ) -> tuple[PackedCodes, np.ndarray, np.ndarray | None]:
+    """Group the database into buckets of items with equal words and class.
+
+    Returns each bucket's code, its class index and its multiplicity (float64,
+    the bincount weight); the multiplicity is None, and the database comes
+    back as it is, when every item is a bucket of its own. The items are
+    sorted by one 64-bit fold of their words and class, and a bucket ends
+    wherever the class or any word differs from the next item's. Equal items
+    whose folds collide with another item's may land in separate buckets,
+    which leaves the counts exact.
+    """
+    fold = db_class.astype(np.uint64)
+    for column in codes.words.T:
+        fold *= _FOLD
+        fold += column
+    order = np.argsort(fold)
+    ordered = db_class[order]
+    starts = np.empty(codes.count, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    for column in codes.words.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    if starts.all():
+        return codes, db_class, None
+    first = np.flatnonzero(starts)
+    multiplicity = np.diff(first, append=codes.count).astype(np.float64)
+    first = order[first]
+    return (PackedCodes(words=codes.words[first], bits=codes.bits), db_class[first],
+            multiplicity)
 
 
 def _tie_average_precision(items: np.ndarray, hits: np.ndarray, items_within: np.ndarray,

@@ -143,12 +143,15 @@ class TestMeanAveragePrecision:
         queries = pack_signs(signs[:, :10])
         qlabels = labels[:10]
         base = evaluate.evaluate_retrieval(idx, queries, qlabels)
+        base_counts = evaluate.retrieval_counts(idx, queries, qlabels)
         for _ in range(3):
             order = rng.permutation(80)
             moved = index.CodeIndex(codes=pack_signs(signs[:, order]), labels=labels[order])
             report = evaluate.evaluate_retrieval(moved, queries, qlabels)
             assert report.map == base.map
             assert np.array_equal(report.per_query, base.per_query)
+            assert_counts_equal(evaluate.retrieval_counts(moved, queries, qlabels),
+                                base_counts)
 
     def test_tie_free_ranking_matches_id_tiebreak_ap(self):
         # Item k differs from the query in its first k bits, so every
@@ -249,10 +252,44 @@ def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
 
 
 def limit_block(monkeypatch, idx, rows):
-    """Make `retrieval_counts` score `rows` queries per block of `idx`."""
-    bins = np.unique(idx.labels).size * (idx.codes.bits + 1)
-    row_bytes = evaluate.EVAL_PAIR_BYTES * idx.codes.count + evaluate.EVAL_BIN_BYTES * bins
+    """Make `retrieval_counts` score `rows` queries per block of `idx`: a
+    block holds its (query, bucket) pairs, with a weight per pair when some
+    bucket holds more than one item, and its (query, class, distance) bins."""
+    classes, db_class = np.unique(idx.labels, return_inverse=True)
+    buckets, _, multiplicity = evaluate._buckets(idx.codes, db_class)
+    pair_bytes = evaluate.EVAL_PAIR_BYTES
+    if multiplicity is not None:
+        pair_bytes += evaluate.EVAL_WEIGHT_BYTES
+    bins = classes.size * (idx.codes.bits + 1)
+    row_bytes = pair_bytes * buckets.count + evaluate.EVAL_BIN_BYTES * bins
     monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
+
+
+def record_scoring(monkeypatch):
+    """Wrap the evaluation's distance kernel; the returned list gets one
+    (query rows, database rows) pair per call."""
+    calls = []
+
+    def recorded(database, queries):
+        calls.append((queries.count, database.count))
+        return index.hamming_matrix(database, queries)
+
+    monkeypatch.setattr(evaluate, "hamming_matrix", recorded)
+    return calls
+
+
+def assert_counts_equal(found, expected):
+    for name in ("retrieved", "relevant", "class_sizes", "ap"):
+        a, b = getattr(found, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def unbucketed_counts(monkeypatch, idx, queries, labels):
+    """`retrieval_counts` with every database item scored on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "_buckets", lambda codes, db_class: (codes, db_class, None))
+        return evaluate.retrieval_counts(idx, queries, labels)
 
 
 class TestStreamingPass:
@@ -318,6 +355,126 @@ class TestStreamingPass:
         small, large = peak(80), peak(1280)
         assert large < 1.2 * small
         assert large < 1280 * count  # below even a uint8 Q x N distance matrix
+
+
+def bucket_instance(rng, kind, bits, count=150, query_count=11, classes=3):
+    """A database of `kind` with its queries, as sign matrices and labels.
+
+    "repeats": `count` items drawn from a few codes, one of them carrying
+    every label; "single": one code and one label, a single bucket;
+    "distinct": no two items share both code and label.
+    """
+    if kind == "repeats":
+        prototypes = 2 * rng.integers(0, 2, (bits, 6)) - 1
+        pick = rng.integers(0, 6, count)
+        pick[:classes] = 0
+        labels = rng.integers(0, classes, count)
+        labels[:classes] = np.arange(classes)
+        signs = prototypes[:, pick]
+    elif kind == "single":
+        signs = np.repeat(2 * rng.integers(0, 2, (bits, 1)) - 1, count, axis=1)
+        labels = np.zeros(count, dtype=np.int64)
+    else:
+        drawn = np.vstack([2 * rng.integers(0, 2, (bits, 3 * count)) - 1,
+                           rng.integers(0, classes, 3 * count)])
+        _, first = np.unique(drawn, axis=1, return_index=True)
+        keep = np.sort(first)[:count]
+        signs, labels = drawn[:bits, keep], drawn[bits, keep]
+    q_signs = np.where(rng.random((bits, query_count)) < 0.1, -1, 1) * signs[
+        :, rng.integers(0, signs.shape[1], query_count)]
+    return (signs.astype(np.int8), labels, q_signs.astype(np.int8),
+            rng.choice(labels, query_count))
+
+
+class TestBuckets:
+    @pytest.mark.parametrize("bits", [1, 16, 65, 130, 512])
+    @pytest.mark.parametrize("kind", ["repeats", "single", "distinct"])
+    @pytest.mark.parametrize("zero_retrieval", ["zero", "skip"])
+    def test_bitwise_equal_to_oracle_and_to_scoring_every_item(self, bits, kind,
+                                                               zero_retrieval, monkeypatch):
+        rng = np.random.default_rng([bits, len(kind)])
+        db_signs, db_labels, q_signs, q_labels = bucket_instance(rng, kind, bits)
+        pairs = np.unique(np.vstack([db_signs, db_labels]), axis=1).shape[1]
+        if kind == "repeats":
+            shared = np.unique(db_labels[(db_signs == db_signs[:, :1]).all(axis=0)])
+            assert shared.size >= 3 and pairs < 30
+        else:
+            assert pairs == (1 if kind == "single" else db_labels.size)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        queries = pack_signs(q_signs)
+        every_item = unbucketed_counts(monkeypatch, idx, queries, q_labels)
+        expected = {radius: oracles.retrieval_three_pass(db_signs, db_labels, q_signs,
+                                                         q_labels, radius, zero_retrieval)
+                    for radius in (0, max(1, bits // 10), bits, bits + 7)}
+        for rows in (1, 5, None):
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    limit_block(patch, idx, rows)
+                calls = record_scoring(patch)
+                assert_counts_equal(evaluate.retrieval_counts(idx, queries, q_labels),
+                                    every_item)
+                assert [n for _, n in calls] == [pairs] * len(calls)
+                assert calls[0][0] == (rows or queries.count)
+                for radius, oracle in expected.items():
+                    report = evaluate.evaluate_retrieval(idx, queries, q_labels, radius,
+                                                         zero_retrieval)
+                    assert report.precision_at_radius == oracle["precision_at_radius"]
+                    assert report.recall_at_radius == oracle["recall_at_radius"]
+                    assert report.pr_curve == oracle["pr_curve"]
+                    assert abs(report.map - oracle["map"]) <= 1e-12
+                    assert np.allclose(report.per_query, oracle["per_query"], rtol=0,
+                                       atol=1e-12)
+
+    def test_scores_each_bucket_once_per_query(self, monkeypatch):
+        # 2,000 items on 10 codes under 2 labels each: 20 buckets.
+        rng = np.random.default_rng(35)
+        prototypes = 2 * rng.integers(0, 2, (32, 10)) - 1
+        pick = np.repeat(np.arange(10), 200)
+        labels = np.tile([3, 8], 1000)
+        idx = index.CodeIndex(codes=pack_signs(prototypes[:, pick]), labels=labels)
+        q_signs = np.where(rng.random((32, 40)) < 0.1, -1, 1) * prototypes[:, pick[:40]]
+        queries, q_labels = pack_signs(q_signs), labels[:40]
+        with monkeypatch.context() as patch:
+            calls = record_scoring(patch)
+            counts = evaluate.retrieval_counts(idx, queries, q_labels)
+        assert sum(q * n for q, n in calls) <= queries.count * 20
+        assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries, q_labels))
+
+    def test_peak_memory_of_an_all_distinct_database(self):
+        # Random 64-bit codes: every item is its own bucket, so only the
+        # grouping's O(count * words) arrays come on top of the blocks.
+        rng = np.random.default_rng(36)
+        count = 20_000
+        words = rng.integers(0, np.iinfo(np.uint64).max, (count, 1), dtype=np.uint64,
+                             endpoint=True)
+        assert np.unique(words).size == count
+        idx = index.CodeIndex(codes=index.PackedCodes(words=words, bits=64),
+                              labels=rng.integers(0, 10, count))
+        queries = index.PackedCodes(words=words[:1280] ^ np.uint64(0b101), bits=64)
+        tracemalloc.start()
+        try:
+            evaluate.evaluate_retrieval(idx, queries, idx.labels[:1280])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1280 * count
+
+
+class TestQueryLabels:
+    @pytest.mark.parametrize("bad", [[0.5, 1.0, 2.2], [0.0, np.nan, 1.0], ["0", "1", "2"]])
+    def test_rejects_labels_that_are_not_integers(self, bad):
+        rng = np.random.default_rng(37)
+        idx, signs, _ = small_instance(rng)
+        with pytest.raises(ValueError, match="query labels must"):
+            evaluate.retrieval_counts(idx, pack_signs(signs[:, :3]), bad)
+
+    def test_whole_floats_read_as_their_integers(self):
+        rng = np.random.default_rng(38)
+        idx, signs, labels = small_instance(rng)
+        queries = pack_signs(signs[:, :3])
+        assert_counts_equal(
+            evaluate.retrieval_counts(idx, queries, labels[:3].astype(np.float64)),
+            evaluate.retrieval_counts(idx, queries, labels[:3]))
 
 
 class TestBiasDiagnostics:

@@ -310,6 +310,35 @@ def test_writes_to_the_source_array_do_not_reach_the_index(bits):
         assert scanned.flags.c_contiguous and not scanned.flags.writeable
 
 
+class TestLabels:
+    def test_caller_writes_do_not_reach_the_labels(self):
+        labels = np.array([0, 1, 2, 1], dtype=np.int64)
+        idx = index.CodeIndex(codes=index.pack(np.ones((8, 4), dtype=np.int8)), labels=labels)
+        labels[:] = 7
+        assert np.array_equal(idx.labels, [0, 1, 2, 1])
+        assert idx.labels.dtype == np.int64 and not idx.labels.flags.writeable
+
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.7, 2.2],
+        [0.0, np.nan, 1.0],
+        [0.0, np.inf, 1.0],
+        [0.0, 1.0, 2.0 ** 63],
+        np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64),
+        ["0", "1", "2"],
+    ])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        codes = index.pack(np.ones((8, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="labels must"):
+            index.CodeIndex(codes=codes, labels=labels)
+
+    def test_whole_floats_and_narrow_integers_keep_their_values(self):
+        codes = index.pack(np.ones((8, 3), dtype=np.int8))
+        for labels in ([0.0, 3.0, -2.0], np.array([0, 3, 254], dtype=np.uint8)):
+            idx = index.CodeIndex(codes=codes, labels=labels)
+            assert idx.labels.dtype == np.int64
+            assert np.array_equal(idx.labels, np.asarray(labels).astype(np.int64))
+
+
 class TestHits:
     @pytest.mark.parametrize("bits,dtype", [(32, np.uint8), (300, np.uint16)])
     def test_arrays_are_read_only_in_the_kernel_dtype(self, bits, dtype):
