@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import class_labels
+
 _MAX_ORDER = 4096
 
 
@@ -96,9 +98,4 @@ def hadamard_codes(bits: int, classes: int) -> ClassCodes:
 
 def expand_codes(class_codes: ClassCodes, labels: np.ndarray) -> np.ndarray:
     """Line class codes up per sample: column i is the code of labels[i]."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_codes.classes):
-        raise ValueError(f"label out of range [0, {class_codes.classes})")
-    return class_codes.codes[:, labels]
+    return class_codes.codes[:, class_labels(labels, "labels", class_codes.classes)]

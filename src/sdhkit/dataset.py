@@ -4,6 +4,11 @@ Features are stored column-major: one sample per column, so a dataset with
 D-dimensional features and N samples is a (D, N) matrix. Labels are integer
 class indices; one-hot label matrices are materialized only inside the
 operations that need them.
+
+`class_labels` is the package's one label check: every function that takes
+labels reads them through it, so a label that is not a whole number or lies
+outside the class range, or a label count that is not the sample count,
+raises ValueError instead of being truncated, wrapped or broadcast.
 """
 from __future__ import annotations
 
@@ -26,28 +31,20 @@ class RawDataset:
     """Labeled feature vectors, one column per sample."""
 
     features: np.ndarray  # (dim, sample_count) float64, finite
-    labels: np.ndarray    # (sample_count,) int64 in [0, class_count)
+    labels: np.ndarray    # (sample_count,) int64 in [0, class_count), read-only
     class_count: int
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D (dim x samples), got shape {features.shape}")
-        if labels.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-        if features.shape[1] != labels.shape[0]:
-            raise ValueError(
-                f"sample count mismatch: {features.shape[1]} feature columns vs {labels.shape[0]} labels"
-            )
         if features.shape[1] < 1:
             raise ValueError("dataset must contain at least one sample")
         if not np.isfinite(features).all():
             raise ValueError("features contain non-finite values")
+        labels = class_labels(self.labels, "labels", self.class_count, features.shape[1])
         if self.class_count < 1:
             raise ValueError(f"class_count must be positive, got {self.class_count}")
-        if labels.min() < 0 or labels.max() >= self.class_count:
-            raise ValueError(f"label out of range [0, {self.class_count})")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -63,6 +60,39 @@ class RawDataset:
         """The samples at `cols`, an index array or a slice, in that order."""
         return RawDataset(features=self.features[:, cols], labels=self.labels[cols],
                           class_count=self.class_count)
+
+
+def class_labels(values, name: str, class_count: int | None = None,
+                 count: int | None = None) -> np.ndarray:
+    """A read-only 1-D int64 copy of class labels.
+
+    Integer and boolean arrays are copied as they are. Floats must hold
+    finite whole numbers, so no label is truncated, wrapped or turned from
+    NaN into -2**63. With `class_count`, every label must lie in
+    [0, class_count); with `count`, there must be exactly `count` labels.
+    Anything else raises ValueError naming `name`.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        # NaN fails both tests, and +-inf the second.
+        if not ((values == np.floor(values)) & (np.abs(values) < 2.0 ** 63)).all():
+            raise ValueError(f"{name} must be finite integers")
+    elif values.dtype.kind == "u":
+        if values.size and values.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"{name} must fit in int64")
+    elif values.dtype.kind not in "bi":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {values.shape}")
+    if count is not None and values.shape[0] != count:
+        raise ValueError(f"{name} must have length {count}, got {values.shape[0]}")
+    labels = values.astype(np.int64)
+    if class_count is not None and labels.size and (
+            labels.min() < 0 or labels.max() >= class_count):
+        bad = labels[(labels < 0) | (labels >= class_count)][0]
+        raise ValueError(f"{name}: label out of range [0, {class_count}): found {bad}")
+    labels.flags.writeable = False
+    return labels
 
 
 def validate_training_labels(dataset: RawDataset) -> None:
@@ -155,10 +185,7 @@ def write_idx_images(path: str | Path, images: np.ndarray) -> None:
 
 def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
     """Write a (count,) array of labels in [0, 255] as an IDX label file."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    _write_idx(path, IDX_LABELS_MAGIC, labels.astype(np.uint8))
+    _write_idx(path, IDX_LABELS_MAGIC, class_labels(labels, "labels", 256).astype(np.uint8))
 
 
 def _check_limit(limit: int) -> None:
@@ -194,11 +221,9 @@ def load_mnist(images_path: str | Path, labels_path: str | Path,
         _check_limit(limit)
         images = images[:limit]
         labels = labels[:limit]
-    if labels.size and labels.max() > 9:
-        raise ValueError(f"label out of range [0, 10): found {int(labels.max())}")
     count = images.shape[0]
     features = images.reshape(count, -1).T.astype(np.float64) / 255.0
-    return RawDataset(features=features, labels=labels.astype(np.int64), class_count=10)
+    return RawDataset(features=features, labels=labels, class_count=10)
 
 
 def _parse_csv_matrix(path: str | Path) -> np.ndarray:
@@ -242,16 +267,7 @@ def load_csv(features_path: str | Path, labels_path: str | Path) -> RawDataset:
     raw_labels = _parse_csv_matrix(labels_path)
     if raw_labels.shape[1] != 1:
         raise ValueError(f"{labels_path}: expected one label per row, got {raw_labels.shape[1]} columns")
-    labels = raw_labels[:, 0]
-    if not np.all(labels == np.round(labels)):
-        raise ValueError(f"{labels_path}: labels must be integers")
-    labels = labels.astype(np.int64)
-    if data.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"row count mismatch: {data.shape[0]} feature rows vs {labels.shape[0]} labels"
-        )
-    if labels.min() < 0:
-        raise ValueError("label out of range: negative label")
+    labels = class_labels(raw_labels[:, 0], f"{labels_path}: labels", count=data.shape[0])
     return RawDataset(features=data.T, labels=labels, class_count=int(labels.max()) + 1)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import expand_codes
-from .index import CodeIndex, PackedCodes, hamming_matrix, integer_labels
+from .dataset import class_labels
+from .index import CodeIndex, PackedCodes, hamming_matrix
 from .model import HashModel, _scorer
 from .sdh import SdhState, one_hot, w_step
 
@@ -71,12 +72,7 @@ def _check_query_inputs(index: CodeIndex, queries: PackedCodes,
         raise ValueError("empty database")
     if queries.count == 0:
         raise ValueError("no queries")
-    query_labels = integer_labels(query_labels, "query labels")
-    if query_labels.shape != (queries.count,):
-        raise ValueError(
-            f"query label count {query_labels.shape} does not match {queries.count} queries"
-        )
-    return query_labels
+    return class_labels(query_labels, "query labels", count=queries.count)
 
 
 def _check_options(zero_retrieval: str, radius: int) -> None:
@@ -298,15 +294,15 @@ def bias_term_diagnostics(features: np.ndarray, codes: np.ndarray,
     """
     x = np.asarray(features, dtype=np.float64)
     b = np.asarray(codes, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[1]
     if n > BIAS_DIAGNOSTICS_MAX_SAMPLES:
         raise ValueError(
             f"sample count {n} exceeds the {BIAS_DIAGNOSTICS_MAX_SAMPLES} guard "
             f"for materializing N x N grids"
         )
-    if b.shape[1] != n or labels.shape[0] != n:
-        raise ValueError("features, codes, and labels must agree on sample count")
+    if b.shape[1] != n:
+        raise ValueError("features and codes must agree on sample count")
+    labels = class_labels(labels, "labels", count=n)
     if np.any(np.diff(labels) < 0):
         raise ValueError("samples must be sorted by label")
 
@@ -362,13 +358,13 @@ def loss_table(sdh_state: SdhState, fsdh_model: HashModel, features: np.ndarray,
     if fsdh_model.class_codes is None:
         raise ValueError("model has no class codes; train it with the closed-form trainer")
     x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     bits = sdh_state.codes.shape[0]
     if fsdh_model.bits != bits:
         raise ValueError(f"bit mismatch: {bits} vs {fsdh_model.bits}")
     if sdh_state.projection.shape[0] != x.shape[0] or fsdh_model.projection.shape[0] != x.shape[0]:
         raise ValueError("projection rows do not match the feature dimension")
     class_count = sdh_state.weights.shape[1]
+    labels = class_labels(labels, "labels", class_count, x.shape[1])
 
     def losses(b: np.ndarray, projected: np.ndarray, lam: float) -> tuple[float, float]:
         y = one_hot(labels, class_count)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codes import ClassCodes, hadamard_codes
+from .dataset import class_labels
 # Re-exported for callers that still read the model names from this module.
 from .model import DatasetFingerprint, HashModel, load_model, save_model  # noqa: F401
 from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
@@ -41,10 +42,7 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     # Checks assumptions A1 and A2 before any other input.
     class_codes = hadamard_codes(bits, class_count)
     x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != x.shape[1]:
-        raise ValueError(f"label count {labels.shape[0]} does not match {x.shape[1]} samples")
-    indicators = one_hot(labels, class_count)
+    indicators = one_hot(class_labels(labels, "labels", count=x.shape[1]), class_count)
     return ProjectionSolver(x).solve(indicators), class_codes
 
 

@@ -20,7 +20,8 @@ beyond one XOR and popcount pass per word, the threshold and the sort.
 `radius_search` returns its hits as a `Hits`, two flat arrays of ids and
 distances, and creates no Python object per hit; a caller that indexes or
 iterates it gets (id, distance) tuples of Python ints, built as they are
-read.
+read. `CodeIndex` reads its labels through `dataset.class_labels`, the
+package's one label check.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import only_signs
+from .dataset import class_labels
 
 WORD_BITS = 64
 
@@ -65,47 +67,21 @@ class PackedCodes:
         return self.words.shape[0]
 
 
-def integer_labels(values, name: str) -> np.ndarray:
-    """A read-only int64 copy of class labels.
-
-    Integer and boolean arrays are copied as they are. Floats must hold
-    finite whole numbers, so no label is truncated, wrapped or turned from
-    NaN into -2**63; anything else raises ValueError naming `name`.
-    """
-    values = np.asarray(values)
-    if values.dtype.kind == "f":
-        # NaN fails both tests, and +-inf the second.
-        if not ((values == np.floor(values)) & (np.abs(values) < 2.0 ** 63)).all():
-            raise ValueError(f"{name} must be finite integers")
-    elif values.dtype.kind == "u":
-        if values.size and values.max() > np.iinfo(np.int64).max:
-            raise ValueError(f"{name} must fit in int64")
-    elif values.dtype.kind not in "bi":
-        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    labels = values.astype(np.int64)
-    labels.flags.writeable = False
-    return labels
-
-
 @dataclass(frozen=True)
 class CodeIndex:
     """Database of packed codes with aligned integer labels.
 
     The labels are copied once, at construction, into a read-only int64
-    array (see `integer_labels`), so later writes to the caller's array do
-    not reach the index.
+    array (see `dataset.class_labels`), so later writes to the caller's
+    array do not reach the index.
     """
 
     codes: PackedCodes
     labels: np.ndarray  # (count,) int64, read-only
 
     def __post_init__(self):
-        labels = integer_labels(self.labels, "labels")
-        if labels.shape != (self.codes.count,):
-            raise ValueError(
-                f"label count {labels.shape} does not match code count {self.codes.count}"
-            )
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels",
+                           class_labels(self.labels, "labels", count=self.codes.count))
 
 
 def pack(signs: np.ndarray) -> PackedCodes:

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import biqp
+from .dataset import class_labels
 
 DEFAULT_LAMBDA = 1.0
 DEFAULT_NU = 1e-5
@@ -51,49 +52,15 @@ class ObjectiveBreakdown:
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     """(class_count, N) one-hot matrix with column i selecting labels[i]."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ValueError(f"label out of range [0, {class_count})")
+    labels = class_labels(labels, "labels", class_count)
     y = np.zeros((class_count, labels.shape[0]))
     y[labels, np.arange(labels.shape[0])] = 1.0
     return y
 
 
-def _cho_factor(a: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of a symmetric positive definite system matrix.
-
-    The factor overwrites `a`, a matrix the caller owns that must be exactly
-    symmetric, as `x @ x.T` is. Its transpose is then the same matrix, and
-    for a C-ordered `a` it is in the Fortran order LAPACK factors without a
-    copy.
-
-    Raises ValueError naming `context` when the matrix is singular or so
-    ill-conditioned that the factor cannot be trusted.
-    """
-    try:
-        factor = scipy.linalg.cho_factor(a.T, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"{context}: system matrix is singular "
-                         f"(not positive definite): {exc}") from None
-    # The factorization can slip past exactly singular matrices when rounding
-    # leaves a tiny positive pivot; the squared pivot ratio estimates rcond.
-    pivots = np.abs(np.diag(factor[0]))
-    if (pivots.min() / pivots.max()) ** 2 < 1e-14:
-        raise ValueError(f"{context}: system matrix is numerically singular")
-    return factor
-
-
-def w_step(codes: np.ndarray, labels: np.ndarray, class_count: int,
-           lam: float) -> np.ndarray:
-    """Exact ridge classifier: solve (B B^T + lam*I) W = B Y^T."""
-    b = np.asarray(codes, dtype=np.float64)
-    y = one_hot(labels, class_count)
-    lhs = b @ b.T + lam * np.eye(b.shape[0])
-    return scipy.linalg.cho_solve(_cho_factor(lhs, "classifier step"), b @ y.T)
-
-
 class ProjectionSolver:
-    """Least-squares projections onto one feature matrix X.
+    """Ridge least-squares solutions against one matrix X: the projection
+    step's (M, N) kernel features, or the classifier step's (L, N) codes.
 
     Builds X X^T + jitter*I and factors it once; every `solve` then costs a
     single (M, N) x (N, k) product and two triangular solves. The factor does
@@ -101,7 +68,8 @@ class ProjectionSolver:
     iterations and the closed-form trainer solves against its C class
     indicators instead of the L-bit codes. Kernel features are near-collinear,
     so `jitter=None` adds a small diagonal, 1e-8 * trace(X X^T) / M, read from
-    the Gram's trace; a singular system raises ValueError at construction.
+    the Gram's trace; the classifier step passes lambda as the jitter. A
+    singular system raises ValueError at construction.
     """
 
     def __init__(self, features: np.ndarray, jitter: float | None = None):
@@ -111,14 +79,33 @@ class ProjectionSolver:
             jitter = 1e-8 * float(np.trace(lhs)) / x.shape[0]
         if jitter:
             lhs.flat[::x.shape[0] + 1] += jitter
+        # lhs is exactly symmetric, so its transpose is the same matrix, in the
+        # Fortran order LAPACK factors in place without a copy.
+        try:
+            factor = scipy.linalg.cho_factor(lhs.T, overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise ValueError(f"X X^T + jitter*I is singular "
+                             f"(not positive definite): {exc}") from None
+        # The factorization can slip past exactly singular matrices when rounding
+        # leaves a tiny positive pivot; the squared pivot ratio estimates rcond.
+        pivots = np.abs(np.diag(factor[0]))
+        if (pivots.min() / pivots.max()) ** 2 < 1e-14:
+            raise ValueError("X X^T + jitter*I is numerically singular")
         self._features = x
-        self._factor = _cho_factor(lhs, "projection step")
+        self._factor = factor
 
     def solve(self, targets: np.ndarray) -> np.ndarray:
         """(M, k) projection P solving (X X^T + jitter*I) P = X T^T for a
         (k, N) target matrix T."""
         t = np.asarray(targets, dtype=np.float64)
         return scipy.linalg.cho_solve(self._factor, self._features @ t.T)
+
+
+def w_step(codes: np.ndarray, labels: np.ndarray, class_count: int,
+           lam: float) -> np.ndarray:
+    """Exact ridge classifier: solve (B B^T + lam*I) W = B Y^T."""
+    labels = class_labels(labels, "labels", count=np.shape(codes)[1])
+    return ProjectionSolver(codes, jitter=lam).solve(one_hot(labels, class_count))
 
 
 def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
@@ -132,8 +119,8 @@ def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
     started from the code of its first sample, and broadcast to every
     sample of that class. Returns the (bits, samples) int8 codes.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     w = state.weights
+    labels = class_labels(labels, "labels", w.shape[1], state.codes.shape[1])
     if state.nu == 0.0:
         classes, first, problem_of = np.unique(labels, return_index=True,
                                                return_inverse=True)
@@ -154,7 +141,7 @@ def objective(state: SdhState, labels: np.ndarray, *,
     """Evaluate every term of the training objective at the current state,
     given P^T X (`projected`)."""
     b = state.codes.astype(np.float64)
-    y = one_hot(labels, state.weights.shape[1])
+    y = one_hot(class_labels(labels, "labels", count=b.shape[1]), state.weights.shape[1])
     classification = float(((y - state.weights.T @ b) ** 2).sum())
     regularizer = state.lam * float((state.weights ** 2).sum())
     p_loss = float(((b - projected) ** 2).sum())
@@ -188,10 +175,8 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     if lam < 0 or nu < 0:
         raise ValueError("lambda and nu must be non-negative")
     x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[1]
-    if labels.shape[0] != n:
-        raise ValueError(f"label count {labels.shape[0]} does not match {n} samples")
+    labels = class_labels(labels, "labels", class_count, n)
 
     rng = np.random.default_rng(seed)
     codes = (2 * rng.integers(0, 2, size=(bits, n)) - 1).astype(np.int8)

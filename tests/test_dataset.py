@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdhkit import dataset
+from sdhkit import codes, dataset, evaluate, fsdh, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel
 
 import oracles
 
@@ -56,6 +57,12 @@ class TestIdxFiles:
         bad.write_bytes(blob)
         with pytest.raises(ValueError, match="truncated.*byte offset 16"):
             dataset.read_idx_images(bad)
+
+    @pytest.mark.parametrize("labels", [[300], [-1], [2.7]])
+    def test_labels_a_byte_cannot_hold_are_not_written(self, labels, tmp_path):
+        with pytest.raises(ValueError, match="labels"):
+            dataset.write_idx_labels(tmp_path / "labels", labels)
+        assert not (tmp_path / "labels").exists()
 
     def test_count_mismatch(self, idx_pair, tmp_path):
         images_path, _ = idx_pair(np.zeros((3, 2, 2), dtype=np.uint8),
@@ -181,6 +188,13 @@ class TestRawDataset:
             dataset.RawDataset(features=np.zeros((2, 2)),
                                labels=np.array([0, 2]), class_count=2)
 
+    def test_caller_writes_do_not_reach_the_labels(self):
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        data = dataset.RawDataset(features=np.zeros((2, 3)), labels=labels, class_count=2)
+        labels[:] = 0
+        assert np.array_equal(data.labels, [0, 1, 1])
+        assert not data.labels.flags.writeable
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             dataset.RawDataset(features=np.array([[np.nan, 0.0]]),
@@ -207,3 +221,59 @@ class TestRawDataset:
         data = dataset.synth_blobs(2, 3, 4, 0.1, seed=0)
         with pytest.raises(ValueError, match=message):
             dataset.truncate(data, limit)
+
+
+
+@pytest.fixture(scope="module")
+def label_readers():
+    """Every public function that takes labels, each as a call on 6 samples
+    of 2 classes whose one argument is the labels."""
+    rng = np.random.default_rng(0)
+    good = np.array([0, 0, 0, 1, 1, 1])
+    x = rng.standard_normal((5, 6))
+    class_codes = codes.hadamard_codes(4, 2)
+    b = codes.expand_codes(class_codes, good)
+    state, _ = sdh.train_sdh(x, good, 2, 4, nu=1e-5, max_iters=1)
+    data = dataset.synth_blobs(2, 3, 2, 0.1, seed=0)
+    kmap = kernelmap.fit_anchors(data, 5, 0.4, seed=0)
+    k = kernelmap.transform(kmap, data.features)
+    s, _ = fsdh.train_fsdh(k, good, 2, 4)
+    k_state, _ = sdh.train_sdh(k, good, 2, 4, max_iters=1)
+    model = HashModel(kernel=kmap, projection=s, class_codes=class_codes, lam=1.0,
+                      trained_on=DatasetFingerprint(6, 2, 2, 0))
+    return {
+        "RawDataset": lambda labels: dataset.RawDataset(features=x, labels=labels, class_count=2),
+        "expand_codes": lambda labels: codes.expand_codes(class_codes, labels),
+        "one_hot": lambda labels: sdh.one_hot(labels, 2),
+        "w_step": lambda labels: sdh.w_step(b, labels, 2, 1.0),
+        "b_step": lambda labels: sdh.b_step(state, labels, projected=state.projection.T @ x),
+        "train_fsdh": lambda labels: fsdh.train_fsdh(x, labels, 2, 4),
+        "train_sdh": lambda labels: sdh.train_sdh(x, labels, 2, 4, max_iters=1),
+        "loss_table": lambda labels: evaluate.loss_table(k_state, model, k, labels),
+        "bias_term_diagnostics": lambda labels: evaluate.bias_term_diagnostics(x, b, labels),
+    }
+
+
+READERS = ("RawDataset", "expand_codes", "one_hot", "w_step", "b_step", "train_fsdh",
+           "train_sdh", "loss_table", "bias_term_diagnostics")
+BAD_LABELS = {
+    "non_whole": [0.0, 0.5, 0.2, 1.7, 1.0, 1.0],
+    "nan": [0.0, 0.0, np.nan, 1.0, 1.0, 1.0],
+    "count": [0, 0, 1, 1, 1],
+}
+
+
+# `one_hot` and `expand_codes` take no sample count, so any number of labels is valid.
+@pytest.mark.parametrize("reader, bad", [
+    (reader, bad) for reader in READERS for bad in BAD_LABELS
+    if not (bad == "count" and reader in ("one_hot", "expand_codes"))])
+def test_every_label_reader_rejects_what_is_not_one_label_per_sample(label_readers, reader, bad):
+    with pytest.raises(ValueError, match="labels"):
+        label_readers[reader](BAD_LABELS[bad])
+
+
+@pytest.mark.parametrize("reader", ["RawDataset", "one_hot", "expand_codes"])
+def test_out_of_range_error_names_the_first_offending_label(label_readers, reader):
+    with pytest.raises(ValueError,
+                       match=r"labels: label out of range \[0, 2\): found 7"):
+        label_readers[reader]([0, 1, 7, -1, 1, 9])

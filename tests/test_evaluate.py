@@ -461,7 +461,8 @@ class TestBuckets:
 
 
 class TestQueryLabels:
-    @pytest.mark.parametrize("bad", [[0.5, 1.0, 2.2], [0.0, np.nan, 1.0], ["0", "1", "2"]])
+    @pytest.mark.parametrize("bad", [[0.5, 1.0, 2.2], [0.0, np.nan, 1.0], ["0", "1", "2"],
+                                     [0, 1], [[0, 1, 2]]])
     def test_rejects_labels_that_are_not_integers(self, bad):
         rng = np.random.default_rng(37)
         idx, signs, _ = small_instance(rng)

@@ -325,6 +325,8 @@ class TestLabels:
         [0.0, 1.0, 2.0 ** 63],
         np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64),
         ["0", "1", "2"],
+        [0, 1],
+        [[0, 1, 2]],
     ])
     def test_rejects_labels_that_are_not_integers(self, labels):
         codes = index.pack(np.ones((8, 3), dtype=np.int8))

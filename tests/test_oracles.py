@@ -11,6 +11,7 @@ import pytest
 import oracles
 
 ORACLES = Path(__file__).parent / "oracles.py"
+PACKAGE = Path(__file__).parent.parent / "src" / "sdhkit"
 
 
 def package_imports(source: str) -> list[str]:
@@ -53,6 +54,53 @@ def test_every_import_form_is_caught(line):
 
 def test_other_imports_pass():
     assert package_imports("import itertools\nimport numpy as np\nfrom scipy import linalg\n") == []
+
+
+def label_casts(source: str) -> list[str]:
+    """Every call in `source` that converts an expression naming labels to
+    int64, `np.asarray(labels, dtype=np.int64)` or `labels.astype(np.int64)`,
+    outside `class_labels`, the one function that decides what labels are."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "class_labels"
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            converted, dtypes = node.func.value, dtypes + node.args[:1]
+        elif node.args:
+            converted = node.args[0]
+        else:
+            continue
+        if ("label" in ast.unparse(converted).lower()
+                and any("int64" in ast.unparse(d) for d in dtypes)):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_class_labels_casts_labels():
+    found = {path.name: label_casts(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: casts for name, casts in found.items() if casts} == {}
+
+
+@pytest.mark.parametrize("line", [
+    "labels = np.asarray(labels, dtype=np.int64)",
+    "y = np.array(self.labels, dtype='int64')",
+    "q = query_labels.astype(np.int64)",
+    "b = data.labels[cols].astype(dtype=np.int64)",
+])
+def test_every_label_cast_is_caught(line):
+    assert label_casts(line)
+
+
+def test_other_casts_pass():
+    source = ("codes = np.asarray(codes, dtype=np.int64)\n"
+              "words = labels.astype(np.uint8)\n"
+              "def class_labels(values):\n    return np.asarray(labels, dtype=np.int64)\n")
+    assert label_casts(source) == []
 
 
 def tie_orderings(levels):
