@@ -8,7 +8,7 @@ baseline, and evaluates retrieval with a packed-code Hamming engine.
 from .codes import ClassCodes, expand_codes, hadamard_codes
 from .dataset import RawDataset, load_csv, load_mnist, normalize, synth_blobs
 from .evaluate import EvalReport, bias_term_diagnostics, evaluate_retrieval, loss_table
-from .fsdh import optimal_weights, train_fsdh
+from .fsdh import train_fsdh
 from .index import CodeIndex, Hits, PackedCodes, pack, radius_search, rank_all, unpack
 from .kernelmap import KernelMap, fit_anchors, transform
 from .model import DatasetFingerprint, HashModel, encode, load_model, save_model
@@ -50,7 +50,6 @@ __all__ = [
     "loss_table",
     "normalize",
     "objective",
-    "optimal_weights",
     "pack",
     "radius_search",
     "rank_all",

@@ -109,12 +109,10 @@ def validate_training_labels(dataset: RawDataset) -> None:
 
 def _open_maybe_gzip(path: str | Path):
     # IDX files are commonly distributed gzipped; sniff the 2-byte gzip magic.
-    f = open(path, "rb")
-    head = f.read(2)
-    f.seek(0)
-    if head == b"\x1f\x8b":
-        return gzip.open(f)
-    return f
+    # Opened by path, so closing the gzip stream closes its file too.
+    with open(path, "rb") as f:
+        head = f.read(2)
+    return gzip.open(path) if head == b"\x1f\x8b" else open(path, "rb")
 
 
 def _read_exact(f, nbytes: int, path, what: str) -> bytes:
@@ -261,13 +259,16 @@ def load_csv(features_path: str | Path, labels_path: str | Path) -> RawDataset:
     """Load precomputed features (one sample per row) and integer labels.
 
     The feature file fixes D by its column count; the label file has one
-    integer per row, and the class count is max(label) + 1.
+    non-negative integer per row, and the class count is max(label) + 1.
     """
     data = _parse_csv_matrix(features_path)
     raw_labels = _parse_csv_matrix(labels_path)
     if raw_labels.shape[1] != 1:
         raise ValueError(f"{labels_path}: expected one label per row, got {raw_labels.shape[1]} columns")
     labels = class_labels(raw_labels[:, 0], f"{labels_path}: labels", count=data.shape[0])
+    if labels.min() < 0:
+        raise ValueError(f"{labels_path}: labels must be non-negative, "
+                         f"found {labels[labels < 0][0]}")
     return RawDataset(features=data.T, labels=labels, class_count=int(labels.max()) + 1)
 
 

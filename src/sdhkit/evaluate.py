@@ -352,8 +352,8 @@ def loss_table(sdh_state: SdhState, fsdh_model: HashModel, features: np.ndarray,
     Both models must have been trained on the same kernel features and code
     length. For a like-for-like comparison the classifier entering each
     W-loss is the exact ridge solution recomputed from that method's final
-    codes (with one sample per class this is exactly the closed-form
-    classifier of `optimal_weights`).
+    codes (at the closed-form codes B = C Y this is C diag(n_c / (L n_c + lambda))
+    for class sizes n_c).
     """
     if fsdh_model.class_codes is None:
         raise ValueError("model has no class codes; train it with the closed-form trainer")

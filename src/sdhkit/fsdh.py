@@ -23,7 +23,7 @@ from .codes import ClassCodes, hadamard_codes
 from .dataset import class_labels
 # Re-exported for callers that still read the model names from this module.
 from .model import DatasetFingerprint, HashModel, load_model, save_model  # noqa: F401
-from .sdh import DEFAULT_LAMBDA, ProjectionSolver, one_hot
+from .sdh import ProjectionSolver, one_hot
 
 
 def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
@@ -45,13 +45,3 @@ def train_fsdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     indicators = one_hot(class_labels(labels, "labels", count=x.shape[1]), class_count)
     return ProjectionSolver(x).solve(indicators), class_codes
 
-
-def optimal_weights(class_codes: ClassCodes, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
-    """Ridge classifier for one sample per class: W = B' / (L + lambda).
-
-    Satisfies (B' B'^T + lam*I) W = B' exactly because the class codes are
-    orthogonal with squared norm L.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-    return class_codes.codes.astype(np.float64) / (class_codes.bits + lam)

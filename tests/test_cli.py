@@ -248,15 +248,23 @@ class TestFigures:
 
 
 class TestFigureKeys:
-    def test_fig1_reads_bits_classes_and_iters(self, tmp_path):
+    # At (16, 16, 0.0) the class codes are a square Hadamard matrix, which
+    # lambda = 0 inverts exactly.
+    @pytest.mark.parametrize("bits, classes, lam",
+                             [(8, 4, 1.0), (16, 10, 0.5), (32, 10, 3.0), (16, 16, 0.0)])
+    def test_fig1_reads_bits_classes_and_iters(self, tmp_path, bits, classes, lam):
         out = tmp_path / "fig1"
-        assert run(["figures", "fig1", "--set", "bits=8", "--set", "classes=4",
-                    "--set", "iters=2", "--set", "fig1_seeds=1", "--outdir", str(out)]) == 0
+        assert run(["figures", "fig1", "--set", f"bits={bits}", "--set", f"classes={classes}",
+                    "--set", f"lambda={lam}", "--set", "iters=2", "--set", "fig1_seeds=1",
+                    "--outdir", str(out)]) == 0
         # One sample per class, so no class is left without a sample.
-        assert "bits=8, classes=4, samples=4," in (out / "notes.txt").read_text()
+        assert (f"bits={bits}, classes={classes}, samples={classes},"
+                in (out / "notes.txt").read_text())
         assert len((out / "fig1_branch_and_bound_seed0.csv").read_text().splitlines()) == 3
+        # One sample per class: W = C / (L + lambda), so the objective at
+        # B = C Y is C * lambda / (L + lambda).
         reference = (out / "fig1_reference.csv").read_text().splitlines()
-        assert float(reference[1]) == pytest.approx(4 * 1.0 / (8 + 1.0), abs=1e-9)
+        assert abs(float(reference[1]) - classes * lam / (bits + lam)) <= 1e-12
 
     def test_fig1_runs_at_thirty_two_bits(self, tmp_path):
         # The exact code step has no bit cap.

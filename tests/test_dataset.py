@@ -113,20 +113,19 @@ class TestLoadCsv:
         assert data.class_count == 2
         assert data.features[3, 2] == 2e-3
 
-    def test_ragged_row_names_the_row(self, tmp_path):
+    # The class count is max(label) + 1, so labels that are all negative would
+    # otherwise be reported against the empty range [0, 0) with no file name.
+    @pytest.mark.parametrize("features_text, labels_text, message", [
+        ("1,2,3\n4,5\n", "0\n0\n", r"features\.csv: row 2"),
+        ("1,2\n3,oops\n", "0\n0\n", r"features\.csv: row 2.*'oops'"),
+        ("1,2\n3,4\n", "-1\n-2\n", r"labels\.csv: labels must be non-negative, found -1$"),
+    ], ids=["ragged_row", "non_numeric_cell", "negative_label"])
+    def test_errors_name_the_file(self, tmp_path, features_text, labels_text, message):
         features = tmp_path / "features.csv"
-        features.write_text("1,2,3\n4,5\n")
+        features.write_text(features_text)
         labels = tmp_path / "labels.csv"
-        labels.write_text("0\n0\n")
-        with pytest.raises(ValueError, match="row 2"):
-            dataset.load_csv(features, labels)
-
-    def test_non_numeric_cell(self, tmp_path):
-        features = tmp_path / "features.csv"
-        features.write_text("1,2\n3,oops\n")
-        labels = tmp_path / "labels.csv"
-        labels.write_text("0\n0\n")
-        with pytest.raises(ValueError, match="row 2.*'oops'"):
+        labels.write_text(labels_text)
+        with pytest.raises(ValueError, match=message):
             dataset.load_csv(features, labels)
 
 

@@ -109,9 +109,8 @@ class TestTrainFsdh:
         classes, bits, lam = 4, 8, 1.0
         x = rng.standard_normal((6, classes))
         labels = np.arange(classes)
-        cc = codes.hadamard_codes(bits, classes)
-        w = fsdh.optimal_weights(cc, lam)
-        b = codes.expand_codes(cc, labels).astype(np.float64)
+        b = codes.expand_codes(codes.hadamard_codes(bits, classes), labels).astype(np.float64)
+        w = sdh.w_step(b, labels, classes, lam)
         y = sdh.one_hot(labels, classes)
         closed_form = ((y - w.T @ b) ** 2).sum() + lam * (w ** 2).sum()
         for seed in range(5):
@@ -159,26 +158,43 @@ class TestFactoredSolve:
                                   direct.T @ samples >= 0)
 
 
-class TestOptimalWeights:
-    def test_scaled_entries(self):
-        cc = codes.hadamard_codes(16, 10)
-        w = fsdh.optimal_weights(cc, 1.0)
-        assert np.all(np.abs(w) == pytest.approx(1 / 17))
+class TestFixedPoint:
+    """The closed form is a fixed point of SDH at B = C Y: the classifier step
+    gives W = C diag(n_c / (L n_c + lambda)) for class sizes n_c, and with that
+    W no code step leaves B. The closed form drops only SDH's bias term."""
 
-    def test_lambda_zero_inverts_exactly(self):
-        cc = codes.hadamard_codes(8, 8)
-        w = fsdh.optimal_weights(cc, 0.0)
-        assert np.abs(w.T @ cc.codes - np.eye(8)).max() < 1e-12
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("classes", [3, 10])
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_classifier_step_at_the_closed_form_codes(self, bits, classes, lam):
+        # Class c holds c + 1 samples, in shuffled order.
+        sizes = np.arange(1, classes + 1)
+        labels = np.random.default_rng(bits + classes).permutation(
+            np.repeat(np.arange(classes), sizes))
+        class_codes = codes.hadamard_codes(bits, classes)
+        w = sdh.w_step(codes.expand_codes(class_codes, labels), labels, classes, lam)
+        expected = class_codes.codes * (sizes / (bits * sizes + lam))
+        assert np.abs(w - expected).max() <= 1e-12
 
-    def test_satisfies_normal_equations(self):
-        rng = np.random.default_rng(4)
-        for bits, classes in ((4, 3), (16, 10), (64, 9)):
-            lam = float(rng.uniform(0.1, 5.0))
-            cc = codes.hadamard_codes(bits, classes)
-            w = fsdh.optimal_weights(cc, lam)
-            b = cc.codes.astype(np.float64)
-            residual = (b @ b.T + lam * np.eye(bits)) @ w - b
-            assert np.linalg.norm(residual) < 1e-12 * bits * classes
+    @pytest.fixture(scope="class")
+    def smoke_blobs(self):
+        """Kernel features and labels of sdh-baseline's smoke-size blobs."""
+        data = dataset.normalize(dataset.synth_blobs(10, 50, 32, 1.5, 7))
+        kmap = kernelmap.fit_anchors(data, 100, 0.4, 3)
+        return kernelmap.transform(kmap, data.features), data.labels
+
+    @pytest.mark.parametrize("bits, nu, solver", [
+        (16, 0.0, "dcc"), (32, 0.0, "dcc"), (64, 0.0, "dcc"),
+        (16, 1e-5, "dcc"), (32, 1e-5, "dcc"), (64, 1e-5, "dcc"),
+        (16, 0.0, "branch_and_bound"), (32, 0.0, "branch_and_bound"),
+    ])
+    def test_code_step_keeps_the_closed_form_codes(self, smoke_blobs, bits, nu, solver):
+        x, labels = smoke_blobs
+        b = codes.expand_codes(codes.hadamard_codes(bits, 10), labels)
+        state = sdh.SdhState(codes=b, weights=sdh.w_step(b, labels, 10, 1.0),
+                             projection=sdh.ProjectionSolver(x).solve(b), lam=1.0, nu=nu)
+        kept = sdh.b_step(state, labels, solver, projected=state.projection.T @ x)
+        assert np.array_equal(kept, b)
 
 
 class TestEncode:
