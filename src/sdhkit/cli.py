@@ -220,7 +220,7 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
     if unread:
         raise StageError("config", f"key(s) {', '.join(map(repr, unread))} "
                                    f"are read by 'eval' only, not by {command!r}")
-    # A version-1 model stores no training mean, so `eval` would centre the
+    # A model file stores no training mean, so `eval` would centre the
     # database and the queries each on its own mean.
     centred = [key for key in ("normalize", "db_normalize", "query_normalize")
                if cfg.get(key) == "zero_mean_unit_norm"]
@@ -518,11 +518,6 @@ def cmd_bench(cfg, out: Path) -> int:
         transform_s = median_time(lambda: kernelmap.transform(kmap, data.features))
         for bits in cfg["bits_list"]:
             rows.append([method, bits, "kernel_transform", f"{transform_s:.3f}"])
-            if method == "fsdh":
-                code_s = median_time(lambda: codes.hadamard_codes(bits, data.class_count))
-                rows.append([method, bits, "code_construction", f"{code_s:.3f}"])
-            # The trainer builds its own class codes, so they are not added
-            # to the total; fsdh's trainer is one linear solve.
             runs = [_train_model(method, kmap, features, data, bits, options)
                     for _ in range(repeats)]
             train_s = float(np.median([elapsed for _, elapsed, _ in runs]))

@@ -11,8 +11,6 @@ import numpy as np
 
 from .dataset import class_labels
 
-_MAX_ORDER = 4096
-
 
 def is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
@@ -77,16 +75,15 @@ def hadamard_codes(bits: int, classes: int) -> ClassCodes:
     matrix, as class codes.
 
     Entry (j, c) of that matrix is (-1)^popcount(j & c), so the columns are
-    built in O(bits * classes) without the bits x bits matrix. Any column
-    subset is optimal by orthogonality; taking the first C keeps the choice
+    built in O(bits * classes) without the bits x bits matrix, and any
+    power-of-two `bits` >= `classes` is accepted. Any column subset is
+    optimal by orthogonality; taking the first C keeps the choice
     deterministic.
     """
     if not is_power_of_two(bits):
         raise ValueError(
             f"code length {bits} violates assumption A1: it must be a power of two >= 2"
         )
-    if bits > _MAX_ORDER:
-        raise ValueError(f"Hadamard order {bits} exceeds the cap {_MAX_ORDER}")
     if classes > bits:
         raise ValueError(
             f"code length {bits} violates assumption A2: it must be at least "

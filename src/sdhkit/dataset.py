@@ -153,13 +153,6 @@ def _read_idx(path: str | Path, magic: int, dims: tuple[str, ...],
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
-def _write_idx(path: str | Path, magic: int, payload: np.ndarray) -> None:
-    """Write a uint8 array as an IDX file: `magic`, its shape, its bytes."""
-    with open(path, "wb") as f:
-        f.write(struct.pack(f">{1 + payload.ndim}i", magic, *payload.shape))
-        f.write(payload.tobytes())
-
-
 def read_idx_images(path: str | Path) -> np.ndarray:
     """Read an IDX image file (magic 0x00000803; count, rows, cols) into a
     (count, rows, cols) uint8 array."""
@@ -171,19 +164,6 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     """Read an IDX label file (magic 0x00000801; count) into a (count,)
     uint8 array."""
     return _read_idx(path, IDX_LABELS_MAGIC, ("label count",), "label data")
-
-
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 array as an IDX image file."""
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be (count, rows, cols), got shape {images.shape}")
-    _write_idx(path, IDX_IMAGES_MAGIC, images)
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    """Write a (count,) array of labels in [0, 255] as an IDX label file."""
-    _write_idx(path, IDX_LABELS_MAGIC, class_labels(labels, "labels", 256).astype(np.uint8))
 
 
 def _check_limit(limit: int) -> None:

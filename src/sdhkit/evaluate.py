@@ -66,22 +66,6 @@ class EvalReport:
             raise ValueError("pr_curve recall must be non-decreasing")
 
 
-def _check_query_inputs(index: CodeIndex, queries: PackedCodes,
-                        query_labels: np.ndarray) -> np.ndarray:
-    if index.codes.count == 0:
-        raise ValueError("empty database")
-    if queries.count == 0:
-        raise ValueError("no queries")
-    return class_labels(query_labels, "query labels", count=queries.count)
-
-
-def _check_options(zero_retrieval: str, radius: int) -> None:
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    if zero_retrieval not in ZERO_RETRIEVAL_MODES:
-        raise ValueError(f"zero_retrieval must be one of {ZERO_RETRIEVAL_MODES}")
-
-
 @dataclass(frozen=True)
 class RetrievalCounts:
     """Per-query outcome of one retrieval pass over the database.
@@ -136,7 +120,11 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     No ranking is built, so the result does not depend on the database's
     storage order.
     """
-    query_labels = _check_query_inputs(index, queries, query_labels)
+    if index.codes.count == 0:
+        raise ValueError("empty database")
+    if queries.count == 0:
+        raise ValueError("no queries")
+    query_labels = class_labels(query_labels, "query labels", count=queries.count)
     classes, db_class, class_counts = np.unique(
         index.labels, return_inverse=True, return_counts=True)
     slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
@@ -251,7 +239,10 @@ def evaluate_retrieval(index: CodeIndex, queries: PackedCodes,
     precision along the full ranking, expected over every ordering of the
     items at equal distance, and MAP is its mean.
     """
-    _check_options(zero_retrieval, radius)
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    if zero_retrieval not in ZERO_RETRIEVAL_MODES:
+        raise ValueError(f"zero_retrieval must be one of {ZERO_RETRIEVAL_MODES}")
     counts = retrieval_counts(index, queries, query_labels)
     curve = counts.curve(zero_retrieval)
     recall, precision = curve[min(radius, index.codes.bits)]

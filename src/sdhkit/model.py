@@ -118,10 +118,6 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     return index._pack_rows(positive, model.bits)
 
 
-def _pack_code_words(class_codes: ClassCodes) -> np.ndarray:
-    return index.pack(class_codes.codes).words
-
-
 def save_model(model: HashModel, path: str | Path) -> None:
     """Serialize to the versioned binary model format.
 
@@ -148,7 +144,7 @@ def save_model(model: HashModel, path: str | Path) -> None:
     blob += np.ascontiguousarray(model.kernel.anchors).tobytes()
     blob += np.ascontiguousarray(model.projection).tobytes()
     if model.class_codes is not None:
-        blob += np.ascontiguousarray(_pack_code_words(model.class_codes)).tobytes()
+        blob += np.ascontiguousarray(index.pack(model.class_codes.codes).words).tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     Path(path).write_bytes(bytes(blob))
 

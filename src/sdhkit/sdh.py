@@ -128,7 +128,7 @@ def b_step(state: SdhState, labels: np.ndarray, solver: str = "dcc", *,
         init = state.codes[:, first]
     else:
         problem_of = np.arange(labels.shape[0])
-        linear = -2.0 * (w @ one_hot(labels, w.shape[1]) + state.nu * projected)
+        linear = -2.0 * (w[:, labels] + state.nu * projected)
         init = state.codes
     codes = biqp.solve_batch(w, linear, init, solver, max_sweeps=sweeps)
     # np.take returns C order; a Fortran-ordered code matrix would change the

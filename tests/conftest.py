@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sdhkit import dataset
+import oracles
 
 # MNIST IDX files are looked up here for the dataset-dependent tests; set
 # SDHKIT_MNIST_DIR or drop the four standard files (optionally gzipped)
@@ -57,8 +57,8 @@ def idx_pair(tmp_path):
     def make(images: np.ndarray, labels: np.ndarray):
         images_path = tmp_path / "images-idx3-ubyte"
         labels_path = tmp_path / "labels-idx1-ubyte"
-        dataset.write_idx_images(images_path, images)
-        dataset.write_idx_labels(labels_path, labels)
+        oracles.write_idx(images_path, images)
+        oracles.write_idx(labels_path, labels)
         return images_path, labels_path
 
     return make

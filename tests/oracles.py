@@ -6,6 +6,7 @@ textbook definitions. None of it shares code with the package.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,15 @@ def sign_distances(db_signs: np.ndarray, query_signs: np.ndarray) -> np.ndarray:
     """Distances of one query column against all database columns, computed
     from unpacked sign matrices."""
     return (db_signs != query_signs[:, None]).sum(axis=0)
+
+
+def write_idx(path, payload) -> None:
+    """Write an array as an IDX file of unsigned bytes: magic 0x0800 plus
+    the dimension count, each size as a big-endian int32, then the bytes."""
+    payload = np.asarray(payload, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + payload.ndim}i", 0x0800 + payload.ndim, *payload.shape))
+        f.write(payload.tobytes())
 
 
 def sylvester(order: int) -> np.ndarray:

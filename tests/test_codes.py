@@ -38,9 +38,15 @@ class TestHadamardCodes:
         with pytest.raises(ValueError, match="power of two"):
             codes.hadamard_codes(24, 2)
 
-    def test_rejects_over_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            codes.hadamard_codes(8192, 2)
+    @pytest.mark.parametrize("bits", [8192, 16384])
+    def test_long_codes_match_popcount_parity(self, bits):
+        # Entry (j, c) is (-1)^popcount(j & c), checked with Python ints at
+        # sampled pairs, where the block-recursion oracle is too large.
+        cc = codes.hadamard_codes(bits, 16)
+        assert cc.codes.shape == (bits, 16)
+        rng = np.random.default_rng(bits)
+        for j, c in zip(rng.integers(0, bits, 200).tolist(), rng.integers(0, 16, 200).tolist()):
+            assert cc.codes[j, c] == (-1) ** bin(j & c).count("1")
 
     def test_first_columns_of_h4(self):
         cc = codes.hadamard_codes(4, 2)

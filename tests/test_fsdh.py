@@ -375,6 +375,17 @@ class TestModelFile:
         assert np.array_equal(encode(loaded, data.features).words,
                               encode(model, data.features).words)
 
+    def test_long_codes_round_trip_and_give_class_codes(self, tmp_path):
+        # The closed form's cost does not grow with L, so fsdh takes any
+        # power-of-two L, as SDH and loaded models do.
+        model, data, _ = toy_model(np.random.default_rng(17), bits=8192)
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.bits == 8192
+        assert np.array_equal(index.unpack(encode(loaded, data.features)),
+                              codes.expand_codes(loaded.class_codes, data.labels))
+
     def test_file_size_counts_the_class_space_matrix(self, tmp_path):
         rng = np.random.default_rng(17)
         model, data, _ = toy_model(rng, bits=128)
