@@ -15,7 +15,9 @@ precisions and the PR curve from it. The metrics need only per-(query,
 class, distance) totals, so the pass first groups the database into
 buckets of items with the same code and label and scores each bucket once,
 counted with its multiplicity; supervised codes collapse onto a few codes
-per class, so there are far fewer buckets than items. Memory stays
+per class, so there are far fewer buckets than items. The queries collapse
+the same way: each distinct (code, label) query is scored once and its row
+gathered back to every query that shares it. Memory stays
 O(n_queries * bits + database size * words + block * buckets) however many
 queries there are.
 """
@@ -42,7 +44,8 @@ EVAL_BLOCK_BYTES = 4 << 20
 EVAL_PAIR_BYTES = 18
 EVAL_WEIGHT_BYTES = 8
 EVAL_BIN_BYTES = 8
-# Odd multiplier of the 64-bit fold that sorts the database into buckets.
+# Odd multiplier of the 64-bit fold that sorts database items and queries
+# into groups.
 _FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -106,11 +109,15 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                      query_labels: np.ndarray) -> RetrievalCounts:
     """Score every query against the database in one streaming pass.
 
-    The database is first grouped into buckets of items with the same words
-    and the same label (`_buckets`), and each query is scored once per
-    bucket, its distance counted with the bucket's multiplicity. Queries go
-    through in blocks sized so that a block's distances, bin keys, weights
-    and histograms stay within EVAL_BLOCK_BYTES; memory is
+    Both sides are first grouped by the same fold-and-sort (`_groups`): the
+    database into buckets of items with the same words and the same label,
+    the queries into groups with the same words and the same label. Each
+    distinct query is scored once per bucket, its distance counted with the
+    bucket's multiplicity, and its row is then gathered back to every query
+    of its group; every row is computed on its own, so the result is bitwise
+    what scoring each query alone gives. Distinct queries go through in
+    blocks sized so that a block's distances, bin keys, weights and
+    histograms stay within EVAL_BLOCK_BYTES; memory is
     O(n_queries * bits + count * words + block * buckets). Each block's
     distances are computed once and binned by (query, database class,
     distance) in one bincount. The cumulative bins over all classes give
@@ -134,7 +141,18 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         raise ValueError(f"query label {bad} absent from database")
     class_sizes = class_counts[slot]
 
-    codes, bucket_class, multiplicity = _buckets(index.codes, db_class)
+    codes, bucket_class, multiplicity = index.codes, db_class, None
+    db_groups = _groups(codes, db_class)
+    if db_groups is not None:
+        first, bucket = db_groups
+        codes = PackedCodes(words=codes.words[first], bits=codes.bits)
+        bucket_class = db_class[first]
+        multiplicity = np.bincount(bucket).astype(np.float64)
+    query_groups = _groups(queries, slot)
+    if query_groups is not None:
+        first, query_group = query_groups
+        queries = PackedCodes(words=queries.words[first], bits=queries.bits)
+        slot = slot[first]
     count, buckets, bits = index.codes.count, codes.count, index.codes.bits
     levels = bits + 1
     bins = classes.size * levels
@@ -168,29 +186,29 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         np.cumsum(relevant_at_level, axis=1, out=relevant[start:stop])
         ap[start:stop] = _tie_average_precision(
             at_level, relevant_at_level, retrieved[start:stop], relevant[start:stop],
-            harmonic) / class_sizes[start:stop]
+            harmonic)
+    if query_groups is not None:
+        retrieved, relevant, ap = (a[query_group] for a in (retrieved, relevant, ap))
     return RetrievalCounts(retrieved=retrieved, relevant=relevant,
-                           class_sizes=class_sizes, ap=ap)
+                           class_sizes=class_sizes, ap=ap / class_sizes)
 
 
-def _buckets(codes: PackedCodes, db_class: np.ndarray
-             ) -> tuple[PackedCodes, np.ndarray, np.ndarray | None]:
-    """Group the database into buckets of items with equal words and class.
+def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group items with equal words and equal `key` (a class index).
 
-    Returns each bucket's code, its class index and its multiplicity (float64,
-    the bincount weight); the multiplicity is None, and the database comes
-    back as it is, when every item is a bucket of its own. The items are
-    sorted by one 64-bit fold of their words and class, and a bucket ends
-    wherever the class or any word differs from the next item's. Equal items
-    whose folds collide with another item's may land in separate buckets,
-    which leaves the counts exact.
+    Returns the index of each group's first item and each item's group, or
+    None when every item is a group of its own, so the caller keeps the
+    items as they are. The items are sorted by one 64-bit fold of their
+    words and key, and a group ends wherever the key or any word differs
+    from the next item's. Equal items whose folds collide with another
+    item's may land in separate groups, which leaves the counts exact.
     """
-    fold = db_class.astype(np.uint64)
+    fold = key.astype(np.uint64)
     for column in codes.words.T:
         fold *= _FOLD
         fold += column
     order = np.argsort(fold)
-    ordered = db_class[order]
+    ordered = key[order]
     starts = np.empty(codes.count, dtype=bool)
     starts[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
@@ -198,12 +216,10 @@ def _buckets(codes: PackedCodes, db_class: np.ndarray
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
     if starts.all():
-        return codes, db_class, None
-    first = np.flatnonzero(starts)
-    multiplicity = np.diff(first, append=codes.count).astype(np.float64)
-    first = order[first]
-    return (PackedCodes(words=codes.words[first], bits=codes.bits), db_class[first],
-            multiplicity)
+        return None
+    group = np.empty(codes.count, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
 
 
 def _tie_average_precision(items: np.ndarray, hits: np.ndarray, items_within: np.ndarray,

@@ -256,12 +256,12 @@ def limit_block(monkeypatch, idx, rows):
     block holds its (query, bucket) pairs, with a weight per pair when some
     bucket holds more than one item, and its (query, class, distance) bins."""
     classes, db_class = np.unique(idx.labels, return_inverse=True)
-    buckets, _, multiplicity = evaluate._buckets(idx.codes, db_class)
-    pair_bytes = evaluate.EVAL_PAIR_BYTES
-    if multiplicity is not None:
-        pair_bytes += evaluate.EVAL_WEIGHT_BYTES
+    groups = evaluate._groups(idx.codes, db_class)
+    buckets, pair_bytes = idx.codes.count, evaluate.EVAL_PAIR_BYTES
+    if groups is not None:
+        buckets, pair_bytes = groups[0].size, pair_bytes + evaluate.EVAL_WEIGHT_BYTES
     bins = classes.size * (idx.codes.bits + 1)
-    row_bytes = pair_bytes * buckets.count + evaluate.EVAL_BIN_BYTES * bins
+    row_bytes = pair_bytes * buckets + evaluate.EVAL_BIN_BYTES * bins
     monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
 
 
@@ -286,10 +286,16 @@ def assert_counts_equal(found, expected):
 
 
 def unbucketed_counts(monkeypatch, idx, queries, labels):
-    """`retrieval_counts` with every database item scored on its own."""
+    """`retrieval_counts` with every database item and every query scored
+    on its own."""
     with monkeypatch.context() as patch:
-        patch.setattr(evaluate, "_buckets", lambda codes, db_class: (codes, db_class, None))
+        patch.setattr(evaluate, "_groups", lambda codes, key: None)
         return evaluate.retrieval_counts(idx, queries, labels)
+
+
+def distinct_pairs(signs, labels):
+    """The number of distinct (code, label) columns."""
+    return np.unique(np.vstack([signs, labels]), axis=1).shape[1]
 
 
 class TestStreamingPass:
@@ -394,7 +400,8 @@ class TestBuckets:
                                                                zero_retrieval, monkeypatch):
         rng = np.random.default_rng([bits, len(kind)])
         db_signs, db_labels, q_signs, q_labels = bucket_instance(rng, kind, bits)
-        pairs = np.unique(np.vstack([db_signs, db_labels]), axis=1).shape[1]
+        pairs = distinct_pairs(db_signs, db_labels)
+        distinct = distinct_pairs(q_signs, q_labels)
         if kind == "repeats":
             shared = np.unique(db_labels[(db_signs == db_signs[:, :1]).all(axis=0)])
             assert shared.size >= 3 and pairs < 30
@@ -414,7 +421,8 @@ class TestBuckets:
                 assert_counts_equal(evaluate.retrieval_counts(idx, queries, q_labels),
                                     every_item)
                 assert [n for _, n in calls] == [pairs] * len(calls)
-                assert calls[0][0] == (rows or queries.count)
+                assert calls[0][0] == min(rows or queries.count, distinct)
+                assert sum(q for q, _ in calls) == distinct
                 for radius, oracle in expected.items():
                     report = evaluate.evaluate_retrieval(idx, queries, q_labels, radius,
                                                          zero_retrieval)
@@ -458,6 +466,77 @@ class TestBuckets:
         finally:
             tracemalloc.stop()
         assert peak < 1280 * count
+
+
+def query_instance(rng, kind, query_count=40):
+    """A clustered 32-bit database with queries of `kind`: "repeated" draws
+    every query from 4 (code, label) pairs; "distinct" shares no (code,
+    label) pair; "single" is one query; "split_labels" gives each of 4
+    codes to queries of all 4 labels, 16 pairs on 4 codes."""
+    db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, 32, 200, 2 * query_count)
+    # Queries drawn from a cluster may repeat; keep the first of each code.
+    _, first = np.unique(q_signs, axis=1, return_index=True)
+    keep = np.sort(first)[:query_count]
+    q_signs, q_labels = q_signs[:, keep], q_labels[keep]
+    if kind == "repeated":
+        pick = rng.integers(0, 4, query_count)
+        pick[:4] = np.arange(4)
+        q_signs, q_labels = q_signs[:, pick], q_labels[pick]
+    elif kind == "single":
+        q_signs, q_labels = q_signs[:, :1], q_labels[:1]
+    elif kind == "split_labels":
+        q_signs = q_signs[:, np.repeat(np.arange(4), query_count // 4)]
+        q_labels = np.tile(np.arange(4), query_count // 4)
+    return db_signs, db_labels, q_signs, q_labels
+
+
+class TestQueryGroups:
+    @pytest.mark.parametrize("kind", ["repeated", "distinct", "single", "split_labels"])
+    def test_bitwise_equal_to_scoring_every_query(self, kind, monkeypatch):
+        rng = np.random.default_rng([38, len(kind)])
+        db_signs, db_labels, q_signs, q_labels = query_instance(rng, kind)
+        distinct = distinct_pairs(q_signs, q_labels)
+        expected_distinct = {"repeated": 4, "distinct": q_labels.size, "single": 1,
+                             "split_labels": 16}[kind]
+        assert distinct == expected_distinct
+        if kind == "split_labels":
+            assert np.unique(q_signs, axis=1).shape[1] == 4
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        queries = pack_signs(q_signs)
+        every_query = unbucketed_counts(monkeypatch, idx, queries, q_labels)
+        for rows in (1, 5, None):
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    limit_block(patch, idx, rows)
+                calls = record_scoring(patch)
+                assert_counts_equal(evaluate.retrieval_counts(idx, queries, q_labels),
+                                    every_query)
+            assert calls[0][0] == min(rows or distinct, distinct)
+            assert sum(q for q, _ in calls) == distinct
+
+    def test_peak_memory_of_an_all_distinct_query_set(self):
+        # Random 64-bit codes: every query is a group of its own, so it is
+        # scored as it is, with no gathered second copy of its counts; only
+        # the grouping's O(queries * words) arrays and the blocks come on top
+        # of the (queries, bits + 1) counts. `retrieval_counts` alone, since
+        # the PR curve's own copies of the counts would hide a gather.
+        rng = np.random.default_rng(39)
+        query_count = 20_000
+        words = rng.integers(0, np.iinfo(np.uint64).max, (query_count, 1), dtype=np.uint64,
+                             endpoint=True)
+        assert np.unique(words).size == query_count
+        item = np.arange(1000)  # 1,000 items on 50 buckets
+        idx = index.CodeIndex(codes=index.PackedCodes(words=words[item % 50], bits=64),
+                              labels=item % 10)
+        queries = index.PackedCodes(words=words, bits=64)
+        q_labels = rng.integers(0, 10, query_count)
+        tracemalloc.start()
+        try:
+            counts = evaluate.retrieval_counts(idx, queries, q_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (counts.retrieved.nbytes + counts.relevant.nbytes)
 
 
 class TestQueryLabels:
