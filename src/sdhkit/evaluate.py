@@ -29,7 +29,7 @@ import numpy as np
 
 from .codes import expand_codes
 from .dataset import class_labels
-from .index import CodeIndex, PackedCodes, hamming_matrix
+from .index import CodeIndex, PackedCodes, _groups, hamming_matrix
 from .model import HashModel, _scorer
 from .sdh import SdhState, one_hot, w_step
 
@@ -38,15 +38,14 @@ BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
 # Scratch bytes one evaluation block may hold; the bytes it holds at most per
 # (query, database bucket) pair: distance (at most uint16), int64 bin key and
 # the kernel's uint64 XOR, plus the pair's float64 bincount weight when some
-# bucket holds more than one item; and per (query, class, distance) bin: its
-# int64 or float64 count.
+# bucket holds more than one item; per (query, class, distance) bin: its
+# int64 or float64 count; and per (threshold, query) cell of the PR curve:
+# the two int64 counts, a float64 quotient and a bool mask.
 EVAL_BLOCK_BYTES = 4 << 20
 EVAL_PAIR_BYTES = 18
 EVAL_WEIGHT_BYTES = 8
 EVAL_BIN_BYTES = 8
-# Odd multiplier of the 64-bit fold that sorts database items and queries
-# into groups.
-_FOLD = np.uint64(0x9E3779B97F4A7C15)
+EVAL_CURVE_BYTES = 25
 
 
 @dataclass(frozen=True)
@@ -86,22 +85,29 @@ class RetrievalCounts:
     def curve(self, zero_retrieval: str) -> list[tuple[float, float]]:
         """Mean (recall, precision) over queries at every threshold 0..L.
 
-        The counts are laid out one contiguous row per threshold, so every
-        mean is NumPy's pairwise sum over that threshold's values in query
-        order, as a one-dimensional mean of them would be.
+        The thresholds go through in blocks that hold at most
+        EVAL_BLOCK_BYTES of scratch. A block's counts are laid out one
+        contiguous row per threshold, so every mean is NumPy's pairwise sum
+        over that threshold's values in query order, as a one-dimensional
+        mean of them would be, whatever the block size.
         """
-        retrieved = np.ascontiguousarray(self.retrieved.T)
-        relevant = np.ascontiguousarray(self.relevant.T)
-        recall = (relevant / self.class_sizes).mean(axis=1)
-        nonzero = retrieved > 0
-        per_query = np.divide(relevant, retrieved, out=np.zeros(retrieved.shape),
-                              where=nonzero)
-        if zero_retrieval == "skip":
-            # A threshold averages only its queries that retrieve something.
-            precision = np.array([row[keep].mean() if keep.any() else 0.0
-                                  for row, keep in zip(per_query, nonzero)])
-        else:
-            precision = per_query.mean(axis=1)
+        queries, levels = self.retrieved.shape
+        step = max(1, EVAL_BLOCK_BYTES // (EVAL_CURVE_BYTES * queries))
+        recall, precision = np.empty(levels), np.empty(levels)
+        for start in range(0, levels, step):
+            stop = start + step
+            retrieved = np.ascontiguousarray(self.retrieved[:, start:stop].T)
+            relevant = np.ascontiguousarray(self.relevant[:, start:stop].T)
+            recall[start:stop] = (relevant / self.class_sizes).mean(axis=1)
+            nonzero = retrieved > 0
+            per_query = np.divide(relevant, retrieved, out=np.zeros(retrieved.shape),
+                                  where=nonzero)
+            if zero_retrieval == "skip":
+                # A threshold averages only its queries that retrieve something.
+                precision[start:stop] = [row[keep].mean() if keep.any() else 0.0
+                                         for row, keep in zip(per_query, nonzero)]
+            else:
+                precision[start:stop] = per_query.mean(axis=1)
         return list(zip(recall.tolist(), precision.tolist()))
 
 
@@ -191,35 +197,6 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         retrieved, relevant, ap = (a[query_group] for a in (retrieved, relevant, ap))
     return RetrievalCounts(retrieved=retrieved, relevant=relevant,
                            class_sizes=class_sizes, ap=ap / class_sizes)
-
-
-def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Group items with equal words and equal `key` (a class index).
-
-    Returns the index of each group's first item and each item's group, or
-    None when every item is a group of its own, so the caller keeps the
-    items as they are. The items are sorted by one 64-bit fold of their
-    words and key, and a group ends wherever the key or any word differs
-    from the next item's. Equal items whose folds collide with another
-    item's may land in separate groups, which leaves the counts exact.
-    """
-    fold = key.astype(np.uint64)
-    for column in codes.words.T:
-        fold *= _FOLD
-        fold += column
-    order = np.argsort(fold)
-    ordered = key[order]
-    starts = np.empty(codes.count, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    for column in codes.words.T:
-        ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    if starts.all():
-        return None
-    group = np.empty(codes.count, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group
 
 
 def _tie_average_precision(items: np.ndarray, hits: np.ndarray, items_within: np.ndarray,

@@ -1,11 +1,9 @@
-"""Packed binary codes and linear-scan Hamming search.
+"""Packed binary codes and Hamming search over distinct codes.
 
 Codes are bit-packed into 64-bit words so that distances reduce to XOR plus
 popcount. Bit j of code i is stored in word j // 64 at bit position j % 64;
 a set bit encodes +1 and a clear bit encodes -1, and unused high bits of the
-last word are always zero. Search is a straight scan over the packed words;
-at the database sizes this toolkit targets, a popcount scan is the honest
-baseline and no acceleration structure is layered on top.
+last word are always zero.
 
 One kernel, `hamming_matrix`, computes every distance: `radius_search`,
 `rank_all` and the evaluation pass all go through it. Distances come back in
@@ -15,18 +13,26 @@ bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
 `PackedCodes` copies its words once, at construction, into one read-only
 Fortran-ordered array that the codes own. `words` reads as one row per
 code, and its transpose `words.T` is the contiguous one-row-per-word layout
-the kernel scans, so a lookup does no work that grows with the database
-beyond one XOR and popcount pass per word, the threshold and the sort.
-`radius_search` returns its hits as a `Hits`, two flat arrays of ids and
-distances, and creates no Python object per hit; a caller that indexes or
-iterates it gets (id, distance) tuples of Python ints, built as they are
-read. `CodeIndex` reads its labels through `dataset.class_labels`, the
-package's one label check.
+the kernel scans.
+
+Supervised codes collapse onto a few words per class, so `CodeIndex` groups
+its codes into buckets of equal words once, when it is built, with the
+fold-and-sort `_groups` that the evaluation pass shares. A lookup scores the
+query against each distinct word, not each item. `rank_all` gathers the
+per-word distances back to the items and radix-sorts them; `radius_search`
+keeps the buckets within the radius, reads their ids through the bucket
+offsets and sorts only the hits, so it touches no array of the database's
+length. An index whose codes are all distinct keeps them as they are and
+scans them directly. `radius_search` returns its hits as a `Hits`, two flat
+arrays of ids and distances, and creates no Python object per hit; a caller
+that indexes or iterates it gets (id, distance) tuples of Python ints, built
+as they are read. `CodeIndex` reads its labels through
+`dataset.class_labels`, the package's one label check.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +40,8 @@ from .codes import only_signs
 from .dataset import class_labels
 
 WORD_BITS = 64
+# Odd multiplier of the 64-bit fold that sorts codes into groups.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,8 @@ class PackedCodes:
                 f"expected {expected} words per code for {self.bits} bits, got {words.shape[1]}"
             )
         tail = self.bits % WORD_BITS
-        if tail and words.size:
-            mask = np.uint64((1 << tail) - 1)
-            if np.any(words[:, -1] & ~mask):
-                raise ValueError("unused tail bits must be zero")
+        if tail and words.size and words[:, -1].max() >> np.uint64(tail):
+            raise ValueError("unused tail bits must be zero")
         object.__setattr__(self, "words", words)
 
     @property
@@ -68,20 +74,77 @@ class PackedCodes:
 
 
 @dataclass(frozen=True)
+class _Buckets:
+    """The database's codes grouped into buckets of equal words."""
+
+    words: PackedCodes   # (buckets, words), one code per bucket
+    of_item: np.ndarray  # (count,) intp, each item's bucket
+    members: np.ndarray  # (count,) intp, item ids by bucket, ascending within one
+    starts: np.ndarray   # (buckets,) intp, where each bucket's ids start in `members`
+    sizes: np.ndarray    # (buckets,) intp, how many ids each bucket holds
+    id_bits: int         # bits that hold any item id
+
+
+@dataclass(frozen=True)
 class CodeIndex:
     """Database of packed codes with aligned integer labels.
 
     The labels are copied once, at construction, into a read-only int64
     array (see `dataset.class_labels`), so later writes to the caller's
-    array do not reach the index.
+    array do not reach the index. The codes are grouped into buckets of
+    equal words once, at construction; when every code is distinct there
+    are no buckets and lookups scan `codes` as they are.
     """
 
     codes: PackedCodes
     labels: np.ndarray  # (count,) int64, read-only
+    _buckets: _Buckets | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        codes = self.codes
         object.__setattr__(self, "labels",
-                           class_labels(self.labels, "labels", count=self.codes.count))
+                           class_labels(self.labels, "labels", count=codes.count))
+        buckets, groups = None, _groups(codes)
+        if groups is not None:
+            first, of_item = groups
+            sizes = np.bincount(of_item)
+            buckets = _Buckets(words=PackedCodes(words=codes.words[first], bits=codes.bits),
+                               of_item=of_item, members=of_item.argsort(kind="stable"),
+                               starts=sizes.cumsum() - sizes, sizes=sizes,
+                               id_bits=(codes.count - 1).bit_length())
+        object.__setattr__(self, "_buckets", buckets)
+
+
+def _groups(codes: PackedCodes, key: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group codes with equal words and, if given, equal `key` (a class index).
+
+    Returns the index of each group's first item and each item's group, or
+    None when every item is a group of its own, so the caller keeps the
+    items as they are. The items are sorted by one 64-bit fold of their
+    words and key, and a group ends wherever the key or any word differs
+    from the next item's. Equal items whose folds collide with another
+    item's may land in separate groups, which leaves every count and
+    distance exact.
+    """
+    fold = np.zeros(codes.count, dtype=np.uint64) if key is None else key.astype(np.uint64)
+    for column in codes.words.T:
+        fold *= _FOLD
+        fold += column
+    order = np.argsort(fold)
+    starts = np.zeros(codes.count, dtype=bool)
+    starts[:1] = True
+    if key is not None:
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    for column in codes.words.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    if starts.all():
+        return None
+    group = np.empty(codes.count, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
 
 
 def pack(signs: np.ndarray) -> PackedCodes:
@@ -187,7 +250,8 @@ class Hits(Sequence):
 
 
 def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
-    """Distances from one word row to every database code."""
+    """Distances from one word row to every bucket's code, or to every
+    database code when the index has no buckets."""
     words = np.asarray(query, dtype=np.uint64)
     nwords = index.codes.words.shape[1]
     if words.shape != (nwords,):
@@ -197,7 +261,8 @@ def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
         )
     # Set tail bits would count as distance and could overflow the dtype.
     row = PackedCodes(words=words[None], bits=index.codes.bits)
-    return hamming_matrix(index.codes, row)[0]
+    buckets = index._buckets
+    return hamming_matrix(index.codes if buckets is None else buckets.words, row)[0]
 
 
 def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
@@ -205,12 +270,28 @@ def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     dist = _query_distances(index, query)
-    within = np.flatnonzero(dist <= radius)
-    near = dist[within]
-    order = np.argsort(near, kind="stable")
-    return Hits(ids=within[order], distances=near[order])
+    buckets = index._buckets
+    within = (dist <= radius).nonzero()[0]
+    if buckets is None:
+        near = dist[within]
+        order = near.argsort(kind="stable")
+        return Hits(ids=within[order], distances=near[order])
+    # Hit k of the j-th bucket within the radius sits at members[starts[j] + k].
+    sizes = buckets.sizes[within]
+    ends = sizes.cumsum()
+    at = (buckets.starts[within] - ends + sizes).repeat(sizes)
+    at += np.arange(at.size)
+    # Ids are below 2**id_bits, so the keys are distinct and order by (distance, id).
+    keys = (dist[within].astype(np.int64) << buckets.id_bits).repeat(sizes)
+    keys |= buckets.members[at]
+    keys.sort()
+    return Hits(ids=keys & ((1 << buckets.id_bits) - 1),
+                distances=(keys >> buckets.id_bits).astype(dist.dtype))
 
 
 def rank_all(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """All database ids sorted ascending by distance, ties by ascending id."""
-    return np.argsort(_query_distances(index, query), kind="stable")
+    dist = _query_distances(index, query)
+    if index._buckets is not None:
+        dist = dist[index._buckets.of_item]
+    return dist.argsort(kind="stable")

@@ -239,6 +239,42 @@ class TestPrCurve:
         assert np.unique(found[(found > 0) & (found < len(q_labels))]).size > 1
         assert counts.curve(zero_retrieval) == expected
 
+    @pytest.mark.parametrize("thresholds", [1, 5, 64])
+    @pytest.mark.parametrize("zero_retrieval", ["zero", "skip"])
+    def test_curve_does_not_depend_on_the_threshold_block(self, thresholds, zero_retrieval,
+                                                          monkeypatch):
+        rng = np.random.default_rng(thresholds)
+        db_signs, db_labels, q_signs, q_labels = clustered_instance(rng, 64, 300, 160,
+                                                                    flip=0.2)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        counts = evaluate.retrieval_counts(idx, pack_signs(q_signs), q_labels)
+        whole = counts.curve(zero_retrieval)
+        monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES",
+                            thresholds * evaluate.EVAL_CURVE_BYTES * len(q_labels))
+        assert counts.curve(zero_retrieval) == whole
+
+    def test_peak_memory_is_bounded_by_the_threshold_block(self):
+        # The curve once made five (bits + 1) x queries copies of the counts
+        # at once: 53.8 MB here against 29.4 MB for the pass that made them.
+        rng = np.random.default_rng(40)
+        query_count = 20_000
+        words = rng.integers(0, np.iinfo(np.uint64).max, (query_count, 1), dtype=np.uint64,
+                             endpoint=True)
+        item = np.arange(1000)
+        idx = index.CodeIndex(codes=index.PackedCodes(words=words[item % 50], bits=64),
+                              labels=item % 10)
+        queries = index.PackedCodes(words=words, bits=64)
+        q_labels = rng.integers(0, 10, query_count)
+        peaks = []
+        for run in (evaluate.retrieval_counts, evaluate.evaluate_retrieval):
+            tracemalloc.start()
+            try:
+                run(idx, queries, q_labels)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
 
 def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
     """Codes scattered around one random prototype per class, so radius

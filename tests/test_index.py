@@ -190,6 +190,88 @@ class TestRankAll:
             assert np.array_equal(order, expected)
 
 
+def expected_lookups(signs, query_signs, radius):
+    """Radius hits and full ranking from the unpacked signs, ordered by
+    (distance, id) with `np.lexsort`."""
+    dist = oracles.sign_distances(signs, query_signs)
+    ids = np.arange(signs.shape[1])
+    within = ids[dist <= radius]
+    within = within[np.lexsort((within, dist[within]))]
+    return within, dist[within], np.lexsort((ids, dist))
+
+
+def assert_lookups_match(idx, signs, query_signs, radius):
+    ids, distances, ranking = expected_lookups(signs, query_signs, radius)
+    query = index.pack(query_signs[:, None]).words[0]
+    hits = index.radius_search(idx, query, radius)
+    assert hits.ids.dtype == np.int64 and np.array_equal(hits.ids, ids)
+    assert hits.distances.dtype == np.min_scalar_type(signs.shape[0])
+    assert np.array_equal(hits.distances, distances)
+    order = index.rank_all(idx, query)
+    assert order.dtype == np.int64 and np.array_equal(order, ranking)
+
+
+# Code lengths with and without a partly used last word.
+LOOKUP_BITS = [1, 16, 63, 64, 65, 130, 512]
+
+
+class TestBucketedLookups:
+    """Lookups on databases of few distinct codes, which the index scores
+    once per bucket, and of distinct codes, which it scans as they are."""
+
+    @pytest.mark.parametrize("bits", LOOKUP_BITS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_few_codes_with_heavy_duplication(self, bits, seed):
+        rng = np.random.default_rng([bits, seed])
+        distinct, count = int(rng.integers(1, 7)), int(rng.integers(1, 81))
+        codes = random_signs(rng, bits, distinct)
+        signs = codes[:, rng.integers(0, distinct, count)]
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(count, dtype=np.int64))
+        assert (idx._buckets is None) == (np.unique(signs, axis=1).shape[1] == count)
+        spread = rng.random()
+        query = codes[:, 0] * np.where(rng.random(bits) < spread / 2, -1, 1).astype(np.int8)
+        for radius in (0, int(spread * bits), bits, bits + 3):
+            assert_lookups_match(idx, signs, query, radius)
+
+    @pytest.mark.parametrize("bits", LOOKUP_BITS[1:])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_distinct_codes(self, bits, seed):
+        rng = np.random.default_rng([bits, seed])
+        signs = np.unique(random_signs(rng, bits, int(rng.integers(1, 81))), axis=1)
+        signs = signs[:, rng.permutation(signs.shape[1])]
+        idx = index.CodeIndex(codes=index.pack(signs),
+                              labels=np.zeros(signs.shape[1], dtype=np.int64))
+        assert idx._buckets is None
+        for radius in (0, bits // 2, bits):
+            assert_lookups_match(idx, signs, random_signs(rng, bits, 1)[:, 0], radius)
+            assert_lookups_match(idx, signs, signs[:, -1], radius)
+
+    @pytest.mark.parametrize("bits", LOOKUP_BITS)
+    def test_single_item(self, bits):
+        signs = random_signs(np.random.default_rng(bits), bits, 1)
+        idx = index.CodeIndex(codes=index.pack(signs), labels=[0])
+        for radius in (0, bits):
+            assert_lookups_match(idx, signs, signs[:, 0], radius)
+            assert_lookups_match(idx, signs, -signs[:, 0], radius)
+
+    @pytest.mark.parametrize("bits", LOOKUP_BITS)
+    def test_empty_result_and_radius_past_the_code_length(self, bits):
+        # One code and, past one bit, a second code one bit away from it;
+        # the query is the first code's complement.
+        rng = np.random.default_rng(bits)
+        codes = random_signs(rng, bits, 1).repeat(2, axis=1)
+        codes[0, 1] = codes[0, 1] if bits == 1 else -codes[0, 1]
+        signs = codes[:, rng.integers(0, 2, 50)]
+        signs[:, :2] = codes
+        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(50, dtype=np.int64))
+        assert idx._buckets is not None
+        far = -codes[:, 0]
+        nearest = max(1, bits - 1)
+        assert index.radius_search(idx, index.pack(far[:, None]).words[0], nearest - 1) == []
+        for radius in (nearest - 1, nearest, bits, bits + 1, 10 * bits):
+            assert_lookups_match(idx, signs, far, radius)
+
+
 def test_hamming_matrix_matches_pairwise():
     rng = np.random.default_rng(9)
     db_signs = random_signs(rng, 65, 40)

@@ -103,6 +103,53 @@ def test_other_casts_pass():
     assert label_casts(source) == []
 
 
+# The one function per module that may count bits: the distance kernel, and
+# the Hadamard rule, which counts bits of row and column indices, not codes.
+POPCOUNT_HOMES = {"index.py": "hamming_matrix", "codes.py": "hadamard_codes"}
+
+
+def popcounts(source: str, home: str | None = None) -> list[str]:
+    """Every use of NumPy's `bitwise_count` in `source` outside the function
+    named `home`: an attribute or a name, an import of it, or its name as a
+    string."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == home
+              for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        named = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name",
+                 ast.Constant: "value"}.get(type(node))
+        if named and getattr(node, named) == "bitwise_count":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_the_distance_kernel_counts_bits():
+    found = {path.name: popcounts(path.read_text(), POPCOUNT_HOMES.get(path.name))
+             for path in PACKAGE.glob("*.py")}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize("line", [
+    "d = np.bitwise_count(a ^ b)",
+    "from numpy import bitwise_count",
+    "count = numpy.bitwise_count",
+    "f = getattr(np, 'bitwise_count')",
+    "def hamming(a, b):\n    return np.bitwise_count(a ^ b).sum()",
+])
+def test_every_bit_count_is_caught(line):
+    assert popcounts(line, "hamming_matrix")
+
+
+def test_bit_counts_in_the_home_function_pass():
+    source = ("def hamming_matrix(d, q):\n    return np.bitwise_count(d ^ q)\n"
+              "x = np.bitwise_xor(a, b)\ny = np.count_nonzero(x)\n")
+    assert popcounts(source, "hamming_matrix") == []
+
+
 def tie_orderings(levels):
     """The relevance sequence of every ordering of each level's items, the
     items taken as distinct, so equal sequences repeat."""
