@@ -290,7 +290,7 @@ def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
 
     Every trainer runs here, after the check that `data` holds every class.
     Returns the model, the trainer's wall time in seconds, and the sdh
-    objective trajectory (None for fsdh).
+    objective trajectory with the bits each iteration flipped (None for fsdh).
     """
     with stage("dataset"):
         dataset.validate_training_labels(data)
@@ -299,15 +299,16 @@ def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
     start = time.perf_counter()
     if method == "fsdh":
         projection, class_codes = fsdh.train_fsdh(features, data.labels, data.class_count, bits)
-        trajectory = None
+        run = None
     else:
         state, trajectory = sdh.train_sdh(features, data.labels, data.class_count, bits,
                                           **options)
         projection, class_codes = state.projection, None
+        run = trajectory, state.bits_flipped
     elapsed = time.perf_counter() - start
     model = HashModel(kernel=kmap, projection=projection, class_codes=class_codes,
                       lam=options["lam"], trained_on=fingerprint)
-    return model, elapsed, trajectory
+    return model, elapsed, run
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -323,12 +324,16 @@ def _write_values(path: Path, values: dict[str, object]) -> None:
             f.write(f"{key}={value}\n")
 
 
-def _write_trajectory(path: Path, trajectory: list[sdh.ObjectiveBreakdown]) -> None:
-    """One row per sdh iteration: its objective terms and their total."""
-    _write_csv(path, ["iteration", "classification_term", "regularizer", "bias_term", "total"],
+def _write_trajectory(path: Path, trajectory: list[sdh.ObjectiveBreakdown],
+                      bits_flipped: list[int]) -> None:
+    """One row per sdh iteration: its objective terms, their total, and the
+    number of code bits its code step flipped."""
+    _write_csv(path, ["iteration", "classification_term", "regularizer", "bias_term", "total",
+                      "bits_flipped"],
                ([i, repr(step.classification_term), repr(step.regularizer),
-                 repr(step.bias_term), repr(step.total)]
-                for i, step in enumerate(trajectory, start=1)))
+                 repr(step.bias_term), repr(step.total), flips]
+                for i, (step, flips) in enumerate(zip(trajectory, bits_flipped, strict=True),
+                                                  start=1)))
 
 
 def cmd_train(cfg, out: Path) -> int:
@@ -343,10 +348,11 @@ def cmd_train(cfg, out: Path) -> int:
            "classes": data.class_count, "anchors": kmap.anchor_count}
 
     with stage("train"):
-        model, elapsed, trajectory = _train_model(method, kmap, features, data, bits,
-                                                  _sdh_options(cfg))
-        if trajectory is not None:
-            _write_trajectory(out / "trajectory.csv", trajectory)
+        model, elapsed, run = _train_model(method, kmap, features, data, bits,
+                                           _sdh_options(cfg))
+        if run is not None:
+            trajectory, bits_flipped = run
+            _write_trajectory(out / "trajectory.csv", trajectory, bits_flipped)
             final = trajectory[-1]
             log.update(final_total=repr(final.total),
                        final_classification_term=repr(final.classification_term),
@@ -409,10 +415,11 @@ def _figure_fig1(cfg, out: Path) -> None:
 
     for solver in ("dcc", "branch_and_bound"):
         for s in range(cfg["fig1_seeds"]):
-            _, trajectory = sdh.train_sdh(features, labels, classes, bits,
-                                          lam=lam, nu=0.0, max_iters=cfg["iters"],
-                                          seed=s, solver=solver)
-            _write_trajectory(out / f"fig1_{solver}_seed{s}.csv", trajectory)
+            state, trajectory = sdh.train_sdh(features, labels, classes, bits,
+                                              lam=lam, nu=0.0, max_iters=cfg["iters"],
+                                              seed=s, solver=solver)
+            _write_trajectory(out / f"fig1_{solver}_seed{s}.csv", trajectory,
+                              state.bits_flipped)
 
     # SDH's own steps at the closed-form codes B = C Y, a fixed point of the
     # alternation at nu = 0.

@@ -7,10 +7,15 @@ classifier step, and a per-sample binary quadratic program. The code step is
 pluggable between greedy coordinate descent and one exact search,
 branch-and-bound, which the solver names "exhaustive" and
 "branch_and_bound" both run at any code length.
+
+Every step reads only the codes, so an iteration whose code step flips no
+bit is a fixed point that each later iteration would replay bit for bit.
+The trainer stops there: `max_iters` bounds the work, and a converged run
+repeats its last objective breakdown to fill the trajectory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -25,13 +30,15 @@ DEFAULT_MAX_ITERS = 5
 
 @dataclass
 class SdhState:
-    """Mutable optimizer state: codes, classifier, projection, and weights."""
+    """Mutable optimizer state: codes, classifier, projection, weights, and
+    the number of code bits each iteration's code step flipped."""
 
     codes: np.ndarray       # (bits, samples) int8 in {-1, +1}
     weights: np.ndarray     # (bits, classes)
     projection: np.ndarray  # (features, bits)
     lam: float
     nu: float
+    bits_flipped: list[int] = field(default_factory=list)  # one per iteration
 
 
 @dataclass(frozen=True)
@@ -165,10 +172,17 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
     """Run the alternating optimization from a random code initialization.
 
     Each iteration runs the projection step, the classifier step, and the
-    code step in that order, then records an objective breakdown. The
-    projection system depends on the features only, so it is factored once
-    before the first iteration. The run is deterministic for a fixed seed,
-    and different seeds generally reach different local minima.
+    code step in that order, then records an objective breakdown and the
+    number of code bits it flipped. The projection system depends on the
+    features only, so it is factored once before the first iteration. The
+    run is deterministic for a fixed seed, and different seeds generally
+    reach different local minima.
+
+    `max_iters` bounds the work. An iteration that flips no bit is a fixed
+    point, so the run stops after it: the trajectory still holds `max_iters`
+    breakdowns, the remaining ones copies of that iteration's, and the
+    returned state, with 0 flips recorded per remaining iteration, is the one
+    every later iteration would return.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
@@ -196,7 +210,14 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         state.weights = w_step(state.codes, labels, class_count, lam)
         # One P^T X per iteration feeds both the code step and the objective.
         projected = state.projection.T @ x
+        previous = state.codes
         state.codes = b_step(state, labels, solver, projected=projected, sweeps=sweeps)
+        state.bits_flipped.append(int(np.count_nonzero(state.codes != previous)))
         trajectory.append(objective(state, labels, projected=projected))
+        if not state.bits_flipped[-1]:
+            break
+    skipped = max_iters - len(trajectory)
+    state.bits_flipped += [0] * skipped
+    trajectory += trajectory[-1:] * skipped
     return state, trajectory
 

@@ -293,8 +293,10 @@ class TestFigureKeys:
         for seed, total in ((0, 1.0215836518564503), (1, 0.9272512138953171)):
             rows = (tmp_path / f"fig1_branch_and_bound_seed{seed}.csv").read_text().splitlines()
             assert len(rows) == 21
-            assert rows[0].split(",")[-1] == "total"
-            assert float(rows[-1].split(",")[-1]) == pytest.approx(total, rel=1e-12)
+            header = rows[0].split(",")
+            assert header[-2:] == ["total", "bits_flipped"]
+            assert float(rows[-1].split(",")[header.index("total")]) == pytest.approx(
+                total, rel=1e-12)
 
     def test_losses_reads_bits_list(self, tmp_path):
         cfg = write_cfg(tmp_path / "losses.cfg", SYNTH_KEYS + "iters = 1\n")
@@ -342,14 +344,19 @@ class TestReportFiles:
         rng = np.random.default_rng(20)
         x = rng.standard_normal((5, 8))
         labels = np.array([0, 1, 0, 1, 1, 0, 0, 1])
-        _, traj = sdh.train_sdh(x, labels, 2, 4, max_iters=3, seed=0)
+        state, traj = sdh.train_sdh(x, labels, 2, 4, max_iters=3, seed=0)
         path = tmp_path / "trajectory.csv"
-        cli._write_trajectory(path, traj)
+        cli._write_trajectory(path, traj, state.bits_flipped)
         rows = path.read_text().strip().splitlines()
-        assert rows[0] == "iteration,classification_term,regularizer,bias_term,total"
+        assert rows[0] == "iteration,classification_term,regularizer,bias_term,total,bits_flipped"
         assert len(rows) == 4
-        first = rows[1].split(",")
-        assert float(first[4]) == traj[0].total
+        cells = [row.split(",") for row in rows[1:]]
+        assert float(cells[0][4]) == traj[0].total
+        assert [int(row[5]) for row in cells] == state.bits_flipped
+        # The second iteration flips no bit, so every row after it repeats
+        # its terms and records no flip.
+        assert state.bits_flipped[0] > 0 and state.bits_flipped[1] == 0
+        assert cells[2][1:] == cells[1][1:]
 
     def test_matrix_csv(self, tmp_path):
         # The biasmap grids round-trip through their CSV files. The command

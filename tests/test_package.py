@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import sdhkit
 
@@ -26,3 +30,29 @@ def test_the_package_exports_exactly_its_public_names():
     public = {name for name, value in vars(sdhkit).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(PUBLIC_NAMES)
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # Reporting a failure, Hypothesis imports libcst, which subclasses the
+    # deprecated mypy_extensions.TypedDict; under error::DeprecationWarning
+    # that warning ended the session with an INTERNALERROR, so the tests
+    # after the failing one never ran.
+    (tmp_path / "test_session.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+
+        def test_runs_after_the_failure():
+            pass
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_session.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
+    assert result.returncode == 1

@@ -248,6 +248,21 @@ class TestBStep:
                                        max_sweeps=sweeps)
                 assert np.array_equal(alone[:, 0], batched[:, k]), k
 
+    @pytest.mark.parametrize("solver", ["dcc", "branch_and_bound"])
+    @pytest.mark.parametrize("nu", [0.0, 1e-2])
+    def test_leaves_the_given_codes_untouched(self, solver, nu):
+        # The trainer detects a fixed point by comparing the code step's
+        # output with its input, which must not be the same array.
+        rng = np.random.default_rng(26)
+        x, labels, classes, bits = toy_problem(rng, features=6, samples=30, classes=3, bits=8)
+        start = (2 * rng.integers(0, 2, (bits, 30)) - 1).astype(np.int8)
+        state = sdh.SdhState(codes=start.copy(), weights=rng.standard_normal((bits, classes)),
+                             projection=rng.standard_normal((6, bits)), lam=1.0, nu=nu)
+        b = sdh.b_step(state, labels, solver, projected=state.projection.T @ x)
+        assert np.array_equal(state.codes, start)
+        assert not np.shares_memory(b, state.codes)
+        assert not np.array_equal(b, start)
+
     def test_features_are_not_accepted_positionally(self):
         # P^T X is keyword-only: an (L, N) feature matrix passed where the
         # features used to go must not be read as P^T X.
@@ -308,23 +323,33 @@ class TestTrainSdh:
         _, traj = sdh.train_sdh(x, labels, classes, bits, max_iters=4, seed=0)
         assert len(traj) == 4
 
-    @pytest.mark.parametrize("solver, nu, shape", [
-        pytest.param("dcc", 1e-2, (6, 30, 3, 8), id="dcc"),
-        pytest.param("branch_and_bound", 1e-2, (6, 30, 3, 8), id="branch_and_bound"),
+    # `fixed_at` is the first iteration whose code step flips no bit (None:
+    # none within `iters`); the trainer stops there, the reference does not.
+    @pytest.mark.parametrize("solver, nu, shape, iters, fixed_at", [
+        pytest.param("dcc", 1e-2, (6, 30, 3, 8), 4, None, id="dcc"),
+        pytest.param("branch_and_bound", 1e-2, (6, 30, 3, 8), 4, None, id="branch_and_bound"),
         # In this shape a code matrix in Fortran order changes the rounding
         # of the next classifier and projection steps.
-        pytest.param("dcc", 0.0, (8, 24, 4, 12), id="dcc-nu0"),
-        pytest.param("branch_and_bound", 0.0, (8, 24, 4, 12), id="branch_and_bound-nu0"),
+        pytest.param("dcc", 0.0, (8, 24, 4, 12), 4, 2, id="dcc-nu0"),
+        pytest.param("branch_and_bound", 0.0, (8, 24, 4, 12), 4, 2, id="branch_and_bound-nu0"),
+        # The fig1 study's shape: one sample per class, L = 16, 20 iterations.
+        # The random start is already a fixed point.
+        pytest.param("dcc", 0.0, (10, 10, 10, 16), 20, 1, id="fig1-dcc"),
+        pytest.param("branch_and_bound", 0.0, (10, 10, 10, 16), 20, 1,
+                     id="fig1-branch_and_bound"),
+        pytest.param("dcc", 0.1, (6, 30, 3, 8), 20, 10, id="dcc-nu0.1-stops-mid-run"),
     ])
-    def test_matches_loop_that_refactors_every_iteration(self, solver, nu, shape):
+    def test_matches_loop_that_refactors_every_iteration(self, solver, nu, shape, iters,
+                                                         fixed_at):
         # Reference: the Gram matrix is rebuilt and factored in every
-        # iteration, without the package's projection solver. At nu = 0 the
-        # code step does not go through `b_step` either.
+        # iteration, without the package's projection solver, and all `iters`
+        # iterations run. At nu = 0 the code step does not go through
+        # `b_step` either.
         features, samples, classes, bits = shape
         rng = np.random.default_rng(22)
         x, labels, classes, bits = toy_problem(rng, features=features, samples=samples,
                                                classes=classes, bits=bits)
-        lam, iters, seed = 1.0, 4, 5
+        lam, seed = 1.0, 5
         state, trajectory = sdh.train_sdh(x, labels, classes, bits, lam=lam,
                                           nu=nu, max_iters=iters, seed=seed,
                                           solver=solver)
@@ -335,7 +360,7 @@ class TestTrainSdh:
             weights=np.zeros((bits, classes)),
             projection=np.zeros((x.shape[0], bits)), lam=lam, nu=nu)
         jitter = 1e-8 * float((x * x).sum()) / x.shape[0]
-        ref_trajectory = []
+        ref_trajectory, ref_flips = [], []
         for _ in range(iters):
             gram = x @ x.T + jitter * np.eye(x.shape[0])
             factor = scipy.linalg.cho_factor(gram)
@@ -343,16 +368,40 @@ class TestTrainSdh:
                 factor, x @ ref.codes.astype(np.float64).T)
             ref.weights = sdh.w_step(ref.codes, labels, classes, lam)
             projected = ref.projection.T @ x
+            previous = ref.codes.copy()
             if nu == 0.0:
                 ref.codes = per_class_code_step(ref, labels, solver)
             else:
                 ref.codes = sdh.b_step(ref, labels, solver, projected=projected)
+            ref_flips.append(int((ref.codes != previous).sum()))
             ref_trajectory.append(sdh.objective(ref, labels, projected=projected))
 
+        assert (ref_flips.index(0) + 1 if 0 in ref_flips else None) == fixed_at
         assert np.array_equal(state.projection, ref.projection)
         assert np.array_equal(state.weights, ref.weights)
         assert np.array_equal(state.codes, ref.codes)
         assert trajectory == ref_trajectory
+        assert state.bits_flipped == ref_flips
+
+    def test_a_fixed_point_start_runs_one_code_step(self, monkeypatch):
+        # fig1's shape at nu = 0: the random start is a fixed point, so the
+        # first code step flips nothing and ends the run.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((10, 10))
+        solve_batch = biqp.solve_batch
+        calls = []
+
+        def spy(*args, **options):
+            calls.append(args[1].shape)
+            return solve_batch(*args, **options)
+
+        monkeypatch.setattr(biqp, "solve_batch", spy)
+        state, trajectory = sdh.train_sdh(x, np.arange(10), 10, 16, nu=0.0, max_iters=20,
+                                          seed=0, solver="branch_and_bound")
+        assert calls == [(16, 10)]
+        assert len(trajectory) == 20
+        assert all(step == trajectory[0] for step in trajectory)
+        assert state.bits_flipped == [0] * 20
 
 
 class TestObjective:
