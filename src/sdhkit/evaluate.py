@@ -12,14 +12,14 @@ Every retrieval metric comes from one streaming pass, `retrieval_counts`,
 which computes each block of query distances once; `evaluate_retrieval`
 reads precision and recall at a radius, MAP, the per-query average
 precisions and the PR curve from it. The metrics need only per-(query,
-class, distance) totals, so the pass first groups the database into
-buckets of items with the same code and label and scores each bucket once,
-counted with its multiplicity; supervised codes collapse onto a few codes
-per class, so there are far fewer buckets than items. The queries collapse
-the same way: each distinct (code, label) query is scored once and its row
-gathered back to every query that shares it. Memory stays
-O(n_queries * bits + database size * words + block * buckets) however many
-queries there are.
+class, distance) totals, so the pass splits the index's buckets of equal
+words, made when the index is built, by class, and scores each (code,
+label) bucket once, counted with its multiplicity; supervised codes
+collapse onto a few codes per class, so there are far fewer buckets than
+items. The queries collapse the same way: each distinct (code, label)
+query is scored once and its row gathered back to every query that
+shares it. Memory stays O(n_queries * bits + database size * words +
+block * buckets) however many queries there are.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ ZERO_RETRIEVAL_MODES = ("zero", "skip")
 BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
 # Scratch bytes one evaluation block may hold; the bytes it holds at most per
 # (query, database bucket) pair: distance (at most uint16), int64 bin key and
-# the kernel's uint64 XOR, plus the pair's float64 bincount weight when some
-# bucket holds more than one item; per (query, class, distance) bin: its
+# the kernel's uint64 XOR, plus the pair's float64 bincount weight when the
+# index has buckets of words; per (query, class, distance) bin: its
 # int64 or float64 count; and per (threshold, query) cell of the PR curve:
 # the two int64 counts, a float64 quotient and a bool mask.
 EVAL_BLOCK_BYTES = 4 << 20
@@ -115,23 +115,23 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                      query_labels: np.ndarray) -> RetrievalCounts:
     """Score every query against the database in one streaming pass.
 
-    Both sides are first grouped by the same fold-and-sort (`_groups`): the
-    database into buckets of items with the same words and the same label,
-    the queries into groups with the same words and the same label. Each
-    distinct query is scored once per bucket, its distance counted with the
-    bucket's multiplicity, and its row is then gathered back to every query
-    of its group; every row is computed on its own, so the result is bitwise
-    what scoring each query alone gives. Distinct queries go through in
-    blocks sized so that a block's distances, bin keys, weights and
-    histograms stay within EVAL_BLOCK_BYTES; memory is
-    O(n_queries * bits + count * words + block * buckets). Each block's
-    distances are computed once and binned by (query, database class,
-    distance) in one bincount. The cumulative bins over all classes give
-    `retrieved`, those of the query's class give `relevant`, and the same
-    per-distance counts give average precision as the expected AP over
-    every ordering of equidistant items (McSherry and Najork, ECIR 2008).
-    No ranking is built, so the result does not depend on the database's
-    storage order.
+    The index groups its items by words once, when it is built, and one
+    `np.unique` of word * classes + class splits them by class into buckets
+    of equal words and label with their multiplicities; an index with no
+    buckets is scored item by item. The queries are grouped by words and
+    label (`_groups`). Each distinct query is scored once per bucket, its
+    distance counted with the bucket's multiplicity, and its row gathered
+    back to every query of its group; each row is computed on its own, so
+    the result is bitwise what scoring each item and query alone gives.
+    Blocks of distinct queries keep their distances, bin keys, weights and
+    histograms within EVAL_BLOCK_BYTES, so memory is O(n_queries * bits +
+    count * words + block * buckets). Each block's distances are computed
+    once and binned by (query, database class, distance) in one bincount.
+    The cumulative bins over all classes give `retrieved`, those of the
+    query's class give `relevant`, and the same per-distance counts give
+    average precision as the expected AP over every ordering of equidistant
+    items (McSherry and Najork, ECIR 2008). No ranking is built, so the
+    result does not depend on the database's storage order.
     """
     if index.codes.count == 0:
         raise ValueError("empty database")
@@ -148,12 +148,12 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     class_sizes = class_counts[slot]
 
     codes, bucket_class, multiplicity = index.codes, db_class, None
-    db_groups = _groups(codes, db_class)
-    if db_groups is not None:
-        first, bucket = db_groups
-        codes = PackedCodes(words=codes.words[first], bits=codes.bits)
-        bucket_class = db_class[first]
-        multiplicity = np.bincount(bucket).astype(np.float64)
+    if index._buckets is not None:
+        pairs, multiplicity = np.unique(index._buckets.of_item * classes.size + db_class,
+                                        return_counts=True)
+        words, bucket_class = np.divmod(pairs, classes.size)
+        codes = PackedCodes(words=index._buckets.words.words[words], bits=codes.bits)
+        multiplicity = multiplicity.astype(np.float64)
     query_groups = _groups(queries, slot)
     if query_groups is not None:
         first, query_group = query_groups

@@ -289,13 +289,15 @@ def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
 
 def limit_block(monkeypatch, idx, rows):
     """Make `retrieval_counts` score `rows` queries per block of `idx`: a
-    block holds its (query, bucket) pairs, with a weight per pair when some
-    bucket holds more than one item, and its (query, class, distance) bins."""
-    classes, db_class = np.unique(idx.labels, return_inverse=True)
-    groups = evaluate._groups(idx.codes, db_class)
+    block holds its (query, bucket) pairs, with a weight per pair when the
+    index groups its codes into words, and its (query, class, distance)
+    bins. A bucket is one distinct (word, label) pair of the index, or one
+    item when the index has no words."""
+    classes = np.unique(idx.labels)
     buckets, pair_bytes = idx.codes.count, evaluate.EVAL_PAIR_BYTES
-    if groups is not None:
-        buckets, pair_bytes = groups[0].size, pair_bytes + evaluate.EVAL_WEIGHT_BYTES
+    if idx._buckets is not None:
+        pairs = np.unique(np.stack([idx._buckets.of_item, idx.labels]), axis=1)
+        buckets, pair_bytes = pairs.shape[1], pair_bytes + evaluate.EVAL_WEIGHT_BYTES
     bins = classes.size * (idx.codes.bits + 1)
     row_bytes = pair_bytes * buckets + evaluate.EVAL_BIN_BYTES * bins
     monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
@@ -323,10 +325,14 @@ def assert_counts_equal(found, expected):
 
 def unbucketed_counts(monkeypatch, idx, queries, labels):
     """`retrieval_counts` with every database item and every query scored
-    on its own."""
+    on its own: against a copy of `idx` built with no buckets, and with no
+    query groups."""
     with monkeypatch.context() as patch:
-        patch.setattr(evaluate, "_groups", lambda codes, key: None)
-        return evaluate.retrieval_counts(idx, queries, labels)
+        patch.setattr(index, "_groups", lambda codes, key=None: None)
+        patch.setattr(evaluate, "_groups", lambda codes, key=None: None)
+        flat = index.CodeIndex(codes=idx.codes, labels=idx.labels)
+        assert flat._buckets is None
+        return evaluate.retrieval_counts(flat, queries, labels)
 
 
 def distinct_pairs(signs, labels):
@@ -483,6 +489,82 @@ class TestBuckets:
             counts = evaluate.retrieval_counts(idx, queries, q_labels)
         assert sum(q * n for q, n in calls) <= queries.count * 20
         assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries, q_labels))
+
+    def test_groups_only_the_queries(self, monkeypatch):
+        # The database is grouped once, when the index is built; a call
+        # splits the index's words by class and folds only the queries.
+        rng = np.random.default_rng(41)
+        db_signs, db_labels, q_signs, q_labels = bucket_instance(rng, "repeats", 32)
+        idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
+        assert idx._buckets is not None
+        queries = pack_signs(q_signs)
+        grouped, groups = [], index._groups
+
+        def spy(codes, key=None):
+            grouped.append(codes)
+            return groups(codes, key)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate, "_groups", spy)
+            patch.setattr(index, "_groups", spy)
+            calls = record_scoring(patch)
+            counts = evaluate.retrieval_counts(idx, queries, q_labels)
+        assert len(grouped) == 1 and grouped[0] is queries
+        assert [n for _, n in calls] == [distinct_pairs(db_signs, db_labels)] * len(calls)
+        assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries, q_labels))
+
+    def test_an_index_with_no_buckets_is_scored_as_it_is(self, monkeypatch):
+        # Every code distinct: the kernel gets the index's own codes, and
+        # the bincount no weights.
+        rng = np.random.default_rng(42)
+        words = rng.integers(0, np.iinfo(np.uint64).max, (300, 2), dtype=np.uint64,
+                             endpoint=True)
+        idx = index.CodeIndex(codes=index.PackedCodes(words=words, bits=128),
+                              labels=rng.integers(0, 4, 300))
+        assert idx._buckets is None
+        queries = index.PackedCodes(words=words[:20] ^ np.uint64(0b11), bits=128)
+        databases, weights = [], []
+        bincount = np.bincount
+
+        def kernel(database, rows):
+            databases.append(database)
+            return index.hamming_matrix(database, rows)
+
+        def spy(keys, weight=None, minlength=0):
+            weights.append(weight)
+            return bincount(keys, weight, minlength=minlength)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate, "hamming_matrix", kernel)
+            patch.setattr(np, "bincount", spy)
+            counts = evaluate.retrieval_counts(idx, queries, idx.labels[:20])
+        assert databases and all(database is idx.codes for database in databases)
+        assert weights and all(weight is None for weight in weights)
+        assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries,
+                                                      idx.labels[:20]))
+
+    def test_peak_memory_of_one_query_against_a_bucketed_database(self):
+        # 20,000 items on 1,000 words in 10 classes, about 2,600 (word,
+        # class) pairs. Splitting the index's words by class peaks at about
+        # 41 bytes per item; folding and sorting all items again peaked at
+        # about 57.
+        rng = np.random.default_rng(40)
+        count = 20_000
+        prototypes = rng.integers(0, np.iinfo(np.uint64).max, (1000, 1), dtype=np.uint64,
+                                  endpoint=True)
+        word = rng.integers(0, 1000, count)
+        labels = np.where(rng.random(count) < 0.1, rng.integers(0, 10, count), word % 10)
+        idx = index.CodeIndex(codes=index.PackedCodes(words=prototypes[word], bits=64),
+                              labels=labels)
+        assert idx._buckets is not None and np.unique(labels).size == 10
+        queries = index.PackedCodes(words=prototypes[:1] ^ np.uint64(0b101), bits=64)
+        tracemalloc.start()
+        try:
+            evaluate.retrieval_counts(idx, queries, labels[:1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * count
 
     def test_peak_memory_of_an_all_distinct_database(self):
         # Random 64-bit codes: every item is its own bucket, so only the
