@@ -12,14 +12,13 @@ Every retrieval metric comes from one streaming pass, `retrieval_counts`,
 which computes each block of query distances once; `evaluate_retrieval`
 reads precision and recall at a radius, MAP, the per-query average
 precisions and the PR curve from it. The metrics need only per-(query,
-class, distance) totals, so the pass splits the index's buckets of equal
-words, made when the index is built, by class, and scores each (code,
-label) bucket once, counted with its multiplicity; supervised codes
-collapse onto a few codes per class, so there are far fewer buckets than
-items. The queries collapse the same way: each distinct (code, label)
-query is scored once and its row gathered back to every query that
-shares it. Memory stays O(n_queries * bits + database size * words +
-block * buckets) however many queries there are.
+class, distance) totals, so the pass scores each of the index's buckets of
+equal words and label, made once when the index is built, and counts it
+with its size; supervised codes collapse onto a few codes per class, so
+there are far fewer buckets than items. The queries collapse the same way:
+each distinct (code, label) query is scored once and its row gathered back
+to every query that shares it. Memory stays O(n_queries * bits + database
+size + block * buckets) however many queries there are.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
 # Scratch bytes one evaluation block may hold; the bytes it holds at most per
 # (query, database bucket) pair: distance (at most uint16), int64 bin key and
 # the kernel's uint64 XOR, plus the pair's float64 bincount weight when the
-# index has buckets of words; per (query, class, distance) bin: its
+# index has (words, label) buckets; per (query, class, distance) bin: its
 # int64 or float64 count; and per (threshold, query) cell of the PR curve:
 # the two int64 counts, a float64 quotient and a bool mask.
 EVAL_BLOCK_BYTES = 4 << 20
@@ -115,51 +114,47 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
                      query_labels: np.ndarray) -> RetrievalCounts:
     """Score every query against the database in one streaming pass.
 
-    The index groups its items by words once, when it is built, and one
-    `np.unique` of word * classes + class splits them by class into buckets
-    of equal words and label with their multiplicities; an index with no
-    buckets is scored item by item. The queries are grouped by words and
-    label (`_groups`). Each distinct query is scored once per bucket, its
-    distance counted with the bucket's multiplicity, and its row gathered
-    back to every query of its group; each row is computed on its own, so
-    the result is bitwise what scoring each item and query alone gives.
-    Blocks of distinct queries keep their distances, bin keys, weights and
-    histograms within EVAL_BLOCK_BYTES, so memory is O(n_queries * bits +
-    count * words + block * buckets). Each block's distances are computed
-    once and binned by (query, database class, distance) in one bincount.
-    The cumulative bins over all classes give `retrieved`, those of the
-    query's class give `relevant`, and the same per-distance counts give
-    average precision as the expected AP over every ordering of equidistant
-    items (McSherry and Najork, ECIR 2008). No ranking is built, so the
-    result does not depend on the database's storage order.
+    The index groups its items by words and label once, when it is built,
+    and the pass reads those buckets as they are: each bucket's words, its
+    label, and its size as the weight of its distances; the classes and
+    their sizes come from the bucket labels alone. An index with no buckets
+    is scored item by item. The queries are grouped by words and label
+    (`_groups`). Each distinct query is scored once per bucket and its row
+    gathered back to every query of its group; each row is computed on its
+    own, so the result is bitwise what scoring each item and query alone
+    gives. Blocks of distinct queries keep their distances, bin keys,
+    weights and histograms within EVAL_BLOCK_BYTES, so memory is
+    O(n_queries * bits + count + block * buckets). Each block's distances
+    are computed once and binned by (query, database class, distance) in
+    one bincount. The cumulative bins over all classes give `retrieved`,
+    those of the query's class give `relevant`, and the same per-distance
+    counts give average precision as the expected AP over every ordering of
+    equidistant items (McSherry and Najork, ECIR 2008). No ranking is
+    built, so the result does not depend on the database's storage order.
     """
     if index.codes.count == 0:
         raise ValueError("empty database")
     if queries.count == 0:
         raise ValueError("no queries")
     query_labels = class_labels(query_labels, "query labels", count=queries.count)
-    classes, db_class, class_counts = np.unique(
-        index.labels, return_inverse=True, return_counts=True)
+    buckets, codes, labels, weights = index._buckets, index.codes, index.labels, None
+    if buckets is not None:
+        codes, labels = buckets.words, buckets.labels
+        weights = buckets.sizes.astype(np.float64)
+    classes, bucket_class = np.unique(labels, return_inverse=True)
     slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
     present = classes[slot] == query_labels
     if not present.all():
         bad = int(query_labels[np.argmin(present)])
         raise ValueError(f"query label {bad} absent from database")
-    class_sizes = class_counts[slot]
+    class_sizes = np.bincount(bucket_class, weights).astype(np.int64, copy=False)[slot]
 
-    codes, bucket_class, multiplicity = index.codes, db_class, None
-    if index._buckets is not None:
-        pairs, multiplicity = np.unique(index._buckets.of_item * classes.size + db_class,
-                                        return_counts=True)
-        words, bucket_class = np.divmod(pairs, classes.size)
-        codes = PackedCodes(words=index._buckets.words.words[words], bits=codes.bits)
-        multiplicity = multiplicity.astype(np.float64)
     query_groups = _groups(queries, slot)
     if query_groups is not None:
         first, query_group = query_groups
         queries = PackedCodes(words=queries.words[first], bits=queries.bits)
         slot = slot[first]
-    count, buckets, bits = index.codes.count, codes.count, index.codes.bits
+    count, bits = index.codes.count, index.codes.bits
     levels = bits + 1
     bins = classes.size * levels
     # Bin key of bucket j against query row i of a block:
@@ -170,12 +165,12 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     retrieved = np.empty((queries.count, levels), dtype=np.int64)
     relevant = np.empty_like(retrieved)
     ap = np.empty(queries.count)
-    pair_bytes = EVAL_PAIR_BYTES + (0 if multiplicity is None else EVAL_WEIGHT_BYTES)
-    block = max(1, EVAL_BLOCK_BYTES // (pair_bytes * buckets + EVAL_BIN_BYTES * bins))
-    # Each key's weight is its bucket's multiplicity; the float64 sums are
-    # whole numbers below 2**53, so they convert back to int64 exactly.
-    weights = None if multiplicity is None else np.tile(multiplicity,
-                                                        min(block, queries.count))
+    pair_bytes = EVAL_PAIR_BYTES + (0 if weights is None else EVAL_WEIGHT_BYTES)
+    block = max(1, EVAL_BLOCK_BYTES // (pair_bytes * codes.count + EVAL_BIN_BYTES * bins))
+    # Each key's weight is its bucket's size; the float64 sums are whole
+    # numbers below 2**53, so they convert back to int64 exactly.
+    if weights is not None:
+        weights = np.tile(weights, min(block, queries.count))
     for start in range(0, queries.count, block):
         rows = PackedCodes(words=queries.words[start:start + block], bits=queries.bits)
         stop = start + rows.count

@@ -10,23 +10,24 @@ One kernel, `hamming_matrix`, computes every distance: `radius_search`,
 the narrowest unsigned dtype that holds the code length (uint8 up to 255
 bits, uint16 beyond), so a stable sort of them is NumPy's radix sort.
 
-`PackedCodes` copies its words once, at construction, into one read-only
-Fortran-ordered array that the codes own. `words` reads as one row per
-code, and its transpose `words.T` is the contiguous one-row-per-word layout
-the kernel scans.
+`PackedCodes` takes integer words only (signed ones keep their bits) and
+copies them once, at construction, into one read-only Fortran-ordered array
+that the codes own. `words` reads as one row per code, and its transpose
+`words.T` is the contiguous one-row-per-word layout the kernel scans.
 
-Supervised codes collapse onto a few words per class, so `CodeIndex` groups
-its codes into buckets of equal words once, when it is built, with the
-fold-and-sort `_groups` that the evaluation pass shares. A lookup scores the
-query against each distinct word, not each item. `rank_all` gathers the
-per-word distances back to the items and radix-sorts them; `radius_search`
-keeps the buckets within the radius, reads their ids through the bucket
-offsets and sorts only the hits, so it touches no array of the database's
-length. An index whose codes are all distinct keeps them as they are and
-scans them directly. `radius_search` returns its hits as a `Hits`, two flat
-arrays of ids and distances, and creates no Python object per hit; a caller
-that indexes or iterates it gets (id, distance) tuples of Python ints, built
-as they are read. `CodeIndex` reads its labels through
+Supervised codes collapse onto a few codes per class, so `CodeIndex` groups
+its items into buckets of equal words and label once, when it is built, with
+the fold-and-sort `_groups` that also groups the evaluation's queries; the
+evaluation pass reads those buckets as they are. A lookup scores the query
+against each bucket's word, not each item. `rank_all` gathers the per-bucket
+distances back to the items and radix-sorts them; `radius_search` keeps the
+buckets within the radius, reads their ids through the bucket offsets and
+sorts only the hits, so it touches no array of the database's length. An
+index whose (code, label) pairs are all distinct keeps its codes as they are
+and scans them directly. `radius_search` returns its hits as a `Hits`, two
+flat arrays of ids and distances, and creates no Python object per hit; a
+caller that indexes or iterates it gets (id, distance) tuples of Python
+ints, built as they are read. `CodeIndex` reads its labels through
 `dataset.class_labels`, the package's one label check.
 """
 from __future__ import annotations
@@ -52,7 +53,10 @@ class PackedCodes:
     bits: int
 
     def __post_init__(self):
-        words = np.array(self.words, dtype=np.uint64, order="F")
+        words = np.asarray(self.words)
+        if words.dtype.kind not in "iu":  # a cast would truncate floats and bools
+            raise ValueError(f"words must be integers, got dtype {words.dtype}")
+        words = np.array(words, dtype=np.uint64, order="F")
         words.flags.writeable = False
         if words.ndim != 2:
             raise ValueError(f"words must be 2-D, got shape {words.shape}")
@@ -75,9 +79,10 @@ class PackedCodes:
 
 @dataclass(frozen=True)
 class _Buckets:
-    """The database's codes grouped into buckets of equal words."""
+    """The database's items grouped into buckets of equal words and label."""
 
     words: PackedCodes   # (buckets, words), one code per bucket
+    labels: np.ndarray   # (buckets,) int64, each bucket's label
     of_item: np.ndarray  # (count,) intp, each item's bucket
     members: np.ndarray  # (count,) intp, item ids by bucket, ascending within one
     starts: np.ndarray   # (buckets,) intp, where each bucket's ids start in `members`
@@ -91,9 +96,9 @@ class CodeIndex:
 
     The labels are copied once, at construction, into a read-only int64
     array (see `dataset.class_labels`), so later writes to the caller's
-    array do not reach the index. The codes are grouped into buckets of
-    equal words once, at construction; when every code is distinct there
-    are no buckets and lookups scan `codes` as they are.
+    array do not reach the index. The items are grouped into buckets of
+    equal words and label once, at construction; with no two (code, label)
+    pairs equal there are no buckets, and `codes` is scanned as it is.
     """
 
     codes: PackedCodes
@@ -104,20 +109,20 @@ class CodeIndex:
         codes = self.codes
         object.__setattr__(self, "labels",
                            class_labels(self.labels, "labels", count=codes.count))
-        buckets, groups = None, _groups(codes)
+        buckets, groups = None, _groups(codes, self.labels)
         if groups is not None:
             first, of_item = groups
             sizes = np.bincount(of_item)
             buckets = _Buckets(words=PackedCodes(words=codes.words[first], bits=codes.bits),
-                               of_item=of_item, members=of_item.argsort(kind="stable"),
+                               labels=self.labels[first], of_item=of_item,
+                               members=of_item.argsort(kind="stable"),
                                starts=sizes.cumsum() - sizes, sizes=sizes,
                                id_bits=(codes.count - 1).bit_length())
         object.__setattr__(self, "_buckets", buckets)
 
 
-def _groups(codes: PackedCodes, key: np.ndarray | None = None
-            ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Group codes with equal words and, if given, equal `key` (a class index).
+def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group codes with equal words and equal int64 `key` (a label or class).
 
     Returns the index of each group's first item and each item's group, or
     None when every item is a group of its own, so the caller keeps the
@@ -127,16 +132,15 @@ def _groups(codes: PackedCodes, key: np.ndarray | None = None
     item's may land in separate groups, which leaves every count and
     distance exact.
     """
-    fold = np.zeros(codes.count, dtype=np.uint64) if key is None else key.astype(np.uint64)
+    fold = key.astype(np.uint64)
     for column in codes.words.T:
         fold *= _FOLD
         fold += column
     order = np.argsort(fold)
     starts = np.zeros(codes.count, dtype=bool)
     starts[:1] = True
-    if key is not None:
-        ordered = key[order]
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    ordered = key[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     for column in codes.words.T:
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
@@ -252,7 +256,7 @@ class Hits(Sequence):
 def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """Distances from one word row to every bucket's code, or to every
     database code when the index has no buckets."""
-    words = np.asarray(query, dtype=np.uint64)
+    words = np.asarray(query)
     nwords = index.codes.words.shape[1]
     if words.shape != (nwords,):
         raise ValueError(

@@ -290,14 +290,14 @@ def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
 def limit_block(monkeypatch, idx, rows):
     """Make `retrieval_counts` score `rows` queries per block of `idx`: a
     block holds its (query, bucket) pairs, with a weight per pair when the
-    index groups its codes into words, and its (query, class, distance)
-    bins. A bucket is one distinct (word, label) pair of the index, or one
-    item when the index has no words."""
+    index has buckets, and its (query, class, distance) bins. A bucket is
+    one distinct (word, label) pair of the index, or one item when the
+    index has no buckets."""
     classes = np.unique(idx.labels)
     buckets, pair_bytes = idx.codes.count, evaluate.EVAL_PAIR_BYTES
     if idx._buckets is not None:
-        pairs = np.unique(np.stack([idx._buckets.of_item, idx.labels]), axis=1)
-        buckets, pair_bytes = pairs.shape[1], pair_bytes + evaluate.EVAL_WEIGHT_BYTES
+        buckets = idx._buckets.words.count
+        pair_bytes += evaluate.EVAL_WEIGHT_BYTES
     bins = classes.size * (idx.codes.bits + 1)
     row_bytes = pair_bytes * buckets + evaluate.EVAL_BIN_BYTES * bins
     monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
@@ -328,8 +328,8 @@ def unbucketed_counts(monkeypatch, idx, queries, labels):
     on its own: against a copy of `idx` built with no buckets, and with no
     query groups."""
     with monkeypatch.context() as patch:
-        patch.setattr(index, "_groups", lambda codes, key=None: None)
-        patch.setattr(evaluate, "_groups", lambda codes, key=None: None)
+        patch.setattr(index, "_groups", lambda codes, key: None)
+        patch.setattr(evaluate, "_groups", lambda codes, key: None)
         flat = index.CodeIndex(codes=idx.codes, labels=idx.labels)
         assert flat._buckets is None
         return evaluate.retrieval_counts(flat, queries, labels)
@@ -476,23 +476,27 @@ class TestBuckets:
                                        atol=1e-12)
 
     def test_scores_each_bucket_once_per_query(self, monkeypatch):
-        # 2,000 items on 10 codes under 2 labels each: 20 buckets.
+        # 2,000 items on 10 codes under 2 labels each: 20 buckets. Raw
+        # labels enter the index's 64-bit fold, negative and wide ones too.
         rng = np.random.default_rng(35)
         prototypes = 2 * rng.integers(0, 2, (32, 10)) - 1
         pick = np.repeat(np.arange(10), 200)
-        labels = np.tile([3, 8], 1000)
-        idx = index.CodeIndex(codes=pack_signs(prototypes[:, pick]), labels=labels)
         q_signs = np.where(rng.random((32, 40)) < 0.1, -1, 1) * prototypes[:, pick[:40]]
-        queries, q_labels = pack_signs(q_signs), labels[:40]
-        with monkeypatch.context() as patch:
-            calls = record_scoring(patch)
-            counts = evaluate.retrieval_counts(idx, queries, q_labels)
-        assert sum(q * n for q, n in calls) <= queries.count * 20
-        assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries, q_labels))
+        queries = pack_signs(q_signs)
+        for pair in ((3, 8), (-3, 2**32 + 8)):
+            labels = np.tile(pair, 1000)
+            idx = index.CodeIndex(codes=pack_signs(prototypes[:, pick]), labels=labels)
+            with monkeypatch.context() as patch:
+                calls = record_scoring(patch)
+                counts = evaluate.retrieval_counts(idx, queries, labels[:40])
+            assert idx._buckets.words.count == 20
+            assert sum(q * n for q, n in calls) <= queries.count * 20
+            assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries,
+                                                          labels[:40]))
 
     def test_groups_only_the_queries(self, monkeypatch):
-        # The database is grouped once, when the index is built; a call
-        # splits the index's words by class and folds only the queries.
+        # The database is grouped by (words, label) once, when the index is
+        # built; a call reads those buckets and folds only the queries.
         rng = np.random.default_rng(41)
         db_signs, db_labels, q_signs, q_labels = bucket_instance(rng, "repeats", 32)
         idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
@@ -500,7 +504,7 @@ class TestBuckets:
         queries = pack_signs(q_signs)
         grouped, groups = [], index._groups
 
-        def spy(codes, key=None):
+        def spy(codes, key):
             grouped.append(codes)
             return groups(codes, key)
 
@@ -545,9 +549,11 @@ class TestBuckets:
 
     def test_peak_memory_of_one_query_against_a_bucketed_database(self):
         # 20,000 items on 1,000 words in 10 classes, about 2,600 (word,
-        # class) pairs. Splitting the index's words by class peaks at about
-        # 41 bytes per item; folding and sorting all items again peaked at
-        # about 57.
+        # label) buckets. Reading the index's buckets as they are leaves the
+        # table of N + 1 harmonic numbers as the one array of the database's
+        # length, about 23 bytes per item; splitting the words by class with
+        # an N-item unique per call peaked at about 41, and folding and
+        # sorting all items again at about 57.
         rng = np.random.default_rng(40)
         count = 20_000
         prototypes = rng.integers(0, np.iinfo(np.uint64).max, (1000, 1), dtype=np.uint64,
@@ -564,7 +570,7 @@ class TestBuckets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * count
+        assert peak < 32 * count
 
     def test_peak_memory_of_an_all_distinct_database(self):
         # Random 64-bit codes: every item is its own bucket, so only the

@@ -65,6 +65,18 @@ class TestPack:
             tracemalloc.stop()
         assert peak < 3 * signs.nbytes
 
+    @pytest.mark.parametrize("words", [np.array([[1.5]]), np.array([[1.0]]),
+                                       np.array([[True]]), np.array([["1"]])])
+    def test_rejects_words_that_are_not_integers(self, words):
+        # Casting them would silently truncate 1.5 to the word 1.
+        with pytest.raises(ValueError, match="words must be integers"):
+            index.PackedCodes(words=words, bits=2)
+
+    def test_signed_words_keep_their_bits(self):
+        packed = index.PackedCodes(words=np.array([[-1, 5]], dtype=np.int64), bits=128)
+        assert packed.words.dtype == np.uint64
+        assert packed.words.tolist() == [[2**64 - 1, 5]]
+
     def test_tail_bits_validated(self):
         with pytest.raises(ValueError, match="tail bits"):
             index.PackedCodes(words=np.array([[0xFF]], dtype=np.uint64), bits=4)
@@ -226,12 +238,17 @@ class TestBucketedLookups:
         distinct, count = int(rng.integers(1, 7)), int(rng.integers(1, 81))
         codes = random_signs(rng, bits, distinct)
         signs = codes[:, rng.integers(0, distinct, count)]
-        idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(count, dtype=np.int64))
-        assert (idx._buckets is None) == (np.unique(signs, axis=1).shape[1] == count)
         spread = rng.random()
         query = codes[:, 0] * np.where(rng.random(bits) < spread / 2, -1, 1).astype(np.int8)
-        for radius in (0, int(spread * bits), bits, bits + 3):
-            assert_lookups_match(idx, signs, query, radius)
+        # The index buckets its items by (code, label), so labels of a few
+        # classes split a code into several buckets.
+        for labels in (np.zeros(count, dtype=np.int64), rng.integers(0, 3, count)):
+            idx = index.CodeIndex(codes=index.pack(signs), labels=labels)
+            pairs = np.unique(np.vstack([signs, labels]), axis=1).shape[1]
+            assert (idx._buckets is None) == (pairs == count)
+            assert idx._buckets is None or idx._buckets.words.count == pairs
+            for radius in (0, int(spread * bits), bits, bits + 3):
+                assert_lookups_match(idx, signs, query, radius)
 
     @pytest.mark.parametrize("bits", LOOKUP_BITS[1:])
     @pytest.mark.parametrize("seed", range(3))
@@ -322,6 +339,15 @@ class TestQueryWordCount:
         query[-1] |= np.uint64(1 << 63)
         with pytest.raises(ValueError, match="tail bits"):
             index.radius_search(idx, query, 2)
+
+    @pytest.mark.parametrize("query", [np.array([3.7]), np.array([True])])
+    def test_non_integer_query_words_are_rejected(self, query):
+        # A float row used to be truncated and searched as the word 3.
+        idx = self.make_index(64)
+        with pytest.raises(ValueError, match="words must be integers"):
+            index.radius_search(idx, query, 0)
+        with pytest.raises(ValueError, match="words must be integers"):
+            index.rank_all(idx, query)
 
     def test_one_word_against_a_128_bit_index(self):
         idx = self.make_index(128)
