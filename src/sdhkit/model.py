@@ -103,19 +103,27 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     bits through the codes, C (S^T K), at C*M + L*C flops per sample in
     place of L*M. A score of exactly zero encodes as +1 so codes are
     reproducible. Samples stream through the transform one block at a
-    time, so memory grows with the sample count only by the codes: a byte
-    per bit, padded to whole words, while encoding, then the packed words.
+    time, and each block's signs are packed as soon as they are scored,
+    through one reused buffer of a byte per bit for BLOCK samples. So
+    memory grows with the sample count by the packed words, 8 bytes per
+    started 64 bits, held twice at the end while `PackedCodes` takes its
+    own copy, and by the input check's transient mask of a byte per sample
+    value. Samples the kernel map rejects (not real, not finite, or with
+    overflowing norms; see `kernelmap`) raise ValueError.
     """
     samples = _checked_samples(model.kernel, raw_samples)
     count = samples.shape[1]
     scores = _scorer(model)
-    positive = np.zeros((count, -(-model.bits // index.WORD_BITS) * index.WORD_BITS),
-                        dtype=bool)
+    nwords = -(-model.bits // index.WORD_BITS)
+    words = np.empty((count, nwords), dtype=np.uint64, order="F")
+    positive = np.zeros((min(BLOCK, count), nwords * index.WORD_BITS), dtype=bool)
     for start in range(0, count, BLOCK):
+        chunk = samples[:, start:start + BLOCK]
+        signs = positive[:chunk.shape[1]]
         # One expression, so no block's features or scores outlive it.
-        positive[start:start + BLOCK, :model.bits] = (
-            scores(transform(model.kernel, samples[:, start:start + BLOCK])) >= 0.0).T
-    return index._pack_rows(positive, model.bits)
+        signs[:, :model.bits] = (scores(transform(model.kernel, chunk)) >= 0.0).T
+        words[start:start + BLOCK] = index._pack_rows(signs, model.bits).words
+    return index.PackedCodes(words=words, bits=model.bits)
 
 
 def save_model(model: HashModel, path: str | Path) -> None:

@@ -244,6 +244,13 @@ class TestEncode:
         with pytest.raises(ValueError, match="non-finite"):
             encode(model, samples)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.str_])
+    def test_rejects_complex_and_text_samples(self, dtype):
+        rng = np.random.default_rng(12)
+        model, data, _ = toy_model(rng)
+        with pytest.raises(ValueError, match="samples must be real numbers"):
+            encode(model, data.features[:, :5].astype(dtype))
+
     @pytest.mark.parametrize("columns", [4, 8])
     def test_model_rejects_class_space_matrix_of_another_width(self, columns):
         # Three classes at 8 bits: neither 4 columns nor the (anchors, bits)
@@ -304,8 +311,9 @@ class TestEncode:
 
     def test_memory_grows_only_by_the_codes(self):
         # Peak traced allocation over one block and over four: the growth is
-        # the boolean code buffer and the packed words of the extra samples,
-        # not their kernel features.
+        # the packed words of the extra samples, held twice at most (the
+        # block-by-block result and the copy that `PackedCodes` keeps), not
+        # their kernel features or a byte per bit.
         rng = np.random.default_rng(16)
         model, data, _ = toy_model(rng, anchors=40, bits=64)
 
@@ -320,7 +328,7 @@ class TestEncode:
 
         extra = 3 * kernelmap.BLOCK
         growth = peak(4 * kernelmap.BLOCK) - peak(kernelmap.BLOCK)
-        assert growth <= extra * (64 + 8)
+        assert growth <= 2 * extra * 8
 
     def test_training_codes_close_to_targets(self):
         # The fit is not exact in general; record the distance, don't demand 0.

@@ -33,8 +33,19 @@ def test_anchor_coincident_sample_maps_to_one():
     rng = np.random.default_rng(3)
     anchors = rng.standard_normal((6, 4))
     kmap = kernelmap.KernelMap(anchors=anchors, sigma=0.7)
-    out = kernelmap.transform(kmap, anchors[:, [1]])
+    # The second sample lies within rounding of anchor 1, and the Gram
+    # expansion puts its squared distance below zero. There is no clamp at
+    # zero: the near-zero test must replace it by the direct difference.
+    near = anchors[:, 1].copy()
+    near[0] -= 3e-8
+    samples = np.column_stack([anchors[:, 1], near])
+    sq = (np.einsum("dm,dm->m", anchors, anchors)[:, None]
+          + np.einsum("dk,dk->k", samples, samples)[None, :]) - 2.0 * (anchors.T @ samples)
+    assert sq[1, 1] < 0.0
+    out = kernelmap.transform(kmap, samples)
     assert out[1, 0] == 1.0
+    diff = anchors[:, 1] - near
+    assert out[1, 1] == np.exp(-(diff @ diff) / 0.7) and out[1, 1] <= 1.0
 
 
 def test_coincident_small_anchor_beside_a_far_larger_one_maps_to_one():
@@ -65,6 +76,38 @@ def test_rejects_non_finite_samples(bad):
     samples[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         kernelmap.transform(kmap, samples)
+
+
+@pytest.mark.parametrize("bad", [np.array([[1.0 + 2.0j], [0.0]]), np.array([["1"], ["0"]])])
+def test_rejects_complex_and_text_input(bad):
+    # A float cast would drop the imaginary part or parse the text.
+    with pytest.raises(ValueError, match="anchors must be real numbers"):
+        kernelmap.KernelMap(anchors=bad, sigma=1.0)
+    kmap = kernelmap.KernelMap(anchors=np.ones((2, 3)), sigma=1.0)
+    with pytest.raises(ValueError, match="samples must be real numbers"):
+        kernelmap.transform(kmap, bad)
+
+
+def test_bool_and_integer_samples_match_their_float_values():
+    kmap = kernelmap.KernelMap(anchors=np.arange(6).reshape(2, 3), sigma=4.0)
+    for samples in (np.array([[True, False], [False, True]]),
+                    np.array([[3, -1], [0, 2]], dtype=np.int8),
+                    np.array([[3, 1], [0, 2]], dtype=np.uint16)):
+        assert np.array_equal(kernelmap.transform(kmap, samples),
+                              kernelmap.transform(kmap, samples.astype(np.float64)))
+
+
+def test_rejects_inputs_whose_squared_norms_overflow():
+    # Finite inputs whose squared norms overflow once gave all-NaN features.
+    with pytest.raises(ValueError, match="anchors' squared norms overflow"):
+        kernelmap.KernelMap(anchors=np.full((2, 3), 1e154), sigma=1.0)
+    kmap = kernelmap.KernelMap(anchors=np.full((2, 3), 9e153), sigma=1.0)
+    for scale in (9e153, 1e154):
+        with pytest.raises(ValueError, match="samples' squared norms plus the anchors'"):
+            kernelmap.transform(kmap, np.full((2, 2), scale))
+    # Large samples that are accepted: a + c is finite, and with it 2 a.x.
+    out = kernelmap.transform(kmap, np.full((2, 2), 1e153))
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_unit_diagonal_on_anchor_matrix():
