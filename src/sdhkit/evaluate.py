@@ -35,14 +35,13 @@ from .sdh import SdhState, one_hot, w_step
 ZERO_RETRIEVAL_MODES = ("zero", "skip")
 BIAS_DIAGNOSTICS_MAX_SAMPLES = 5000
 # Scratch bytes one evaluation block may hold; the bytes it holds at most per
-# (query, database bucket) pair: distance (at most uint16), int64 bin key and
-# the kernel's uint64 XOR, plus the pair's float64 bincount weight when the
-# index has (words, label) buckets; per (query, class, distance) bin: its
-# int64 or float64 count; and per (threshold, query) cell of the PR curve:
-# the two int64 counts, a float64 quotient and a bool mask.
+# (query, database bucket) pair: distance (at most uint16), int64 bin key,
+# the kernel's uint64 XOR and the pair's float64 bincount weight; per
+# (query, class, distance) bin: its float64 count; and per (threshold,
+# query) cell of the PR curve: the two int64 counts, a float64 quotient and
+# a bool mask.
 EVAL_BLOCK_BYTES = 4 << 20
-EVAL_PAIR_BYTES = 18
-EVAL_WEIGHT_BYTES = 8
+EVAL_PAIR_BYTES = 26
 EVAL_BIN_BYTES = 8
 EVAL_CURVE_BYTES = 25
 
@@ -117,14 +116,15 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     The index groups its items by words and label once, when it is built,
     and the pass reads those buckets as they are: each bucket's words, its
     label, and its size as the weight of its distances; the classes and
-    their sizes come from the bucket labels alone. An index with no buckets
-    is scored item by item. The queries are grouped by words and label
-    (`_groups`). Each distinct query is scored once per bucket and its row
-    gathered back to every query of its group; each row is computed on its
-    own, so the result is bitwise what scoring each item and query alone
-    gives. Blocks of distinct queries keep their distances, bin keys,
-    weights and histograms within EVAL_BLOCK_BYTES, so memory is
-    O(n_queries * bits + count + block * buckets). Each block's distances
+    their sizes come from the bucket labels alone. An index whose (code,
+    label) pairs are all distinct holds one bucket of weight 1 per item. The
+    queries are grouped by words and label (`_groups`). Each distinct query
+    is scored once per bucket and its row gathered back to every query of
+    its group; each row is computed on its own, so the result is bitwise
+    what scoring each item and query alone gives. Blocks of distinct
+    queries keep their distances, bin keys, weights and histograms within
+    EVAL_BLOCK_BYTES, so memory is O(n_queries * bits + count + block *
+    buckets). Each block's distances
     are computed once and binned by (query, database class, distance) in
     one bincount. The cumulative bins over all classes give `retrieved`,
     those of the query's class give `relevant`, and the same per-distance
@@ -137,11 +137,9 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     if queries.count == 0:
         raise ValueError("no queries")
     query_labels = class_labels(query_labels, "query labels", count=queries.count)
-    buckets, codes, labels, weights = index._buckets, index.codes, index.labels, None
-    if buckets is not None:
-        codes, labels = buckets.words, buckets.labels
-        weights = buckets.sizes.astype(np.float64)
-    classes, bucket_class = np.unique(labels, return_inverse=True)
+    buckets = index._buckets
+    weights = buckets.sizes.astype(np.float64)
+    classes, bucket_class = np.unique(buckets.labels, return_inverse=True)
     slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
     present = classes[slot] == query_labels
     if not present.all():
@@ -165,18 +163,17 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
     retrieved = np.empty((queries.count, levels), dtype=np.int64)
     relevant = np.empty_like(retrieved)
     ap = np.empty(queries.count)
-    pair_bytes = EVAL_PAIR_BYTES + (0 if weights is None else EVAL_WEIGHT_BYTES)
-    block = max(1, EVAL_BLOCK_BYTES // (pair_bytes * codes.count + EVAL_BIN_BYTES * bins))
+    block = max(1, EVAL_BLOCK_BYTES // (EVAL_PAIR_BYTES * buckets.words.count
+                                        + EVAL_BIN_BYTES * bins))
     # Each key's weight is its bucket's size; the float64 sums are whole
     # numbers below 2**53, so they convert back to int64 exactly.
-    if weights is not None:
-        weights = np.tile(weights, min(block, queries.count))
+    weights = np.tile(weights, min(block, queries.count))
     for start in range(0, queries.count, block):
         rows = PackedCodes(words=queries.words[start:start + block], bits=queries.bits)
         stop = start + rows.count
-        key = hamming_matrix(codes, rows) + class_key
+        key = hamming_matrix(buckets.words, rows) + class_key
         key += np.arange(0, rows.count * bins, bins)[:, None]
-        hist = np.bincount(key.ravel(), None if weights is None else weights[:key.size],
+        hist = np.bincount(key.ravel(), weights[:key.size],
                            minlength=rows.count * bins).reshape(rows.count, classes.size,
                                                                 levels)
         del key  # so the next block's kernel scratch does not sit beside it

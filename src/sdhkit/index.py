@@ -23,11 +23,11 @@ against each bucket's word, not each item. `rank_all` gathers the per-bucket
 distances back to the items and radix-sorts them; `radius_search` keeps the
 buckets within the radius, reads their ids through the bucket offsets and
 sorts only the hits, so it touches no array of the database's length. An
-index whose (code, label) pairs are all distinct keeps its codes as they are
-and scans them directly. `radius_search` returns its hits as a `Hits`, two
-flat arrays of ids and distances, and creates no Python object per hit; a
-caller that indexes or iterates it gets (id, distance) tuples of Python
-ints, built as they are read. `CodeIndex` reads its labels through
+index whose (code, label) pairs are all distinct holds one bucket per item,
+so every index has this one layout. `radius_search` returns its hits as a
+`Hits`, two flat arrays of ids and distances, and creates no Python object
+per hit; a caller that indexes or iterates it gets (id, distance) tuples of
+Python ints, built as they are read. `CodeIndex` reads its labels through
 `dataset.class_labels`, the package's one label check.
 """
 from __future__ import annotations
@@ -98,37 +98,33 @@ class CodeIndex:
     array (see `dataset.class_labels`), so later writes to the caller's
     array do not reach the index. The items are grouped into buckets of
     equal words and label once, at construction; with no two (code, label)
-    pairs equal there are no buckets, and `codes` is scanned as it is.
+    pairs equal each item is a bucket of its own.
     """
 
     codes: PackedCodes
     labels: np.ndarray  # (count,) int64, read-only
-    _buckets: _Buckets | None = field(init=False, repr=False, compare=False)
+    _buckets: _Buckets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         codes = self.codes
         object.__setattr__(self, "labels",
                            class_labels(self.labels, "labels", count=codes.count))
-        buckets, groups = None, _groups(codes, self.labels)
-        if groups is not None:
-            first, of_item = groups
-            sizes = np.bincount(of_item)
-            buckets = _Buckets(words=PackedCodes(words=codes.words[first], bits=codes.bits),
-                               labels=self.labels[first], of_item=of_item,
-                               members=of_item.argsort(kind="stable"),
-                               starts=sizes.cumsum() - sizes, sizes=sizes,
-                               id_bits=(codes.count - 1).bit_length())
-        object.__setattr__(self, "_buckets", buckets)
+        first, of_item = _groups(codes, self.labels) or (np.arange(codes.count),) * 2
+        sizes = np.bincount(of_item)
+        object.__setattr__(self, "_buckets", _Buckets(
+            words=PackedCodes(words=codes.words[first], bits=codes.bits),
+            labels=self.labels[first], of_item=of_item,
+            members=of_item.argsort(kind="stable"), starts=sizes.cumsum() - sizes,
+            sizes=sizes, id_bits=(codes.count - 1).bit_length()))
 
 
 def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Group codes with equal words and equal int64 `key` (a label or class).
 
     Returns the index of each group's first item and each item's group, or
-    None when every item is a group of its own, so the caller keeps the
-    items as they are. The items are sorted by one 64-bit fold of their
-    words and key, and a group ends wherever the key or any word differs
-    from the next item's. Equal items whose folds collide with another
+    None when every item is a group of its own. The items are sorted by one
+    64-bit fold of their words and key, and a group ends wherever the key or
+    any word differs from the next item's. Equal items whose folds collide with another
     item's may land in separate groups, which leaves every count and
     distance exact.
     """
@@ -254,8 +250,7 @@ class Hits(Sequence):
 
 
 def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
-    """Distances from one word row to every bucket's code, or to every
-    database code when the index has no buckets."""
+    """Distances from one word row to every bucket's code."""
     words = np.asarray(query)
     nwords = index.codes.words.shape[1]
     if words.shape != (nwords,):
@@ -265,8 +260,7 @@ def _query_distances(index: CodeIndex, query: np.ndarray) -> np.ndarray:
         )
     # Set tail bits would count as distance and could overflow the dtype.
     row = PackedCodes(words=words[None], bits=index.codes.bits)
-    buckets = index._buckets
-    return hamming_matrix(index.codes if buckets is None else buckets.words, row)[0]
+    return hamming_matrix(index._buckets.words, row)[0]
 
 
 def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
@@ -276,10 +270,6 @@ def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
     dist = _query_distances(index, query)
     buckets = index._buckets
     within = (dist <= radius).nonzero()[0]
-    if buckets is None:
-        near = dist[within]
-        order = near.argsort(kind="stable")
-        return Hits(ids=within[order], distances=near[order])
     # Hit k of the j-th bucket within the radius sits at members[starts[j] + k].
     sizes = buckets.sizes[within]
     ends = sizes.cumsum()
@@ -295,7 +285,4 @@ def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
 
 def rank_all(index: CodeIndex, query: np.ndarray) -> np.ndarray:
     """All database ids sorted ascending by distance, ties by ascending id."""
-    dist = _query_distances(index, query)
-    if index._buckets is not None:
-        dist = dist[index._buckets.of_item]
-    return dist.argsort(kind="stable")
+    return _query_distances(index, query)[index._buckets.of_item].argsort(kind="stable")

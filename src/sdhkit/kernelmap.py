@@ -82,7 +82,11 @@ def fit_anchors(dataset: RawDataset, anchor_count: int, sigma: float,
 
 
 def _checked_samples(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
-    """`samples` as a finite float64 (D, K) matrix of the kernel map's dimension."""
+    """`samples` as a finite float64 (D, K) matrix of the kernel map's dimension.
+
+    Finiteness is checked BLOCK samples at a time, so the check's mask
+    holds at most D * BLOCK bytes however many samples there are.
+    """
     samples = _real(samples, "samples")
     if samples.ndim != 2:
         raise ValueError(f"samples must be a (dim, count) matrix, got shape {samples.shape}")
@@ -91,7 +95,8 @@ def _checked_samples(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
             f"dimension mismatch: samples have dim {samples.shape[0]}, "
             f"kernel map expects {kmap.source_dim}"
         )
-    if not np.isfinite(samples).all():
+    if not all(np.isfinite(samples[:, start:start + BLOCK]).all()
+               for start in range(0, samples.shape[1], BLOCK)):
         raise ValueError("samples contain non-finite values")
     return samples
 
@@ -111,7 +116,9 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
     doubled anchors. Entries that land within rounding error of zero are
     recomputed by direct differencing so coincident pairs come out exactly
     zero. The test's tolerance is never negative, so it also catches every
-    entry that rounded below zero, and no clamp at zero is needed.
+    entry that rounded below zero, and no clamp at zero is needed. A
+    squared distance, or its quotient by sigma, past float64's range gives
+    the feature its true value, 0, with no warning.
 
     Samples are checked as the module says: samples that are not real or
     not finite, or whose largest squared norm plus the largest anchor's
@@ -140,7 +147,11 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
             tile_sq = anchor_sq[top:top + tile_rows]
             sums = scratch[:sq.shape[0], :sq.shape[1]]
             np.add(tile_sq[:, None], chunk_sq[None, :], out=sums)
-            np.subtract(sums, sq, out=sq)
+            # A squared distance past float64's range overflows to inf here,
+            # and so does a quotient by a tiny sigma below; exp then gives
+            # the feature's true value, 0, so neither overflow is a fault.
+            with np.errstate(over="ignore"):
+                np.subtract(sums, sq, out=sq)
             # Both tolerances are never negative, so the exact test selects
             # every entry that rounded below zero, and no clamp is needed. A
             # column's smallest entry bounds every entry's rounding test
@@ -152,6 +163,7 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
             for m, k in zip(hits, cols[picks]):
                 diff = anchors[:, top + m] - chunk[:, k]
                 sq[m, k] = diff @ diff
-            np.divide(sq, -kmap.sigma, out=sq)
+            with np.errstate(over="ignore"):
+                np.divide(sq, -kmap.sigma, out=sq)
             np.exp(sq, out=sq)
     return out

@@ -107,8 +107,8 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     through one reused buffer of a byte per bit for BLOCK samples. So
     memory grows with the sample count by the packed words, 8 bytes per
     started 64 bits, held twice at the end while `PackedCodes` takes its
-    own copy, and by the input check's transient mask of a byte per sample
-    value. Samples the kernel map rejects (not real, not finite, or with
+    own copy; the input check, too, reads the samples a block at a time.
+    Samples the kernel map rejects (not real, not finite, or with
     overflowing norms; see `kernelmap`) raise ValueError.
     """
     samples = _checked_samples(model.kernel, raw_samples)

@@ -289,17 +289,13 @@ def clustered_instance(rng, bits, count, query_count, classes=4, flip=0.08):
 
 def limit_block(monkeypatch, idx, rows):
     """Make `retrieval_counts` score `rows` queries per block of `idx`: a
-    block holds its (query, bucket) pairs, with a weight per pair when the
-    index has buckets, and its (query, class, distance) bins. A bucket is
-    one distinct (word, label) pair of the index, or one item when the
-    index has no buckets."""
+    block holds its weighted (query, bucket) pairs and its (query, class,
+    distance) bins. A bucket is one distinct (word, label) pair of the
+    index."""
     classes = np.unique(idx.labels)
-    buckets, pair_bytes = idx.codes.count, evaluate.EVAL_PAIR_BYTES
-    if idx._buckets is not None:
-        buckets = idx._buckets.words.count
-        pair_bytes += evaluate.EVAL_WEIGHT_BYTES
     bins = classes.size * (idx.codes.bits + 1)
-    row_bytes = pair_bytes * buckets + evaluate.EVAL_BIN_BYTES * bins
+    row_bytes = (evaluate.EVAL_PAIR_BYTES * idx._buckets.words.count
+                 + evaluate.EVAL_BIN_BYTES * bins)
     monkeypatch.setattr(evaluate, "EVAL_BLOCK_BYTES", row_bytes * rows)
 
 
@@ -325,13 +321,13 @@ def assert_counts_equal(found, expected):
 
 def unbucketed_counts(monkeypatch, idx, queries, labels):
     """`retrieval_counts` with every database item and every query scored
-    on its own: against a copy of `idx` built with no buckets, and with no
-    query groups."""
+    on its own: against a copy of `idx` built with one bucket per item, and
+    with no query groups."""
     with monkeypatch.context() as patch:
         patch.setattr(index, "_groups", lambda codes, key: None)
         patch.setattr(evaluate, "_groups", lambda codes, key: None)
         flat = index.CodeIndex(codes=idx.codes, labels=idx.labels)
-        assert flat._buckets is None
+        assert flat._buckets.words.count == idx.codes.count
         return evaluate.retrieval_counts(flat, queries, labels)
 
 
@@ -500,7 +496,7 @@ class TestBuckets:
         rng = np.random.default_rng(41)
         db_signs, db_labels, q_signs, q_labels = bucket_instance(rng, "repeats", 32)
         idx = index.CodeIndex(codes=pack_signs(db_signs), labels=db_labels)
-        assert idx._buckets is not None
+        assert idx._buckets.words.count < db_labels.size
         queries = pack_signs(q_signs)
         grouped, groups = [], index._groups
 
@@ -517,36 +513,6 @@ class TestBuckets:
         assert [n for _, n in calls] == [distinct_pairs(db_signs, db_labels)] * len(calls)
         assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries, q_labels))
 
-    def test_an_index_with_no_buckets_is_scored_as_it_is(self, monkeypatch):
-        # Every code distinct: the kernel gets the index's own codes, and
-        # the bincount no weights.
-        rng = np.random.default_rng(42)
-        words = rng.integers(0, np.iinfo(np.uint64).max, (300, 2), dtype=np.uint64,
-                             endpoint=True)
-        idx = index.CodeIndex(codes=index.PackedCodes(words=words, bits=128),
-                              labels=rng.integers(0, 4, 300))
-        assert idx._buckets is None
-        queries = index.PackedCodes(words=words[:20] ^ np.uint64(0b11), bits=128)
-        databases, weights = [], []
-        bincount = np.bincount
-
-        def kernel(database, rows):
-            databases.append(database)
-            return index.hamming_matrix(database, rows)
-
-        def spy(keys, weight=None, minlength=0):
-            weights.append(weight)
-            return bincount(keys, weight, minlength=minlength)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(evaluate, "hamming_matrix", kernel)
-            patch.setattr(np, "bincount", spy)
-            counts = evaluate.retrieval_counts(idx, queries, idx.labels[:20])
-        assert databases and all(database is idx.codes for database in databases)
-        assert weights and all(weight is None for weight in weights)
-        assert_counts_equal(counts, unbucketed_counts(monkeypatch, idx, queries,
-                                                      idx.labels[:20]))
-
     def test_peak_memory_of_one_query_against_a_bucketed_database(self):
         # 20,000 items on 1,000 words in 10 classes, about 2,600 (word,
         # label) buckets. Reading the index's buckets as they are leaves the
@@ -562,7 +528,7 @@ class TestBuckets:
         labels = np.where(rng.random(count) < 0.1, rng.integers(0, 10, count), word % 10)
         idx = index.CodeIndex(codes=index.PackedCodes(words=prototypes[word], bits=64),
                               labels=labels)
-        assert idx._buckets is not None and np.unique(labels).size == 10
+        assert idx._buckets.words.count < count // 5 and np.unique(labels).size == 10
         queries = index.PackedCodes(words=prototypes[:1] ^ np.uint64(0b101), bits=64)
         tracemalloc.start()
         try:

@@ -30,6 +30,16 @@ def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
     return model, data, features
 
 
+def encode_peak(model, samples):
+    """Peak traced allocation of encoding `samples`."""
+    tracemalloc.start()
+    try:
+        encode(model, samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def with_crc(blob: bytearray) -> bytes:
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
     return bytes(blob)
@@ -316,19 +326,23 @@ class TestEncode:
         # their kernel features or a byte per bit.
         rng = np.random.default_rng(16)
         model, data, _ = toy_model(rng, anchors=40, bits=64)
+        block = kernelmap.BLOCK
+        growth = (encode_peak(model, rng.standard_normal((data.dim, 4 * block)))
+                  - encode_peak(model, rng.standard_normal((data.dim, block))))
+        assert growth <= 2 * 3 * block * 8
 
-        def peak(count):
-            samples = rng.standard_normal((data.dim, count))
-            tracemalloc.start()
-            try:
-                encode(model, samples)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        extra = 3 * kernelmap.BLOCK
-        growth = peak(4 * kernelmap.BLOCK) - peak(kernelmap.BLOCK)
-        assert growth <= 2 * extra * 8
+    def test_the_input_check_holds_no_mask_of_every_sample(self):
+        # At 256 dimensions a finiteness mask of every sample value, a byte
+        # each, once grew the peak by about 180 bytes per sample, 23 times
+        # the packed words. The samples are one column broadcast to every
+        # sample, so the test holds no 100 MB input of its own.
+        rng = np.random.default_rng(17)
+        model, data, _ = toy_model(rng, per_class=40, dim=256, anchors=100, bits=64)
+        column = rng.standard_normal((data.dim, 1))
+        block = kernelmap.BLOCK
+        growth = (encode_peak(model, np.broadcast_to(column, (data.dim, 12 * block)))
+                  - encode_peak(model, np.broadcast_to(column, (data.dim, 3 * block))))
+        assert growth <= 2 * 9 * block * 8
 
     def test_training_codes_close_to_targets(self):
         # The fit is not exact in general; record the distance, don't demand 0.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdhkit import index
+from sdhkit import evaluate, index
 
 import oracles
 
@@ -229,7 +229,7 @@ LOOKUP_BITS = [1, 16, 63, 64, 65, 130, 512]
 
 class TestBucketedLookups:
     """Lookups on databases of few distinct codes, which the index scores
-    once per bucket, and of distinct codes, which it scans as they are."""
+    once per bucket, and of distinct codes, one bucket per item."""
 
     @pytest.mark.parametrize("bits", LOOKUP_BITS)
     @pytest.mark.parametrize("seed", range(6))
@@ -245,8 +245,7 @@ class TestBucketedLookups:
         for labels in (np.zeros(count, dtype=np.int64), rng.integers(0, 3, count)):
             idx = index.CodeIndex(codes=index.pack(signs), labels=labels)
             pairs = np.unique(np.vstack([signs, labels]), axis=1).shape[1]
-            assert (idx._buckets is None) == (pairs == count)
-            assert idx._buckets is None or idx._buckets.words.count == pairs
+            assert idx._buckets.words.count == pairs
             for radius in (0, int(spread * bits), bits, bits + 3):
                 assert_lookups_match(idx, signs, query, radius)
 
@@ -258,10 +257,31 @@ class TestBucketedLookups:
         signs = signs[:, rng.permutation(signs.shape[1])]
         idx = index.CodeIndex(codes=index.pack(signs),
                               labels=np.zeros(signs.shape[1], dtype=np.int64))
-        assert idx._buckets is None
+        buckets = idx._buckets
+        assert buckets.words.count == signs.shape[1]
+        assert np.array_equal(buckets.words.words, idx.codes.words)
+        assert (buckets.sizes == 1).all()
         for radius in (0, bits // 2, bits):
             assert_lookups_match(idx, signs, random_signs(rng, bits, 1)[:, 0], radius)
             assert_lookups_match(idx, signs, signs[:, -1], radius)
+
+    @pytest.mark.parametrize("bits", LOOKUP_BITS)
+    def test_empty_index(self, bits):
+        # No items and no buckets: lookups return nothing, and evaluation
+        # refuses the database.
+        nwords = -(-bits // index.WORD_BITS)
+        idx = index.CodeIndex(codes=index.PackedCodes(
+            words=np.zeros((0, nwords), dtype=np.uint64), bits=bits),
+            labels=np.zeros(0, dtype=np.int64))
+        assert idx._buckets.words.count == 0 and idx._buckets.of_item.size == 0
+        query = index.pack(random_signs(np.random.default_rng(bits), bits, 1))
+        for radius in (0, bits):
+            hits = index.radius_search(idx, query.words[0], radius)
+            assert hits == [] and hits.ids.dtype == np.int64
+        ranking = index.rank_all(idx, query.words[0])
+        assert ranking.shape == (0,) and ranking.dtype == np.intp
+        with pytest.raises(ValueError, match="empty database"):
+            evaluate.retrieval_counts(idx, query, [0])
 
     @pytest.mark.parametrize("bits", LOOKUP_BITS)
     def test_single_item(self, bits):
@@ -281,7 +301,7 @@ class TestBucketedLookups:
         signs = codes[:, rng.integers(0, 2, 50)]
         signs[:, :2] = codes
         idx = index.CodeIndex(codes=index.pack(signs), labels=np.zeros(50, dtype=np.int64))
-        assert idx._buckets is not None
+        assert idx._buckets.words.count == (2 if bits > 1 else 1)
         far = -codes[:, 0]
         nearest = max(1, bits - 1)
         assert index.radius_search(idx, index.pack(far[:, None]).words[0], nearest - 1) == []
@@ -374,6 +394,27 @@ def test_search_at_sixteen_bit_distances_matches_oracle():
     assert all(type(i) is int and type(d) is int for i, d in hits)
     assert np.array_equal(index.rank_all(idx, idx.codes.words[0]),
                           np.lexsort((np.arange(120), expected)))
+
+
+def test_retained_memory_of_an_all_distinct_index():
+    # Every item is a bucket of its own: the index keeps a copy of the
+    # 64-bit words in its buckets and, beside its labels, five arrays of
+    # length N, 56 bytes per item.
+    rng = np.random.default_rng(36)
+    count = 20_000
+    words = rng.integers(0, np.iinfo(np.uint64).max, (count, 1), dtype=np.uint64,
+                         endpoint=True)
+    assert np.unique(words).size == count
+    codes = index.PackedCodes(words=words, bits=64)
+    labels = rng.integers(0, 10, count)
+    tracemalloc.start()
+    try:
+        idx = index.CodeIndex(codes=codes, labels=labels)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert idx._buckets.words.count == count
+    assert retained < 64 * count
 
 
 def test_lookup_does_not_copy_the_database():

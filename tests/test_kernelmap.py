@@ -194,6 +194,18 @@ def test_empty_sample_set():
     assert kernelmap.transform(kmap, np.zeros((3, 0))).shape == (2, 0)
 
 
+@pytest.mark.parametrize("anchors, sigma, samples", [
+    (np.full((2, 1), 8e153), 1.0, -np.full((2, 1), 2e153)),  # distance 2e308
+    (np.zeros((2, 1)), 1e-310, np.ones((2, 1))),  # quotient 2e310
+])
+def test_an_overflow_past_float64_gives_zero_without_a_warning(anchors, sigma, samples):
+    # The norms are finite, so the input is valid; the suite turns any
+    # RuntimeWarning into an error.
+    kmap = kernelmap.KernelMap(anchors=anchors, sigma=sigma)
+    features = kernelmap.transform(kmap, samples)
+    assert features.shape == (1, 1) and features[0, 0] == 0.0
+
+
 def traced_peak(run):
     tracemalloc.start()
     try:

@@ -150,6 +150,44 @@ def test_bit_counts_in_the_home_function_pass():
     assert popcounts(source, "hamming_matrix") == []
 
 
+def bucket_none_checks(source: str) -> list[str]:
+    """Every comparison in `source` of an expression naming buckets with
+    None. Every `CodeIndex` holds buckets, one per item when its (code,
+    label) pairs are all distinct, so such a test would only bring back a
+    second, per-item path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                and any("bucket" in ast.unparse(o).lower() for o in operands)):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_code_asks_whether_an_index_has_buckets():
+    found = {path.name: bucket_none_checks(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: checks for name, checks in found.items() if checks} == {}
+
+
+@pytest.mark.parametrize("line", [
+    "if index._buckets is None:\n    pass",
+    "bucketed = self._buckets is not None",
+    "buckets = index._buckets\nif buckets is None:\n    pass",
+    "x = 1 if None == idx._buckets else 2",
+])
+def test_every_bucket_none_check_is_caught(line):
+    assert bucket_none_checks(line)
+
+
+def test_other_none_checks_pass():
+    source = ("if query_groups is not None:\n    pass\n"
+              "count = index._buckets.words.count\n"
+              "sizes = None if labels is None else buckets.sizes\n")
+    assert bucket_none_checks(source) == []
+
+
 def tie_orderings(levels):
     """The relevance sequence of every ordering of each level's items, the
     items taken as distinct, so equal sequences repeat."""
