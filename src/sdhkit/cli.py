@@ -2,9 +2,10 @@
 
 Subcommands: train, eval, figures, bench, synth. Every command reads a flat
 key = value config file (flags override file values), types and checks every
-key against `SCHEMA` before any output exists, copies the config as given
-into its output directory so runs are replayable, and exits nonzero with a
-stage-tagged message on failure. See the README for the config keys.
+key against `SCHEMA` and accepts only the keys that the run reads (`READS`)
+before any output exists, copies the config as given into its output
+directory so runs are replayable, and exits nonzero with a stage-tagged
+message on failure. See the README for the config keys.
 """
 from __future__ import annotations
 
@@ -140,7 +141,22 @@ DATASET_KEYS = ("source", "limit", "normalize", "images", "labels", "features")
 _ROLE_KEYS = {role + key: (None, SCHEMA[key][1])
               for role in ("db_", "query_") for key in DATASET_KEYS}
 SCHEMA.update(_ROLE_KEYS)
-EVAL_ONLY_KEYS = frozenset(("model", *_ROLE_KEYS))
+_BLOBS = ("classes", "per_class", "dim", "spread", "data_seed")
+_KERNEL = (*DATASET_KEYS, *_BLOBS, "anchors", "sigma", "seed")
+_TRAINER = (*_KERNEL, "lambda", "nu", "iters", "solver", "sweeps")
+# The keys each command, and each figure, reads. `read_config` seeds only
+# these defaults and `resolve_config` rejects any other key, so `config.txt`
+# holds only keys the run read.
+READS = {name: frozenset(("outdir", *keys)) for name, keys in {
+    "train": (*_TRAINER, "method", "bits"),
+    "eval": ("model", *_ROLE_KEYS, *DATASET_KEYS, *_BLOBS, "radius", "zero_retrieval"),
+    "bench": (*_TRAINER, "method", "bits_list", "repeats"),
+    "synth": _BLOBS,
+    "fig1": ("bits", "classes", "lambda", "iters", "data_seed", "fig1_seeds"),
+    "bitscale": (*_TRAINER, "bits_list", "bitscale_methods", "test_per_class", "radius"),
+    "losses": (*_TRAINER, "bits_list"),
+    "biasmap": (*_KERNEL, "bits"),
+}.items()}
 # Each figure's protocol defaults for general keys, applied before the config
 # file and the flags, so `config.txt` records the value a figure used. biasmap
 # needs fewer anchors than samples, or the projection grid collapses to the
@@ -183,11 +199,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def read_config(args: argparse.Namespace) -> dict[str, str]:
-    """The raw config: the defaults, a figure's own defaults, then the config
-    file, then the flags."""
-    raw = {key: default for key, (default, _) in SCHEMA.items() if default is not None}
-    if args.command == "figures":
-        raw.update(FIGURE_DEFAULTS.get(args.figure, {}))
+    """The raw config: the defaults of the keys the run reads, a figure's own
+    defaults, then the config file, then the flags."""
+    name = getattr(args, "figure", args.command)
+    raw = {key: default for key, (default, _) in SCHEMA.items()
+           if default is not None and key in READS[name]}
+    raw.update(FIGURE_DEFAULTS.get(name, {}))
     if args.config:
         with stage("config"):
             raw.update(parse_config_file(args.config))
@@ -204,8 +221,9 @@ def read_config(args: argparse.Namespace) -> dict[str, str]:
 def resolve_config(raw: dict[str, str], command: str) -> dict:
     """Type every key of `raw` through `SCHEMA`, before any data loads.
 
-    Rejects unknown keys, then malformed values, then keys that only `eval`
-    reads given to another command.
+    `command` names the run: a command, or for `figures` the figure. Rejects
+    unknown keys, then malformed values, then keys that the run does not
+    read (see `READS`).
     """
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
@@ -216,10 +234,11 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
             cfg[key] = SCHEMA[key][1](value)
         except ValueError as exc:
             raise StageError("config", f"key {key!r} {exc}") from None
-    unread = sorted(set(cfg) & EVAL_ONLY_KEYS) if command != "eval" else []
+    unread = sorted(set(cfg) - READS[command])
     if unread:
-        raise StageError("config", f"key(s) {', '.join(map(repr, unread))} "
-                                   f"are read by 'eval' only, not by {command!r}")
+        raise StageError("config", "; ".join(
+            f"key {key!r} is read by {', '.join(repr(n) for n in READS if key in READS[n])}, "
+            f"not by {command!r}" for key in unread))
     # A model file stores no training mean, so `eval` would centre the
     # database and the queries each on its own mean.
     centred = [key for key in ("normalize", "db_normalize", "query_normalize")
@@ -237,8 +256,7 @@ def _sdh_options(cfg) -> dict:
             "seed": cfg["seed"], "solver": cfg["solver"], "sweeps": cfg["sweeps"]}
 
 
-def _require(cfg, key, stage_name="config"):
-    value = cfg.get(key, "")
+def _require(value, key, stage_name="config"):
     if not value:
         raise StageError(stage_name, f"missing required config key {key!r}")
     return value
@@ -250,25 +268,24 @@ def _synth_blobs(cfg) -> dataset.RawDataset:
 
 
 def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
-    def key(k):
-        return prefix + k
+    def read(k):
+        # A dataset key in its `prefix`ed form, or else in its unprefixed form.
+        return cfg.get(prefix + k, cfg.get(k, ""))
 
-    # Each dataset key in its `prefix`ed form, or else in its unprefixed form.
-    cfg = {**cfg, **{key(k): cfg.get(key(k), cfg.get(k, "")) for k in DATASET_KEYS}}
-    source, limit = cfg[key("source")], cfg[key("limit")]
+    def require(k):
+        return _require(read(k), prefix + k, "dataset")
+
+    source, limit = read("source"), read("limit")
     with stage("dataset"):
         if source == "mnist":
             # The loader truncates the raw pixels before the float conversion.
-            data = dataset.load_mnist(_require(cfg, key("images"), "dataset"),
-                                      _require(cfg, key("labels"), "dataset"),
-                                      limit=limit)
+            data = dataset.load_mnist(require("images"), require("labels"), limit=limit)
         elif source == "csv":
-            data = dataset.load_csv(_require(cfg, key("features"), "dataset"),
-                                    _require(cfg, key("labels"), "dataset"))
+            data = dataset.load_csv(require("features"), require("labels"))
         else:
             data = _synth_blobs(cfg)
         data = dataset.truncate(data, limit)
-    mode = cfg[key("normalize")]
+    mode = read("normalize")
     if mode != "none":
         with stage("normalize"):
             data = dataset.normalize(data, mode)
@@ -371,7 +388,7 @@ def cmd_train(cfg, out: Path) -> int:
 
 def cmd_eval(cfg, out: Path) -> int:
     with stage("model"):
-        model = load_model(_require(cfg, "model", "model"))
+        model = load_model(_require(cfg.get("model"), "model", "model"))
     database = _load_dataset(cfg, prefix="db_")
     queries = _load_dataset(cfg, prefix="query_")
     with stage("encode"):
@@ -582,8 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = read_config(args)
-        cfg = resolve_config(raw, args.command)
-        out = Path(_require(cfg, "outdir"))
+        cfg = resolve_config(raw, getattr(args, "figure", args.command))
+        out = Path(_require(cfg.get("outdir"), "outdir"))
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "config.txt", "w") as f:
             for key in sorted(raw):

@@ -147,11 +147,9 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         raise ValueError(f"query label {bad} absent from database")
     class_sizes = np.bincount(bucket_class, weights).astype(np.int64, copy=False)[slot]
 
-    query_groups = _groups(queries, slot)
-    if query_groups is not None:
-        first, query_group = query_groups
-        queries = PackedCodes(words=queries.words[first], bits=queries.bits)
-        slot = slot[first]
+    first, query_group = _groups(queries, slot)
+    queries = PackedCodes(words=queries.words[first], bits=queries.bits)
+    slot = slot[first]
     count, bits = index.codes.count, index.codes.bits
     levels = bits + 1
     bins = classes.size * levels
@@ -185,8 +183,10 @@ def retrieval_counts(index: CodeIndex, queries: PackedCodes,
         ap[start:stop] = _tie_average_precision(
             at_level, relevant_at_level, retrieved[start:stop], relevant[start:stop],
             harmonic)
-    if query_groups is not None:
-        retrieved, relevant, ap = (a[query_group] for a in (retrieved, relevant, ap))
+    # One array at a time, so that at most one gathered copy sits beside the rest.
+    retrieved = retrieved[query_group]
+    relevant = relevant[query_group]
+    ap = ap[query_group]
     return RetrievalCounts(retrieved=retrieved, relevant=relevant,
                            class_sizes=class_sizes, ap=ap / class_sizes)
 

@@ -109,7 +109,7 @@ class CodeIndex:
         codes = self.codes
         object.__setattr__(self, "labels",
                            class_labels(self.labels, "labels", count=codes.count))
-        first, of_item = _groups(codes, self.labels) or (np.arange(codes.count),) * 2
+        first, of_item = _groups(codes, self.labels)
         sizes = np.bincount(of_item)
         object.__setattr__(self, "_buckets", _Buckets(
             words=PackedCodes(words=codes.words[first], bits=codes.bits),
@@ -118,15 +118,15 @@ class CodeIndex:
             sizes=sizes, id_bits=(codes.count - 1).bit_length()))
 
 
-def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group codes with equal words and equal int64 `key` (a label or class).
 
-    Returns the index of each group's first item and each item's group, or
-    None when every item is a group of its own. The items are sorted by one
-    64-bit fold of their words and key, and a group ends wherever the key or
-    any word differs from the next item's. Equal items whose folds collide with another
-    item's may land in separate groups, which leaves every count and
-    distance exact.
+    Returns the index of each group's first item and each item's group. The
+    items are sorted by one 64-bit fold of their words and key, and a group
+    ends wherever the key or any word differs from the next item's, so the
+    groups come in fold order, also when every item is a group of its own.
+    Equal items whose folds collide with another item's may land in separate
+    groups, which leaves every count and distance exact.
     """
     fold = key.astype(np.uint64)
     for column in codes.words.T:
@@ -140,8 +140,6 @@ def _groups(codes: PackedCodes, key: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for column in codes.words.T:
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
-    if starts.all():
-        return None
     group = np.empty(codes.count, dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     return order[starts], group

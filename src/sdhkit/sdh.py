@@ -190,6 +190,10 @@ def train_sdh(features: np.ndarray, labels: np.ndarray, class_count: int,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if lam < 0 or nu < 0:
         raise ValueError("lambda and nu must be non-negative")
+    if solver not in biqp.SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {biqp.SOLVERS}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[1]
     labels = class_labels(labels, "labels", class_count, n)

@@ -14,6 +14,41 @@ BIASMAP_DATA = ["--set", "classes=3", "--set", "per_class=5", "--set", "dim=6",
                 "--set", "spread=0.1", "--set", "data_seed=1", "--set", "bits=8"]
 
 
+# Each run's settings, every one a key the run reads, small enough for a
+# run of well under a second.
+SMALL_RUNS = {
+    "train": ["per_class=6", "anchors=20", "bits=16", "iters=1"],
+    "eval": ["per_class=3"],
+    "bench": ["per_class=6", "anchors=20", "bits_list=16", "repeats=1", "iters=1"],
+    "synth": ["per_class=2"],
+    "fig1": ["fig1_seeds=1", "iters=1"],
+    "bitscale": ["per_class=8", "anchors=20", "bits_list=16", "test_per_class=2", "iters=1"],
+    "losses": ["per_class=6", "anchors=20", "bits_list=16", "iters=1"],
+    "biasmap": ["per_class=3", "anchors=12", "bits=16"],
+}
+
+
+def set_flags(settings):
+    """One `--set` flag per key=value setting."""
+    return [arg for setting in settings for arg in ("--set", setting)]
+
+
+class RecordedConfig(dict):
+    """A resolved config that adds every key read from it to `read`."""
+
+    def __init__(self, cfg, read):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def write_cfg(path, text):
     path.write_text(text)
     return str(path)
@@ -79,15 +114,15 @@ class TestTrain:
 
     def test_set_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path / "train.cfg",
-                        SYNTH_KEYS + "method = fsdh\nbits = 16\nbits_list = 16,32\n"
+                        SYNTH_KEYS + "method = fsdh\nbits = 16\n"
                         f"outdir = {tmp_path / 'a'}\n")
         assert run(["train", "--config", cfg, "--set", "bits=32",
                     "--outdir", str(tmp_path / "b")]) == 0
         model = load_model(tmp_path / "b" / "model.fsdh")
         assert model.bits == 32
-        # The copy holds the values as given, not as typed (1e-05, [16, 32]).
+        # The copy holds the values as given, not as typed (1e-05).
         copied = (tmp_path / "b" / "config.txt").read_text().splitlines()
-        assert {"bits = 32", "nu = 1e-5", "bits_list = 16,32"} <= set(copied)
+        assert {"bits = 32", "nu = 1e-5"} <= set(copied)
 
 
 class TestEval:
@@ -326,6 +361,7 @@ class TestFigureKeys:
             assert figure in cli.FIGURES
             for key, value in defaults.items():
                 assert key in cli.SCHEMA, (figure, key)
+                assert key in cli.READS[figure], (figure, key)
                 cli.SCHEMA[key][1](value)
 
 
@@ -546,6 +582,8 @@ class TestLimit:
         cfg = write_cfg(tmp_path / "train.cfg",
                         SYNTH_KEYS + f"method = fsdh\nbits = 16\noutdir = {tmp_path / 'run'}\n")
         assert run(["train", "--config", cfg]) == 0
+        cfg = write_cfg(tmp_path / "eval.cfg", "source = synth\nclasses = 4\nper_class = 30\n"
+                        "dim = 8\nspread = 0.2\ndata_seed = 3\n")
         assert run(["eval", "--config", cfg, "--set", f"model={tmp_path / 'run' / 'model.fsdh'}",
                     "--set", "limit=50", "--set", "db_limit=100",
                     "--outdir", str(tmp_path / "eval")]) == 0
@@ -554,15 +592,18 @@ class TestLimit:
         assert summary["database_size"] == "100"
         assert summary["query_count"] == "50"
 
-    @pytest.mark.parametrize("command", [
-        ["train"], ["bench"], ["figures", "bitscale"], ["figures", "losses"]], ids=" ".join)
+    @pytest.mark.parametrize("command, keys", [
+        (["train"], ""),
+        (["bench"], "bits_list = 16\nrepeats = 1\n"),
+        (["figures", "bitscale"], "bits_list = 16\ntest_per_class = 5\n"),
+        (["figures", "losses"], "bits_list = 16\n"),
+    ], ids=["train", "bench", "figures bitscale", "figures losses"])
     def test_training_split_missing_a_class_is_a_dataset_error(self, tmp_path, capsys,
-                                                              command):
+                                                              command, keys):
         # The blobs are class-ordered, so the first 30 samples are all class 0.
         # `bench`, `bitscale` and `losses` used to train on class 0 alone.
         cfg = write_cfg(tmp_path / "c.cfg",
-                        SYNTH_KEYS + "limit = 30\nbits_list = 16\n"
-                        "repeats = 1\ntest_per_class = 5\niters = 1\n"
+                        SYNTH_KEYS + f"limit = 30\niters = 1\n{keys}"
                         f"outdir = {tmp_path / 'run'}\n")
         assert run(command + ["--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -670,20 +711,78 @@ class TestConfigValidation:
         assert f"error [config]: key {key!r} must be a finite number, got {value!r}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key, value", [
-        (["train"], "db_limit", "50"),
-        (["train"], "model", "/nonexistent/model"),
-        (["figures", "fig1"], "query_source", "synth"),
-        (["bench"], "db_normalize", "none"),
-        (["synth"], "query_limit", "5"),
+    # `reader` is a run that does read the key.
+    @pytest.mark.parametrize("command, key, value, reader", [
+        (["train"], "db_limit", "50", "eval"),
+        (["train"], "model", "/nonexistent/model", "eval"),
+        (["figures", "fig1"], "query_source", "synth", "eval"),
+        (["bench"], "db_normalize", "none", "eval"),
+        (["synth"], "query_limit", "5", "eval"),
+        (["figures", "fig1"], "nu", "1", "train"),
+        (["figures", "fig1"], "solver", "branch_and_bound", "train"),
+        (["figures", "fig1"], "per_class", "5", "train"),
+        (["figures", "fig1"], "dim", "3", "train"),
+        (["figures", "bitscale"], "zero_retrieval", "skip", "eval"),
+        (["eval"], "bits", "64", "train"),
+        (["synth"], "anchors", "5", "train"),
     ])
-    def test_eval_only_keys_fail_outside_eval(self, tmp_path, capsys, command, key, value):
-        # `train --set db_limit=50` used to train on every sample.
+    def test_keys_the_run_does_not_read_fail(self, tmp_path, capsys, command, key, value,
+                                             reader):
+        # `train --set db_limit=50` used to train on every sample. `figures
+        # fig1 --set nu=1` used to write the CSVs of nu = 0, and `eval --set
+        # bits=64` to keep the model's bits, each exiting 0 with the key in
+        # config.txt.
         out = tmp_path / "run"
         assert run(command + ["--set", f"{key}={value}", "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error [config]" in err and repr(key) in err and "'eval'" in err
+        assert f"error [config]: key {key!r} is read by" in err
+        assert repr(reader) in err and f"not by {command[-1]!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(cli.READS))
+    def test_every_key_in_config_txt_is_read(self, tmp_path, monkeypatch, capsys, name):
+        # Each run at a small config, then at every other `source` (whose
+        # missing files stop it at error [dataset]) and `method`. Each run
+        # that completes reads every key of its config.txt, and together,
+        # with the reads of the runs that stop, they read every key the run
+        # declares. `_load_dataset` used to copy the config into a
+        # plain dict, which hid its reads.
+        reads = cli.READS[name]
+        argv = ["figures", name] if name in cli.FIGURES else [name]
+        argv += set_flags(SMALL_RUNS[name])
+        if name == "eval":
+            model = tmp_path / "model"
+            assert run(["train", *set_flags(SMALL_RUNS["train"]), "--outdir", str(model)]) == 0
+            argv += ["--set", f"model={model / 'model.fsdh'}"]
+        # (settings, whether the run completes)
+        variants = [([], True)]
+        if "method" in reads:
+            variants.append((["method=sdh"], True))
+        if "source" in reads:
+            for role in ("db_", "query_") if name == "eval" else ("",):
+                for source, files in (("mnist", ("images", "labels")),
+                                      ("csv", ("features", "labels"))):
+                    variants.append(([f"{role}source={source}",
+                                      *(f"{role}{f}={tmp_path / f}" for f in files)], False))
+        resolve = cli.resolve_config
+        read_by_any = set()
+        for i, (settings, completes) in enumerate(variants):
+            out = tmp_path / f"run{i}"
+            read = set()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "resolve_config",
+                              lambda raw, name: RecordedConfig(resolve(raw, name), read))
+                code = run([*argv, *set_flags(settings), "--outdir", str(out)])
+            err = capsys.readouterr().err
+            read_by_any |= read
+            if not completes:
+                assert (code, err[:17]) == (2, "error [dataset]: "), settings
+                continue
+            assert (code, err) == (0, ""), settings
+            written = {line.split(" = ")[0]
+                       for line in (out / "config.txt").read_text().splitlines()}
+            assert written <= read, (settings, written - read)
+        assert reads <= read_by_any, reads - read_by_any
 
     @pytest.mark.parametrize("command, key", [
         (["train"], "normalize"),
@@ -722,7 +821,7 @@ class TestConfigValidation:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
         assert "`db_`" in section and "`query_`" in section
-        for key in set(cli.SCHEMA) | cli.EVAL_ONLY_KEYS:
+        for key in cli.SCHEMA:
             base = key.removeprefix("db_").removeprefix("query_")
             assert f"`{base}`" in section, key
 

@@ -322,10 +322,13 @@ def assert_counts_equal(found, expected):
 def unbucketed_counts(monkeypatch, idx, queries, labels):
     """`retrieval_counts` with every database item and every query scored
     on its own: against a copy of `idx` built with one bucket per item, and
-    with no query groups."""
+    with one query group per query, each in its place."""
+    def identity(codes, key):
+        return (np.arange(codes.count),) * 2
+
     with monkeypatch.context() as patch:
-        patch.setattr(index, "_groups", lambda codes, key: None)
-        patch.setattr(evaluate, "_groups", lambda codes, key: None)
+        patch.setattr(index, "_groups", identity)
+        patch.setattr(evaluate, "_groups", identity)
         flat = index.CodeIndex(codes=idx.codes, labels=idx.labels)
         assert flat._buckets.words.count == idx.codes.count
         return evaluate.retrieval_counts(flat, queries, labels)
@@ -605,10 +608,11 @@ class TestQueryGroups:
             assert sum(q for q, _ in calls) == distinct
 
     def test_peak_memory_of_an_all_distinct_query_set(self):
-        # Random 64-bit codes: every query is a group of its own, so it is
-        # scored as it is, with no gathered second copy of its counts; only
-        # the grouping's O(queries * words) arrays and the blocks come on top
-        # of the (queries, bits + 1) counts. `retrieval_counts` alone, since
+        # Random 64-bit codes: every query is a group of its own. The counts
+        # are gathered back to the queries one array at a time, so only one
+        # gathered copy, the grouping's O(queries * words) arrays and the
+        # blocks come on top of the (queries, bits + 1) counts; gathering all
+        # three at once went past the bound. `retrieval_counts` alone, since
         # the PR curve's own copies of the counts would hide a gather.
         rng = np.random.default_rng(39)
         query_count = 20_000

@@ -259,7 +259,7 @@ class TestBucketedLookups:
                               labels=np.zeros(signs.shape[1], dtype=np.int64))
         buckets = idx._buckets
         assert buckets.words.count == signs.shape[1]
-        assert np.array_equal(buckets.words.words, idx.codes.words)
+        assert np.array_equal(buckets.words.words[buckets.of_item], idx.codes.words)
         assert (buckets.sizes == 1).all()
         for radius in (0, bits // 2, bits):
             assert_lookups_match(idx, signs, random_signs(rng, bits, 1)[:, 0], radius)

@@ -151,17 +151,18 @@ def test_bit_counts_in_the_home_function_pass():
 
 
 def bucket_none_checks(source: str) -> list[str]:
-    """Every comparison in `source` of an expression naming buckets with
-    None. Every `CodeIndex` holds buckets, one per item when its (code,
-    label) pairs are all distinct, so such a test would only bring back a
-    second, per-item path."""
+    """Every comparison in `source` of an expression naming buckets or
+    groups with None. Every `CodeIndex` holds buckets, one per item when its
+    (code, label) pairs are all distinct, and `_groups` always returns a
+    grouping, so such a test would only bring back a second, per-item path."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Compare):
             continue
         operands = [node.left, *node.comparators]
         if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
-                and any("bucket" in ast.unparse(o).lower() for o in operands)):
+                and any(word in ast.unparse(o).lower()
+                        for o in operands for word in ("bucket", "group"))):
             found.append(ast.unparse(node))
     return found
 
@@ -176,13 +177,16 @@ def test_no_code_asks_whether_an_index_has_buckets():
     "bucketed = self._buckets is not None",
     "buckets = index._buckets\nif buckets is None:\n    pass",
     "x = 1 if None == idx._buckets else 2",
+    "if query_groups is not None:\n    pass",
+    "grouped = _groups(codes, key) is None",
 ])
 def test_every_bucket_none_check_is_caught(line):
     assert bucket_none_checks(line)
 
 
 def test_other_none_checks_pass():
-    source = ("if query_groups is not None:\n    pass\n"
+    source = ("if labels is not None:\n    pass\n"
+              "first, group = _groups(queries, slot)\n"
               "count = index._buckets.words.count\n"
               "sizes = None if labels is None else buckets.sizes\n")
     assert bucket_none_checks(source) == []

@@ -323,6 +323,26 @@ class TestTrainSdh:
         _, traj = sdh.train_sdh(x, labels, classes, bits, max_iters=4, seed=0)
         assert len(traj) == 4
 
+    @pytest.mark.parametrize("solver, sweeps, match", [
+        ("branch_and_bound", 0, "sweeps must be >= 1, got 0"),
+        ("exhaustive", -1, "sweeps must be >= 1, got -1"),
+        ("dcc", 0, "sweeps must be >= 1, got 0"),
+        ("nope", 3, "unknown solver 'nope'"),
+    ])
+    def test_checks_solver_and_sweeps_before_the_factor(self, monkeypatch, solver, sweeps,
+                                                        match):
+        # branch_and_bound with sweeps=0 returned normally, and an unknown
+        # solver failed only after the Gram, the Cholesky and the first solve.
+        rng = np.random.default_rng(16)
+        x, labels, classes, bits = toy_problem(rng)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the M x M factor was built before the argument checks")
+
+        monkeypatch.setattr(sdh, "ProjectionSolver", unreachable)
+        with pytest.raises(ValueError, match=match):
+            sdh.train_sdh(x, labels, classes, bits, solver=solver, sweeps=sweeps)
+
     # `fixed_at` is the first iteration whose code step flips no bit (None:
     # none within `iters`); the trainer stops there, the reference does not.
     @pytest.mark.parametrize("solver, nu, shape, iters, fixed_at", [
