@@ -108,7 +108,7 @@ SCHEMA = {
     "labels": (None, str),
     "features": (None, str),
     "limit": ("", _optional_positive_integer),
-    "normalize": ("unit_norm", _one_of(*dataset.NORMALIZE_MODES, "none")),
+    "normalize": ("unit_norm", _one_of(*dataset.NORMALIZE_MODES)),
     "classes": ("10", _positive_integer),
     "per_class": ("100", _positive_integer),
     "dim": ("16", _positive_integer),
@@ -137,12 +137,14 @@ SCHEMA = {
 # The keys that describe one dataset; `eval` reads one such block per role,
 # with the `db_` and `query_` prefixes, each key falling back to its
 # unprefixed form.
-DATASET_KEYS = ("source", "limit", "normalize", "images", "labels", "features")
+DATASET_KEYS = ("source", "limit", "images", "labels", "features")
 _ROLE_KEYS = {role + key: (None, SCHEMA[key][1])
               for role in ("db_", "query_") for key in DATASET_KEYS}
 SCHEMA.update(_ROLE_KEYS)
 _BLOBS = ("classes", "per_class", "dim", "spread", "data_seed")
-_KERNEL = (*DATASET_KEYS, *_BLOBS, "anchors", "sigma", "seed")
+# The kernel map's keys; a model carries its normalization, so `eval` reads
+# none of them.
+_KERNEL = (*DATASET_KEYS, *_BLOBS, "normalize", "anchors", "sigma", "seed")
 _TRAINER = (*_KERNEL, "lambda", "nu", "iters", "solver", "sweeps")
 # The keys each command, and each figure, reads. `read_config` seeds only
 # these defaults and `resolve_config` rejects any other key, so `config.txt`
@@ -239,14 +241,6 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
         raise StageError("config", "; ".join(
             f"key {key!r} is read by {', '.join(repr(n) for n in READS if key in READS[n])}, "
             f"not by {command!r}" for key in unread))
-    # A model file stores no training mean, so `eval` would centre the
-    # database and the queries each on its own mean.
-    centred = [key for key in ("normalize", "db_normalize", "query_normalize")
-               if cfg.get(key) == "zero_mean_unit_norm"]
-    if command in ("train", "eval") and centred:
-        raise StageError("config", f"key(s) {', '.join(map(repr, centred))}: "
-                                   f"{command!r} does not support zero_mean_unit_norm, "
-                                   f"because the model stores no training mean")
     return cfg
 
 
@@ -279,24 +273,18 @@ def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
     with stage("dataset"):
         if source == "mnist":
             # The loader truncates the raw pixels before the float conversion.
-            data = dataset.load_mnist(require("images"), require("labels"), limit=limit)
-        elif source == "csv":
-            data = dataset.load_csv(require("features"), require("labels"))
-        else:
-            data = _synth_blobs(cfg)
-        data = dataset.truncate(data, limit)
-    mode = read("normalize")
-    if mode != "none":
-        with stage("normalize"):
-            data = dataset.normalize(data, mode)
-    return data
+            return dataset.load_mnist(require("images"), require("labels"), limit=limit)
+        if source == "csv":
+            return dataset.truncate(dataset.load_csv(require("features"), require("labels")),
+                                    limit)
+        return dataset.truncate(_synth_blobs(cfg), limit)
 
 
 def _kernel_features(cfg, data: dataset.RawDataset):
     """Fit the kernel map on `data`, with `anchors` capped at its sample
     count, and transform `data`. Returns the map and the features."""
     kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
-                                 cfg["sigma"], cfg["seed"])
+                                 cfg["sigma"], cfg["seed"], normalize=cfg["normalize"])
     return kmap, kernelmap.transform(kmap, data.features)
 
 
@@ -357,7 +345,8 @@ def cmd_train(cfg, out: Path) -> int:
     data = _load_dataset(cfg)
     method, bits = cfg["method"], cfg["bits"]
     with stage("kernel"):
-        kmap = kernelmap.fit_anchors(data, cfg["anchors"], cfg["sigma"], cfg["seed"])
+        kmap = kernelmap.fit_anchors(data, cfg["anchors"], cfg["sigma"], cfg["seed"],
+                                     normalize=cfg["normalize"])
     with stage("transform"):
         features = kernelmap.transform(kmap, data.features)
 
@@ -413,6 +402,7 @@ def cmd_eval(cfg, out: Path) -> int:
             "model_dim": fp.dim,
             "model_classes": fp.class_count,
             "model_seed": fp.seed,
+            "model_normalize": model.kernel.normalize,
         })
         _write_csv(out / "pr_curve.csv", ["threshold", "recall", "precision"],
                    ([t, repr(recall), repr(precision)]

@@ -23,7 +23,7 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-NORMALIZE_MODES = ("unit_norm", "zero_mean_unit_norm")
+NORMALIZE_MODES = ("none", "unit_norm", "zero_mean_unit_norm")
 
 
 @dataclass(frozen=True)
@@ -274,20 +274,57 @@ def synth_blobs(classes: int, per_class: int, dim: int, spread: float,
     return RawDataset(features=features, labels=labels, class_count=classes)
 
 
-def normalize(dataset: RawDataset, mode: str = "unit_norm") -> RawDataset:
-    """Normalize sample columns.
+def training_mean(features: np.ndarray) -> np.ndarray:
+    """The (D,) per-dimension mean of (D, N) samples.
 
-    unit_norm: scale each column to Euclidean norm 1. zero_mean_unit_norm:
-    subtract the per-dimension mean over samples first, then unit-normalize.
+    Each dimension's samples are summed as one row, so the mean does not
+    depend on the memory layout of `features`. A mean that overflows float64
+    raises ValueError.
+    """
+    with np.errstate(over="ignore"):
+        mean = np.array([row.mean() for row in features])
+    if not np.isfinite(mean).all():
+        raise ValueError("the samples' mean overflows float64")
+    return mean
+
+
+def normalized(features: np.ndarray, mode: str, mean: np.ndarray | None = None,
+               columns=None) -> np.ndarray:
+    """(D, K) samples preprocessed by `mode`, the one normalization routine.
+
+    none: the samples as they are. unit_norm: each column scaled to
+    Euclidean norm 1. zero_mean_unit_norm: the (D,) `mean` subtracted
+    first. A column's squared norm is summed over the dimensions in order,
+    so it does not depend on the memory layout of the array that holds the
+    sample. A column whose norm is zero, or whose squared norm overflows
+    float64, raises ValueError naming it by its entry of `columns`, the
+    samples' indices in the caller's data, or else by its position.
     """
     if mode not in NORMALIZE_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}; expected one of {NORMALIZE_MODES}")
-    features = dataset.features
-    if mode == "zero_mean_unit_norm":
-        features = features - features.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(features, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
+    if mode == "none":
+        return features
+    columns = range(features.shape[1]) if columns is None else columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "zero_mean_unit_norm":
+            features = features - mean[:, None]
+        squares = np.zeros(features.shape[1])
+        for row in features:
+            squares += row * row
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if bad.size:
+        raise ValueError(f"cannot unit-normalize: the squared norm of sample column "
+                         f"{columns[bad[0]]} overflows float64")
+    zero = np.flatnonzero(squares == 0.0)
     if zero.size:
-        raise ValueError(f"cannot unit-normalize: sample column {int(zero[0])} has zero norm")
-    return RawDataset(features=features / norms, labels=dataset.labels,
-                      class_count=dataset.class_count)
+        raise ValueError(f"cannot unit-normalize: sample column {columns[zero[0]]} "
+                         f"has zero norm")
+    return features / np.sqrt(squares)
+
+
+def normalize(dataset: RawDataset, mode: str = "unit_norm") -> RawDataset:
+    """The dataset's samples through `normalized`, centred on their own mean
+    under zero_mean_unit_norm."""
+    mean = training_mean(dataset.features) if mode == "zero_mean_unit_norm" else None
+    return RawDataset(features=normalized(dataset.features, mode, mean),
+                      labels=dataset.labels, class_count=dataset.class_count)

@@ -2,7 +2,10 @@
 
 Original features are converted to M-dimensional kernel features: component m
 of the transformed vector is exp(-||x - a_m||^2 / sigma) against anchor a_m,
-where the anchors are training samples chosen uniformly at random.
+where the anchors are training samples chosen uniformly at random. The map
+carries the input normalization (`dataset.normalized`): its anchors are
+stored normalized, and `transform` normalizes each block of samples before
+the kernel, so training and encoding preprocess through one path.
 
 Anchors and samples must be real (bool, integer or float), finite, and small
 enough that their squared norms, and the largest sample's plus the largest
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RawDataset
+from .dataset import NORMALIZE_MODES, RawDataset, normalized, training_mean
 
 # Samples per block of `transform`, and of `model.encode`, which streams
 # through it.
@@ -37,10 +40,18 @@ def _real(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelMap:
-    """Fitted anchor set; immutable after `fit_anchors`."""
+    """Fitted anchor set; immutable after `fit_anchors`.
+
+    `normalize` is the mode of `dataset.normalized` that samples go through
+    before the kernel; the anchors are stored after it. `mean` is the (D,)
+    training mean that zero_mean_unit_norm subtracts, and zeros, the
+    default, under every other mode.
+    """
 
     anchors: np.ndarray  # (source_dim, anchor_count) float64
     sigma: float
+    normalize: str = "none"
+    mean: np.ndarray | None = None
 
     def __post_init__(self):
         anchors = _real(self.anchors, "anchors")
@@ -52,7 +63,18 @@ class KernelMap:
             raise ValueError("anchors' squared norms overflow float64")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.normalize not in NORMALIZE_MODES:
+            raise ValueError(f"unknown normalization mode {self.normalize!r}; "
+                             f"expected one of {NORMALIZE_MODES}")
+        mean = np.zeros(anchors.shape[0]) if self.mean is None else _real(self.mean, "mean")
+        if mean.shape != (anchors.shape[0],):
+            raise ValueError(f"mean must have shape ({anchors.shape[0]},), got {mean.shape}")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean contains non-finite values")
+        if self.normalize != "zero_mean_unit_norm" and mean.any():
+            raise ValueError(f"a nonzero mean needs zero_mean_unit_norm, not {self.normalize!r}")
         object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "mean", mean)
 
     @property
     def source_dim(self) -> int:
@@ -64,11 +86,14 @@ class KernelMap:
 
 
 def fit_anchors(dataset: RawDataset, anchor_count: int, sigma: float,
-                seed: int) -> KernelMap:
+                seed: int, normalize: str = "none") -> KernelMap:
     """Draw `anchor_count` distinct training samples as anchors.
 
     Sampling is uniform without replacement and deterministic for a fixed
-    seed.
+    seed. The anchors are stored normalized by `normalize`; under
+    zero_mean_unit_norm the map keeps the mean of the whole training set.
+    Normalizing a sample does not depend on the other samples or the
+    layout, so an anchor is bitwise the normalized training sample.
     """
     if anchor_count < 1:
         raise ValueError(f"anchor_count must be >= 1, got {anchor_count}")
@@ -78,7 +103,10 @@ def fit_anchors(dataset: RawDataset, anchor_count: int, sigma: float,
         )
     rng = np.random.default_rng(seed)
     idx = rng.choice(dataset.sample_count, size=anchor_count, replace=False)
-    return KernelMap(anchors=dataset.features[:, idx].copy(), sigma=float(sigma))
+    mean = training_mean(dataset.features) if normalize == "zero_mean_unit_norm" else None
+    anchors = normalized(dataset.features[:, idx], normalize, mean, columns=idx)
+    return KernelMap(anchors=np.ascontiguousarray(anchors), sigma=float(sigma),
+                     normalize=normalize, mean=mean)
 
 
 def _checked_samples(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
@@ -112,20 +140,27 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
     is exact, so this is the doubled product bit for bit. Five elementwise
     passes then run over row tiles of TILE_BYTES, with one reused tile of
     scratch: a + c, the subtraction, the near-zero prefilter, the division
-    by -sigma and exp. Memory is the output plus that scratch and the
-    doubled anchors. Entries that land within rounding error of zero are
-    recomputed by direct differencing so coincident pairs come out exactly
-    zero. The test's tolerance is never negative, so it also catches every
-    entry that rounded below zero, and no clamp at zero is needed. A
-    squared distance, or its quotient by sigma, past float64's range gives
-    the feature its true value, 0, with no warning.
+    by -sigma and exp. Memory is the output plus that scratch, the doubled
+    anchors and, unless the mode is none, one normalized block. Entries
+    that land within rounding error of zero are recomputed by direct
+    differencing so coincident pairs come out exactly zero. The test's
+    tolerance is never negative, so it also catches every entry that
+    rounded below zero, and no clamp at zero is needed. A squared distance,
+    or its quotient by sigma, past float64's range gives the feature its
+    true value, 0, with no warning.
 
-    Samples are checked as the module says: samples that are not real or
-    not finite, or whose largest squared norm plus the largest anchor's
-    overflows float64, raise ValueError. That bound keeps 2G and its
-    partial sums finite, since |2 a.x| <= a + c.
+    Each block is normalized by the map's mode before the kernel. Samples
+    are checked as the module says: samples that are not real or not
+    finite, or whose largest squared norm plus the largest anchor's
+    overflows float64, raise ValueError, as do samples that the map's
+    normalization rejects. The norm bound keeps 2G and its partial sums
+    finite, since |2 a.x| <= a + c.
     """
-    samples = _checked_samples(kmap, samples)
+    return _mapped(kmap, _checked_samples(kmap, samples))
+
+
+def _mapped(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
+    """`transform` of samples that `_checked_samples` has passed."""
     anchors = kmap.anchors
     anchor_sq = np.einsum("dm,dm->m", anchors, anchors)
     largest_anchor_sq = float(anchor_sq.max())
@@ -136,7 +171,8 @@ def transform(kmap: KernelMap, samples: np.ndarray) -> np.ndarray:
     tile_rows = max(1, min(kmap.anchor_count, TILE_BYTES // (8 * width)))
     scratch = np.empty((tile_rows, width))
     for start in range(0, count, BLOCK):
-        chunk = samples[:, start:start + BLOCK]
+        chunk = normalized(samples[:, start:start + BLOCK], kmap.normalize, kmap.mean,
+                           columns=range(start, start + BLOCK))
         chunk_sq = np.einsum("dk,dk->k", chunk, chunk)
         if not np.isfinite(largest_anchor_sq + float(chunk_sq.max())):
             raise ValueError("samples' squared norms plus the anchors' overflow float64")

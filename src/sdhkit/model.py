@@ -1,6 +1,7 @@
 """The trained hash model and its binary file format.
 
-Both trainers produce the same artifact: a kernel map, a projection, and
+Both trainers produce the same artifact: a kernel map, which carries the
+input normalization, a projection, and
 optionally the per-class codes of the closed-form trainer, whose projection
 is kept in class space as the factor S of P = S C^T. A model hashes samples
 by the sign of their projected kernel features, and `save_model` /
@@ -18,12 +19,13 @@ import numpy as np
 
 from . import index
 from .codes import ClassCodes
-from .kernelmap import BLOCK, KernelMap, _checked_samples, transform
+from .dataset import NORMALIZE_MODES
+from .kernelmap import BLOCK, KernelMap, _checked_samples, _mapped
 
 MODEL_MAGIC = b"FSDH"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 # The fixed fields after the magic, laid out as `save_model` describes.
-_HEADER = struct.Struct("<IIIIIQqdd")
+_HEADER = struct.Struct("<IIIIIQqddI")
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,10 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
     through one reused buffer of a byte per bit for BLOCK samples. So
     memory grows with the sample count by the packed words, 8 bytes per
     started 64 bits, held twice at the end while `PackedCodes` takes its
-    own copy; the input check, too, reads the samples a block at a time.
-    Samples the kernel map rejects (not real, not finite, or with
-    overflowing norms; see `kernelmap`) raise ValueError.
+    own copy; the input check, too, reads the samples a block at a time,
+    once: the blocks then go through the kernel map unchecked. Samples the
+    kernel map rejects (not real, not finite, with overflowing norms, or
+    refused by its normalization; see `kernelmap`) raise ValueError.
     """
     samples = _checked_samples(model.kernel, raw_samples)
     count = samples.shape[1]
@@ -121,7 +124,7 @@ def encode(model: HashModel, raw_samples: np.ndarray) -> index.PackedCodes:
         chunk = samples[:, start:start + BLOCK]
         signs = positive[:chunk.shape[1]]
         # One expression, so no block's features or scores outlive it.
-        signs[:, :model.bits] = (scores(transform(model.kernel, chunk)) >= 0.0).T
+        signs[:, :model.bits] = (scores(_mapped(model.kernel, chunk)) >= 0.0).T
         words[start:start + BLOCK] = index._pack_rows(signs, model.bits).words
     return index.PackedCodes(words=words, bits=model.bits)
 
@@ -130,10 +133,13 @@ def save_model(model: HashModel, path: str | Path) -> None:
     """Serialize to the versioned binary model format.
 
     Little-endian layout: magic, version, bits, classes, anchors, dim as
-    u32; sample count u64; seed i64; lambda and sigma f64; a class-code
-    presence flag byte (0 or 1); anchor matrix; projection matrix, with one
-    column per class when class codes are present and one per bit when
-    not; packed class-code words; trailing CRC32 of everything before it.
+    u32; sample count u64; seed i64; lambda and sigma f64; the kernel map's
+    normalization as a u32 index into `dataset.NORMALIZE_MODES`; a
+    class-code presence flag byte (0 or 1); the kernel map's mean, dim f64
+    values (zeros unless the mode centres); anchor matrix; projection
+    matrix, with one column per class when class codes are present and one
+    per bit when not; packed class-code words; trailing CRC32 of everything
+    before it.
     """
     fp = model.trained_on
     header = MODEL_MAGIC + _HEADER.pack(
@@ -146,9 +152,11 @@ def save_model(model: HashModel, path: str | Path) -> None:
         fp.seed,
         model.lam,
         model.kernel.sigma,
+        NORMALIZE_MODES.index(model.kernel.normalize),
     )
     blob = bytearray(header)
     blob.append(1 if model.class_codes is not None else 0)
+    blob += model.kernel.mean.tobytes()
     blob += np.ascontiguousarray(model.kernel.anchors).tobytes()
     blob += np.ascontiguousarray(model.projection).tobytes()
     if model.class_codes is not None:
@@ -174,11 +182,13 @@ def load_model(path: str | Path) -> HashModel:
         )
     offset = 4
     (version, bits, classes, anchors_n, dim, samples, seed,
-     lam, sigma) = _HEADER.unpack_from(blob, offset)
+     lam, sigma, mode) = _HEADER.unpack_from(blob, offset)
     offset += _HEADER.size
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported version {version}, expected {MODEL_VERSION}; "
                          f"retrain the model")
+    if mode >= len(NORMALIZE_MODES):
+        raise ValueError(f"{path}: unknown normalization code {mode}")
     has_codes = blob[offset]
     if has_codes not in (0, 1):
         raise ValueError(
@@ -195,6 +205,7 @@ def load_model(path: str | Path) -> HashModel:
         offset += nbytes
         return out
 
+    mean = take(dim, np.float64, "mean")
     anchors = take(dim * anchors_n, np.float64, "anchors").reshape(dim, anchors_n)
     columns = classes if has_codes else bits
     projection = take(anchors_n * columns, np.float64, "projection").reshape(anchors_n, columns)
@@ -207,7 +218,8 @@ def load_model(path: str | Path) -> HashModel:
     if offset != len(blob) - 4:
         raise ValueError(f"{path}: {len(blob) - 4 - offset} unexpected trailing bytes")
     return HashModel(
-        kernel=KernelMap(anchors=anchors.copy(), sigma=sigma),
+        kernel=KernelMap(anchors=anchors.copy(), sigma=sigma,
+                         normalize=NORMALIZE_MODES[mode], mean=mean.copy()),
         projection=projection.copy(),
         class_codes=class_codes,
         lam=lam,

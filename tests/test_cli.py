@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdhkit import cli, codes, dataset, evaluate, fsdh, kernelmap, sdh
-from sdhkit.model import DatasetFingerprint, HashModel, load_model, save_model
+from sdhkit import cli, codes, dataset, evaluate, fsdh, index, kernelmap, sdh
+from sdhkit.model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 
 SYNTH_KEYS = ("source = synth\nclasses = 4\nper_class = 30\ndim = 8\n"
@@ -160,6 +160,33 @@ class TestEval:
                 == (tmp_path / "eval_b" / "summary.txt").read_text())
         assert ((tmp_path / "eval_a" / "pr_curve.csv").read_text()
                 == (tmp_path / "eval_b" / "pr_curve.csv").read_text())
+
+    @pytest.mark.parametrize("mode", dataset.NORMALIZE_MODES)
+    def test_eval_encodes_as_the_library_under_every_normalization(self, tmp_path, mode):
+        # `train` used to refuse zero_mean_unit_norm: the model stored no
+        # training mean, so `eval` would have centred on its own data.
+        blobs = ["classes=4", "per_class=30", "dim=8", "spread=1.0", "data_seed=3"]
+        assert run(["train", *set_flags(blobs), "--set", "anchors=24", "--set", "bits=16",
+                    "--set", f"normalize={mode}", "--outdir", str(tmp_path / "run")]) == 0
+        assert run(["eval", *set_flags(blobs), "--set", "query_limit=40",
+                    "--set", f"model={tmp_path / 'run' / 'model.fsdh'}",
+                    "--outdir", str(tmp_path / "eval")]) == 0
+        summary = dict(line.split("=", 1) for line in
+                       (tmp_path / "eval" / "summary.txt").read_text().splitlines())
+        # config.txt no longer holds the normalization; the summary does.
+        assert summary["model_normalize"] == mode
+
+        data = dataset.synth_blobs(4, 30, 8, 1.0, seed=3)
+        kmap = kernelmap.fit_anchors(data, 24, 0.4, 0, normalize=mode)
+        per_class, class_codes = fsdh.train_fsdh(kernelmap.transform(kmap, data.features),
+                                                 data.labels, 4, 16)
+        model = HashModel(kernel=kmap, projection=per_class, class_codes=class_codes,
+                          lam=1.0, trained_on=DatasetFingerprint(120, 8, 4, 0))
+        queries = data.subset(slice(40))
+        report = evaluate.evaluate_retrieval(
+            index.CodeIndex(codes=encode(model, data.features), labels=data.labels),
+            encode(model, queries.features), queries.labels, radius=2)
+        assert summary["map"] == repr(report.map)
 
     def test_dimension_mismatch_is_an_encode_stage_error(self, tmp_path, capsys):
         model = self.train_model(tmp_path)
@@ -532,8 +559,8 @@ def test_cli_and_library_build_the_same_model(tmp_path, method):
                     f"outdir = {tmp_path / 'run'}\n")
     assert run(["train", "--config", cfg]) == 0
 
-    data = dataset.normalize(dataset.synth_blobs(4, 30, 8, 0.2, seed=3), "unit_norm")
-    kmap = kernelmap.fit_anchors(data, 24, 0.4, 5)
+    data = dataset.synth_blobs(4, 30, 8, 0.2, seed=3)
+    kmap = kernelmap.fit_anchors(data, 24, 0.4, 5, normalize="unit_norm")
     features = kernelmap.transform(kmap, data.features)
     if method == "fsdh":
         projection, class_codes = fsdh.train_fsdh(features, data.labels, 4, 16)
@@ -608,6 +635,22 @@ class TestLimit:
         assert run(command + ["--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "error [dataset]: class 1 has no samples" in err
+
+    def test_mnist_limit_is_applied_once(self, idx_pair, monkeypatch):
+        # The loader truncates the pixels; `truncate` used to take the
+        # subset again, checking every value of it a second time.
+        rng = np.random.default_rng(22)
+        labels = rng.integers(0, 10, 12, dtype=np.uint8)
+        images_path, labels_path = idx_pair(
+            rng.integers(0, 256, (12, 2, 2), dtype=np.uint8), labels)
+        built = []
+        check = dataset.RawDataset.__post_init__
+        monkeypatch.setattr(dataset.RawDataset, "__post_init__",
+                            lambda data: (built.append(data), check(data))[1])
+        data = cli._load_dataset({"source": "mnist", "images": str(images_path),
+                                  "labels": str(labels_path), "limit": 5})
+        assert len(built) == 1 and built[0] is data
+        assert np.array_equal(data.labels, labels[:5])
 
     def test_non_integer_limit_is_a_config_error(self, tmp_path, capsys):
         assert run(["train", "--set", "limit=abc", "--outdir", str(tmp_path / "run")]) == 2
@@ -716,7 +759,7 @@ class TestConfigValidation:
         (["train"], "db_limit", "50", "eval"),
         (["train"], "model", "/nonexistent/model", "eval"),
         (["figures", "fig1"], "query_source", "synth", "eval"),
-        (["bench"], "db_normalize", "none", "eval"),
+        (["bench"], "db_source", "synth", "eval"),
         (["synth"], "query_limit", "5", "eval"),
         (["figures", "fig1"], "nu", "1", "train"),
         (["figures", "fig1"], "solver", "branch_and_bound", "train"),
@@ -784,25 +827,17 @@ class TestConfigValidation:
             assert written <= read, (settings, written - read)
         assert reads <= read_by_any, reads - read_by_any
 
-    @pytest.mark.parametrize("command, key", [
-        (["train"], "normalize"),
-        (["eval"], "normalize"),
-        (["eval"], "db_normalize"),
-        (["eval"], "query_normalize"),
-    ])
-    def test_centring_fails_for_train_and_eval(self, tmp_path, capsys, command, key):
-        # A model stores no training mean, so `eval` centred the database and
-        # the queries each on its own mean, and a single-class query set lost
-        # most of its precision.
+    @pytest.mark.parametrize("key", ["normalize", "db_normalize", "query_normalize"])
+    def test_eval_takes_the_normalization_from_the_model(self, tmp_path, capsys, key):
+        # `eval --set normalize=none` used to encode with a normalization
+        # other than the model's and exit 0, at MAP 0.55 instead of 1.0.
         out = tmp_path / "run"
-        assert run(command + ["--set", f"{key}=zero_mean_unit_norm", "--set", "source=mnist",
-                              "--outdir", str(out)]) == 2
+        assert run(["eval", "--set", f"{key}=none", "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error [config]" in err and repr(key) in err and "zero_mean_unit_norm" in err
+        assert "error [config]" in err and repr(key) in err
         assert not out.exists()
 
     def test_figures_still_centre(self, tmp_path):
-        # A figure normalizes once, before it splits, so centring is sound.
         out = tmp_path / "bias"
         assert run(["figures", "biasmap", *BIASMAP_DATA, "--set", "anchors=12",
                     "--set", "normalize=zero_mean_unit_norm", "--outdir", str(out)]) == 0

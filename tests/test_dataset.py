@@ -175,6 +175,36 @@ class TestNormalize:
         out = dataset.normalize(data, "zero_mean_unit_norm")
         assert np.abs(np.linalg.norm(out.features, axis=0) - 1.0).max() < 1e-12
 
+    def test_overflowing_norm_is_an_error(self):
+        # The squared norm of 1e200 overflowed to inf, and the column
+        # silently normalized to zeros.
+        data = dataset.RawDataset(features=np.array([[1e200, 1.0], [1e200, 2.0]]),
+                                  labels=np.array([0, 0]), class_count=1)
+        for mode in ("unit_norm", "zero_mean_unit_norm"):
+            with pytest.raises(ValueError, match="column 0 overflows float64"):
+                dataset.normalize(data, mode)
+
+    def test_overflowing_mean_is_an_error(self):
+        data = dataset.RawDataset(features=np.array([[1e308, 1e308]]),
+                                  labels=np.array([0, 0]), class_count=1)
+        with pytest.raises(ValueError, match="mean overflows float64"):
+            dataset.normalize(data, "zero_mean_unit_norm")
+
+    @pytest.mark.parametrize("mode", dataset.NORMALIZE_MODES)
+    def test_layout_does_not_change_the_result(self, mode):
+        # Norms and the mean sum in one order whatever the memory layout,
+        # so a sample normalizes the same from a CSV file (column-major) as
+        # from the blobs (row-major).
+        data = dataset.synth_blobs(3, 10, 20, 0.5, seed=2)
+        fortran = dataset.RawDataset(features=np.asfortranarray(data.features),
+                                     labels=data.labels, class_count=3)
+        assert (dataset.normalize(data, mode).features.tobytes()
+                == np.ascontiguousarray(dataset.normalize(fortran, mode).features).tobytes())
+
+    def test_none_keeps_the_samples(self):
+        data = dataset.synth_blobs(3, 10, 5, 0.5, seed=2)
+        assert dataset.normalize(data, "none").features is data.features
+
     def test_zero_column_is_an_error(self):
         data = dataset.RawDataset(features=np.array([[0.0, 1.0], [0.0, 2.0]]),
                                   labels=np.array([0, 0]), class_count=1)

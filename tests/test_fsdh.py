@@ -8,13 +8,17 @@ import pytest
 import scipy.linalg
 
 from sdhkit import codes, dataset, fsdh, index, kernelmap, sdh
+from sdhkit import model as model_module
 from sdhkit.model import DatasetFingerprint, HashModel, encode, load_model, save_model
 
 import oracles
 
 # Model file fields after the magic: version, bits, classes, anchors, dim,
-# sample count, seed, lambda, sigma; the class-code flag byte follows.
-HEADER = "<IIIIIQqdd"
+# sample count, seed, lambda, sigma, normalization mode; the class-code flag
+# byte and the dim values of the mean follow.
+HEADER = "<IIIIIQqddI"
+# The same fields in versions 1 and 2, which stored no normalization.
+OLD_HEADER = "<IIIIIQqdd"
 
 
 def toy_model(rng, classes=3, per_class=20, dim=6, anchors=12, bits=8, seed=5):
@@ -344,6 +348,24 @@ class TestEncode:
                   - encode_peak(model, np.broadcast_to(column, (data.dim, 3 * block))))
         assert growth <= 2 * 9 * block * 8
 
+    def test_each_sample_is_checked_once(self, monkeypatch):
+        # `encode` used to check every sample, and then `transform` checked
+        # each block again.
+        rng = np.random.default_rng(18)
+        model, data, _ = toy_model(rng)
+        check = kernelmap._checked_samples
+        checked = []
+
+        def counting(kmap, samples):
+            checked.append(np.shape(samples)[1])
+            return check(kmap, samples)
+
+        monkeypatch.setattr(kernelmap, "_checked_samples", counting)
+        monkeypatch.setattr(model_module, "_checked_samples", counting)
+        count = 2 * kernelmap.BLOCK + 5
+        encode(model, rng.standard_normal((data.dim, count)))
+        assert sum(checked) == count
+
     def test_training_codes_close_to_targets(self):
         # The fit is not exact in general; record the distance, don't demand 0.
         rng = np.random.default_rng(10)
@@ -414,7 +436,7 @@ class TestModelFile:
         path = tmp_path / "model.fsdh"
         save_model(model, path)
         anchors, classes = model.kernel.anchor_count, data.class_count
-        header = 4 + struct.calcsize(HEADER) + 1
+        header = 4 + struct.calcsize(HEADER) + 1 + data.dim * 8
         assert path.stat().st_size == (header + data.dim * anchors * 8
                                        + anchors * classes * 8
                                        + classes * (128 // 64) * 8 + 4)
@@ -434,24 +456,61 @@ class TestModelFile:
                                              f"expected 0 or 1"):
             load_model(path)
 
-    def test_version_1_file_asks_for_retraining(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_ask_for_retraining(self, tmp_path, version):
         # Version 1 stored the (anchors, bits) product P = S C^T, from which
-        # S cannot be recovered exactly.
+        # S cannot be recovered exactly. Version 2 stored S but not the
+        # normalization, so `eval` normalized by its own config.
         rng = np.random.default_rng(19)
         model, _, _ = toy_model(rng)
         kmap, fp = model.kernel, model.trained_on
         blob = bytearray(b"FSDH" + struct.pack(
-            HEADER, 1, model.bits, fp.class_count, kmap.anchor_count,
+            OLD_HEADER, version, model.bits, fp.class_count, kmap.anchor_count,
             kmap.source_dim, fp.sample_count, fp.seed, model.lam, kmap.sigma))
         blob.append(1)
         blob += kmap.anchors.tobytes()
-        blob += (model.projection @ model.class_codes.codes.T).tobytes()
+        projection = model.projection
+        if version == 1:
+            projection = projection @ model.class_codes.codes.T
+        blob += projection.tobytes()
         blob += index.pack(model.class_codes.codes).words.tobytes()
         blob += bytes(4)
         path = tmp_path / "model.fsdh"
         path.write_bytes(with_crc(blob))
-        with pytest.raises(ValueError, match="unsupported version 1, expected 2; "
+        with pytest.raises(ValueError, match=f"unsupported version {version}, expected 3; "
                                              "retrain the model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mode", dataset.NORMALIZE_MODES)
+    def test_round_trip_keeps_the_normalization(self, tmp_path, mode):
+        # Raw samples encode the same before and after the file, so a model
+        # needs no normalization setting of its own at `eval`.
+        rng = np.random.default_rng(20)
+        data = dataset.synth_blobs(3, 20, 6, 0.2, seed=5)
+        data = dataset.RawDataset(features=data.features + 2.0, labels=data.labels,
+                                  class_count=3)
+        kmap = kernelmap.fit_anchors(data, 12, 0.4, 5, normalize=mode)
+        per_class, class_codes = fsdh.train_fsdh(kernelmap.transform(kmap, data.features),
+                                                 data.labels, 3, 8)
+        model = HashModel(kernel=kmap, projection=per_class, class_codes=class_codes, lam=1.0,
+                          trained_on=DatasetFingerprint(60, 6, 3, 5))
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        loaded = load_model(path).kernel
+        assert loaded.normalize == mode
+        assert loaded.mean.tobytes() == kmap.mean.tobytes()
+        assert loaded.mean.any() == (mode == "zero_mean_unit_norm")
+        raw = rng.standard_normal((6, 50)) + 2.0
+        assert np.array_equal(encode(load_model(path), raw).words, encode(model, raw).words)
+
+    def test_rejects_an_unknown_normalization_code(self, tmp_path):
+        model, _, _ = toy_model(np.random.default_rng(21))
+        path = tmp_path / "model.fsdh"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4 + struct.calcsize(HEADER) - 4, 3)
+        path.write_bytes(with_crc(blob))
+        with pytest.raises(ValueError, match="unknown normalization code 3"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):

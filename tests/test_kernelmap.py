@@ -242,3 +242,54 @@ def test_dimension_mismatch():
     kmap = kernelmap.KernelMap(anchors=np.ones((3, 2)), sigma=1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernelmap.transform(kmap, np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("mode", ["unit_norm", "zero_mean_unit_norm"])
+def test_the_map_normalizes_as_the_dataset_does(mode):
+    # Normalizing in the map, block by block, gives the anchors and the
+    # features of normalizing the whole training set first, bit for bit.
+    data = dataset.synth_blobs(4, 30, 8, 0.3, seed=2)
+    kmap = kernelmap.fit_anchors(data, 40, 0.4, 3, normalize=mode)
+    plain = kernelmap.fit_anchors(dataset.normalize(data, mode), 40, 0.4, 3)
+    assert kmap.normalize == mode and plain.normalize == "none"
+    assert kmap.anchors.tobytes() == plain.anchors.tobytes()
+    assert (kernelmap.transform(kmap, data.features).tobytes()
+            == kernelmap.transform(plain, dataset.normalize(data, mode).features).tobytes())
+
+
+def test_centring_keeps_the_training_mean():
+    data = dataset.synth_blobs(3, 10, 5, 0.3, seed=4)
+    kmap = kernelmap.fit_anchors(data, 6, 0.4, 0, normalize="zero_mean_unit_norm")
+    assert np.array_equal(kmap.mean, data.features.mean(axis=1))
+    # A sample is centred on that mean, not on its own.
+    sample = data.features[:, :1]
+    centred = sample - kmap.mean[:, None]
+    plain = kernelmap.KernelMap(anchors=kmap.anchors, sigma=0.4)
+    assert np.array_equal(kernelmap.transform(kmap, sample),
+                          kernelmap.transform(plain, centred / np.linalg.norm(centred)))
+
+
+def test_normalization_errors_name_the_sample_across_blocks():
+    kmap = kernelmap.KernelMap(anchors=np.ones((3, 2)), sigma=1.0, normalize="unit_norm")
+    samples = np.ones((3, kernelmap.BLOCK + 10))
+    samples[:, kernelmap.BLOCK + 7] = 0.0
+    with pytest.raises(ValueError, match=f"sample column {kernelmap.BLOCK + 7} has zero norm"):
+        kernelmap.transform(kmap, samples)
+
+
+def test_anchor_errors_name_the_training_sample():
+    data = dataset.RawDataset(features=np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 1.0]]),
+                              labels=np.array([0, 0, 0]), class_count=1)
+    with pytest.raises(ValueError, match="sample column 1 has zero norm"):
+        kernelmap.fit_anchors(data, 3, 0.4, 0, normalize="unit_norm")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"normalize": "l2"}, "unknown normalization mode 'l2'"),
+    ({"normalize": "unit_norm", "mean": np.ones(3)}, "nonzero mean needs zero_mean_unit_norm"),
+    ({"normalize": "zero_mean_unit_norm", "mean": np.ones(2)}, r"mean must have shape \(3,\)"),
+    ({"normalize": "zero_mean_unit_norm", "mean": [0.0, np.inf, 0.0]}, "mean contains non-finite"),
+])
+def test_kernel_map_rejects_a_bad_normalization(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        kernelmap.KernelMap(anchors=np.ones((3, 2)), sigma=1.0, **kwargs)
