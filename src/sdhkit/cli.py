@@ -2,10 +2,11 @@
 
 Subcommands: train, eval, figures, bench, synth. Every command reads a flat
 key = value config file (flags override file values), types and checks every
-key against `SCHEMA` and accepts only the keys that the run reads (`READS`)
-before any output exists, copies the config as given into its output
-directory so runs are replayable, and exits nonzero with a stage-tagged
-message on failure. See the README for the config keys.
+key against `SCHEMA` and accepts only the keys that the run reads at its
+settings (`read_keys`) before any output exists, writes each key the run read,
+with its value as given or defaulted, into its output directory so runs are
+replayable, and exits nonzero with a stage-tagged message on failure. See the
+README for the config keys.
 """
 from __future__ import annotations
 
@@ -138,16 +139,22 @@ SCHEMA = {
 # with the `db_` and `query_` prefixes, each key falling back to its
 # unprefixed form.
 DATASET_KEYS = ("source", "limit", "images", "labels", "features")
-_ROLE_KEYS = {role + key: (None, SCHEMA[key][1])
-              for role in ("db_", "query_") for key in DATASET_KEYS}
+_ROLES = ("db_", "query_")
+_ROLE_KEYS = {role + key: (None, SCHEMA[key][1]) for role in _ROLES for key in DATASET_KEYS}
 SCHEMA.update(_ROLE_KEYS)
+# Read only when some dataset's source is `synth`.
 _BLOBS = ("classes", "per_class", "dim", "spread", "data_seed")
+# The sources under which each file key is read.
+_FILE_SOURCES = {"images": ("mnist",), "features": ("csv",), "labels": ("mnist", "csv")}
 # The kernel map's keys; a model carries its normalization, so `eval` reads
 # none of them.
 _KERNEL = (*DATASET_KEYS, *_BLOBS, "normalize", "anchors", "sigma", "seed")
-_TRAINER = (*_KERNEL, "lambda", "nu", "iters", "solver", "sweeps")
-# The keys each command, and each figure, reads. `read_config` seeds only
-# these defaults and `resolve_config` rejects any other key, so `config.txt`
+# SDH's alternation; fsdh reads none of these.
+_SDH = ("nu", "iters", "solver", "sweeps")
+_TRAINER = (*_KERNEL, "lambda", *_SDH)
+# The keys each command, and each figure, may read. `read_keys` drops those
+# that the run's settings leave unread; `read_config` seeds only the defaults
+# of the rest and `resolve_config` rejects any other key, so `config.txt`
 # holds only keys the run read.
 READS = {name: frozenset(("outdir", *keys)) for name, keys in {
     "train": (*_TRAINER, "method", "bits"),
@@ -160,11 +167,14 @@ READS = {name: frozenset(("outdir", *keys)) for name, keys in {
     "biasmap": (*_KERNEL, "bits"),
 }.items()}
 # Each figure's protocol defaults for general keys, applied before the config
-# file and the flags, so `config.txt` records the value a figure used. biasmap
-# needs fewer anchors than samples, or the projection grid collapses to the
-# identity and the heatmap is trivial.
+# file and the flags, so `config.txt` records the value a figure used.
+# bitscale's 700 anchors are the training samples of the default blobs once
+# 30 queries per class are held out. biasmap needs fewer anchors than
+# samples, or the projection grid collapses to the identity and the heatmap
+# is trivial.
 FIGURE_DEFAULTS = {
     "fig1": {"bits": "16", "iters": "20"},
+    "bitscale": {"anchors": "700"},
     "losses": {"bits_list": "16,32,64"},
     "biasmap": {"anchors": "100"},
 }
@@ -188,6 +198,7 @@ def stage(name: str):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
@@ -196,27 +207,74 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"{path}: key {key!r} is set on line {lines[key]} "
+                                 f"and again on line {lineno}")
+            lines[key] = lineno
+            values[key] = value.strip()
     return values
 
 
+def read_keys(name: str, raw: dict[str, str]) -> tuple[frozenset[str], dict[str, str]]:
+    """The keys run `name` reads at the settings in `raw`, and the keys of
+    `READS[name]` that those settings leave unread, each with the rule that
+    would read it.
+
+    A setting absent from `raw` takes its default. SDH's keys are read only
+    by a run that trains sdh, the blob keys only when some dataset's source
+    is `synth`, and each file key only under the sources that open it; for
+    `eval`, each role's source falls back to `source`.
+    """
+    def setting(key):
+        return raw.get(key, SCHEMA[key][0])
+
+    skipped = {}
+
+    def gate(keys, settings: dict[str, str], wanted: tuple[str, ...], rule: str = ""):
+        values = {v.strip() for value in settings.values() for v in value.split(",")}
+        if values.isdisjoint(wanted):
+            rule = rule or f"{' or '.join(settings)} = {' or '.join(wanted)}"
+            actual = ", ".join(f"{key} = {value}" for key, value in settings.items())
+            skipped.update(dict.fromkeys(keys, f"under {rule}, not {actual}"))
+
+    if name in ("train", "bench"):
+        gate(_SDH, {"method": setting("method")}, ("sdh",))
+    if name == "bitscale":
+        gate(_SDH, {"bitscale_methods": setting("bitscale_methods")}, ("sdh",),
+             "bitscale_methods holding sdh")
+    if "source" in READS[name]:
+        roles = _ROLES if name == "eval" else ("",)
+        sources = {role + "source": raw.get(role + "source") or setting("source")
+                   for role in roles}
+        gate(_BLOBS, sources, ("synth",))
+        for key, wanted in _FILE_SOURCES.items():
+            for role in roles:
+                gate((role + key,), {role + "source": sources[role + "source"]}, wanted)
+            if name == "eval":
+                gate((key,), sources, wanted)
+    return READS[name] - skipped.keys(), skipped
+
+
 def read_config(args: argparse.Namespace) -> dict[str, str]:
-    """The raw config: the defaults of the keys the run reads, a figure's own
-    defaults, then the config file, then the flags."""
+    """The raw config: the defaults of the keys the run reads at its
+    settings, a figure's own defaults, then the config file, then the flags."""
     name = getattr(args, "figure", args.command)
-    raw = {key: default for key, (default, _) in SCHEMA.items()
-           if default is not None and key in READS[name]}
-    raw.update(FIGURE_DEFAULTS.get(name, {}))
+    given = dict(FIGURE_DEFAULTS.get(name, {}))
     if args.config:
         with stage("config"):
-            raw.update(parse_config_file(args.config))
+            given.update(parse_config_file(args.config))
     for item in args.set or []:
         if "=" not in item:
             raise StageError("config", f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
+        given[key.strip()] = value.strip()
     if args.outdir:
-        raw["outdir"] = args.outdir
+        given["outdir"] = args.outdir
+    read, _ = read_keys(name, given)
+    raw = {key: default for key, (default, _) in SCHEMA.items()
+           if default is not None and key in read}
+    raw.update(given)
     return raw
 
 
@@ -225,7 +283,7 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
 
     `command` names the run: a command, or for `figures` the figure. Rejects
     unknown keys, then malformed values, then keys that the run does not
-    read (see `READS`).
+    read at its settings (see `read_keys`).
     """
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
@@ -236,18 +294,14 @@ def resolve_config(raw: dict[str, str], command: str) -> dict:
             cfg[key] = SCHEMA[key][1](value)
         except ValueError as exc:
             raise StageError("config", f"key {key!r} {exc}") from None
-    unread = sorted(set(cfg) - READS[command])
+    read, skipped = read_keys(command, raw)
+    unread = sorted(set(cfg) - read)
     if unread:
         raise StageError("config", "; ".join(
+            f"key {key!r} is read {skipped[key]}" if key in skipped else
             f"key {key!r} is read by {', '.join(repr(n) for n in READS if key in READS[n])}, "
             f"not by {command!r}" for key in unread))
     return cfg
-
-
-def _sdh_options(cfg) -> dict:
-    """Keyword arguments of `sdh.train_sdh` from the config."""
-    return {"lam": cfg["lambda"], "nu": cfg["nu"], "max_iters": cfg["iters"],
-            "seed": cfg["seed"], "solver": cfg["solver"], "sweeps": cfg["sweeps"]}
 
 
 def _require(value, key, stage_name="config"):
@@ -281,38 +335,42 @@ def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
 
 
 def _kernel_features(cfg, data: dataset.RawDataset):
-    """Fit the kernel map on `data`, with `anchors` capped at its sample
-    count, and transform `data`. Returns the map and the features."""
-    kmap = kernelmap.fit_anchors(data, min(cfg["anchors"], data.sample_count),
-                                 cfg["sigma"], cfg["seed"], normalize=cfg["normalize"])
-    return kmap, kernelmap.transform(kmap, data.features)
+    """Fit the kernel map on `data` and transform `data`. Returns the map and
+    the features."""
+    with stage("kernel"):
+        kmap = kernelmap.fit_anchors(data, cfg["anchors"], cfg["sigma"], cfg["seed"],
+                                     normalize=cfg["normalize"])
+    with stage("transform"):
+        return kmap, kernelmap.transform(kmap, data.features)
 
 
 def _train_model(method: str, kmap: kernelmap.KernelMap, features: np.ndarray,
                  data: dataset.RawDataset, bits: int,
-                 options: dict) -> tuple[HashModel, float, list | None]:
+                 cfg) -> tuple[HashModel, float, tuple | None]:
     """Train `method` on the kernel features of `data` and assemble its model.
 
     Every trainer runs here, after the check that `data` holds every class.
-    Returns the model, the trainer's wall time in seconds, and the sdh
-    objective trajectory with the bits each iteration flipped (None for fsdh).
+    Returns the model, the trainer's wall time in seconds, and the sdh state
+    with its objective trajectory (None for fsdh).
     """
     with stage("dataset"):
         dataset.validate_training_labels(data)
     fingerprint = DatasetFingerprint(sample_count=data.sample_count, dim=data.dim,
-                                     class_count=data.class_count, seed=options["seed"])
+                                     class_count=data.class_count, seed=cfg["seed"])
     start = time.perf_counter()
     if method == "fsdh":
         projection, class_codes = fsdh.train_fsdh(features, data.labels, data.class_count, bits)
         run = None
     else:
         state, trajectory = sdh.train_sdh(features, data.labels, data.class_count, bits,
-                                          **options)
+                                          lam=cfg["lambda"], nu=cfg["nu"],
+                                          max_iters=cfg["iters"], seed=cfg["seed"],
+                                          solver=cfg["solver"], sweeps=cfg["sweeps"])
         projection, class_codes = state.projection, None
-        run = trajectory, state.bits_flipped
+        run = state, trajectory
     elapsed = time.perf_counter() - start
     model = HashModel(kernel=kmap, projection=projection, class_codes=class_codes,
-                      lam=options["lam"], trained_on=fingerprint)
+                      lam=cfg["lambda"], trained_on=fingerprint)
     return model, elapsed, run
 
 
@@ -344,21 +402,16 @@ def _write_trajectory(path: Path, trajectory: list[sdh.ObjectiveBreakdown],
 def cmd_train(cfg, out: Path) -> int:
     data = _load_dataset(cfg)
     method, bits = cfg["method"], cfg["bits"]
-    with stage("kernel"):
-        kmap = kernelmap.fit_anchors(data, cfg["anchors"], cfg["sigma"], cfg["seed"],
-                                     normalize=cfg["normalize"])
-    with stage("transform"):
-        features = kernelmap.transform(kmap, data.features)
+    kmap, features = _kernel_features(cfg, data)
 
     log = {"method": method, "bits": bits, "samples": data.sample_count,
            "classes": data.class_count, "anchors": kmap.anchor_count}
 
     with stage("train"):
-        model, elapsed, run = _train_model(method, kmap, features, data, bits,
-                                           _sdh_options(cfg))
+        model, elapsed, run = _train_model(method, kmap, features, data, bits, cfg)
         if run is not None:
-            trajectory, bits_flipped = run
-            _write_trajectory(out / "trajectory.csv", trajectory, bits_flipped)
+            state, trajectory = run
+            _write_trajectory(out / "trajectory.csv", trajectory, state.bits_flipped)
             final = trajectory[-1]
             log.update(final_total=repr(final.total),
                        final_classification_term=repr(final.classification_term),
@@ -456,14 +509,13 @@ def _split_train_test(data: dataset.RawDataset, test_per_class: int):
 
 
 def _figure_bitscale(cfg, out: Path) -> None:
-    options = _sdh_options(cfg)
     train, test = _split_train_test(_load_dataset(cfg), cfg["test_per_class"])
     kmap, features = _kernel_features(cfg, train)
 
     rows = []
     for bits in cfg["bits_list"]:
         for method in cfg["bitscale_methods"]:
-            model, elapsed, _ = _train_model(method, kmap, features, train, bits, options)
+            model, elapsed, _ = _train_model(method, kmap, features, train, bits, cfg)
             code_index = index.CodeIndex(codes=encode(model, train.features),
                                          labels=train.labels)
             query_codes = encode(model, test.features)
@@ -478,17 +530,16 @@ def _figure_bitscale(cfg, out: Path) -> None:
 
 
 def _figure_losses(cfg, out: Path) -> None:
-    options = _sdh_options(cfg)
     data = _load_dataset(cfg)
     kmap, features = _kernel_features(cfg, data)
     # The fsdh model first: `_train_model` checks the classes before either
     # trainer runs. Its S does not depend on L, so one solve serves every L.
-    solved, _, _ = _train_model("fsdh", kmap, features, data, cfg["bits_list"][0], options)
+    solved, _, _ = _train_model("fsdh", kmap, features, data, cfg["bits_list"][0], cfg)
     rows = []
     for bits in cfg["bits_list"]:
         # Checks assumptions A1 and A2 for this L before its sdh run.
         model = replace(solved, class_codes=codes.hadamard_codes(bits, data.class_count))
-        state, _ = sdh.train_sdh(features, data.labels, data.class_count, bits, **options)
+        _, _, (state, _) = _train_model("sdh", kmap, features, data, bits, cfg)
         row = evaluate.loss_table(state, model, features, data.labels)
         rows.append([row.bits, repr(row.sdh_w_loss), repr(row.sdh_p_loss),
                      repr(row.fsdh_w_loss), repr(row.fsdh_p_loss)])
@@ -514,10 +565,8 @@ def _figure_biasmap(cfg, out: Path) -> None:
 
 def cmd_bench(cfg, out: Path) -> int:
     repeats, method = cfg["repeats"], cfg["method"]
-    options = _sdh_options(cfg)
     data = _load_dataset(cfg)
-    with stage("kernel"):
-        kmap, features = _kernel_features(cfg, data)
+    kmap, features = _kernel_features(cfg, data)
 
     def median_time(fn):
         times = []
@@ -532,7 +581,7 @@ def cmd_bench(cfg, out: Path) -> int:
         transform_s = median_time(lambda: kernelmap.transform(kmap, data.features))
         for bits in cfg["bits_list"]:
             rows.append([method, bits, "kernel_transform", f"{transform_s:.3f}"])
-            runs = [_train_model(method, kmap, features, data, bits, options)
+            runs = [_train_model(method, kmap, features, data, bits, cfg)
                     for _ in range(repeats)]
             train_s = float(np.median([elapsed for _, elapsed, _ in runs]))
             rows.append([method, bits, "linear_solve" if method == "fsdh" else "train",

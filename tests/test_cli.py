@@ -1,4 +1,5 @@
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -14,17 +15,18 @@ BIASMAP_DATA = ["--set", "classes=3", "--set", "per_class=5", "--set", "dim=6",
                 "--set", "spread=0.1", "--set", "data_seed=1", "--set", "bits=8"]
 
 
-# Each run's settings, every one a key the run reads, small enough for a
-# run of well under a second.
+# Each run's settings, every one a key the run reads at any `method`,
+# `bitscale_methods` and `source`, small enough for a run of well under a
+# second on 60 samples.
 SMALL_RUNS = {
-    "train": ["per_class=6", "anchors=20", "bits=16", "iters=1"],
-    "eval": ["per_class=3"],
-    "bench": ["per_class=6", "anchors=20", "bits_list=16", "repeats=1", "iters=1"],
+    "train": ["anchors=20", "bits=16"],
+    "eval": [],
+    "bench": ["anchors=20", "bits_list=16", "repeats=1"],
     "synth": ["per_class=2"],
     "fig1": ["fig1_seeds=1", "iters=1"],
-    "bitscale": ["per_class=8", "anchors=20", "bits_list=16", "test_per_class=2", "iters=1"],
-    "losses": ["per_class=6", "anchors=20", "bits_list=16", "iters=1"],
-    "biasmap": ["per_class=3", "anchors=12", "bits=16"],
+    "bitscale": ["anchors=20", "bits_list=16", "test_per_class=2"],
+    "losses": ["anchors=20", "bits_list=16", "iters=1"],
+    "biasmap": ["anchors=12", "bits=16"],
 }
 
 
@@ -114,7 +116,7 @@ class TestTrain:
 
     def test_set_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path / "train.cfg",
-                        SYNTH_KEYS + "method = fsdh\nbits = 16\n"
+                        SYNTH_KEYS + "method = sdh\nbits = 16\niters = 1\n"
                         f"outdir = {tmp_path / 'a'}\n")
         assert run(["train", "--config", cfg, "--set", "bits=32",
                     "--outdir", str(tmp_path / "b")]) == 0
@@ -239,7 +241,7 @@ class TestFigures:
         cfg = write_cfg(tmp_path / "bs.cfg",
                         "source = synth\nclasses = 10\nper_class = 12\ndim = 8\n"
                         "spread = 0.2\ndata_seed = 3\nanchors = 32\nsigma = 0.4\n"
-                        "bits_list = 32,512\ntest_per_class = 2\niters = 1\n"
+                        "bits_list = 32,512\ntest_per_class = 2\n"
                         f"outdir = {tmp_path / 'bs'}\n")
         assert run(["figures", "bitscale", "--config", cfg, "--set",
                     "bitscale_methods=fsdh", "--set", "bits_list=32,512"]) == 0
@@ -248,7 +250,7 @@ class TestFigures:
         assert [(r[0], r[1], r[4]) for r in rows] == [("fsdh", "32", "16"),
                                                       ("fsdh", "512", "16")]
         assert run(["figures", "bitscale", "--config", cfg, "--set",
-                    "bitscale_methods=sdh", "--set", "bits_list=32"]) == 0
+                    "bitscale_methods=sdh", "--set", "bits_list=32", "--set", "iters=1"]) == 0
         rows = [r.split(",") for r in
                 (tmp_path / "bs" / "bitscale.csv").read_text().strip().splitlines()[1:]]
         assert [(r[0], r[1], r[4]) for r in rows] == [("sdh", "32", "")]
@@ -369,9 +371,11 @@ class TestFigureKeys:
         assert [row.split(",")[0] for row in rows[1:]] == ["16", "32"]
 
     def test_biasmap_reads_anchors(self, tmp_path):
-        assert run(["figures", "biasmap", *BIASMAP_DATA,
-                    "--outdir", str(tmp_path / "default")]) == 0
-        assert run(["figures", "biasmap", *BIASMAP_DATA, "--set", "anchors=12",
+        # 120 samples, so the default 100 anchors fit.
+        data = set_flags(["classes=3", "per_class=40", "dim=6", "spread=0.1", "data_seed=1",
+                          "bits=8"])
+        assert run(["figures", "biasmap", *data, "--outdir", str(tmp_path / "default")]) == 0
+        assert run(["figures", "biasmap", *data, "--set", "anchors=12",
                     "--outdir", str(tmp_path / "a12")]) == 0
         assert "anchors = 100" in (tmp_path / "default" / "config.txt").read_text().splitlines()
         assert ((tmp_path / "default" / "traces.txt").read_text()
@@ -554,8 +558,9 @@ def test_inputs_are_not_mutated(tmp_path):
 
 @pytest.mark.parametrize("method", ["fsdh", "sdh"])
 def test_cli_and_library_build_the_same_model(tmp_path, method):
+    iters = "iters = 2\n" if method == "sdh" else ""
     cfg = write_cfg(tmp_path / "train.cfg",
-                    SYNTH_KEYS + f"method = {method}\nbits = 16\niters = 2\nseed = 5\n"
+                    SYNTH_KEYS + f"method = {method}\nbits = 16\n{iters}seed = 5\n"
                     f"outdir = {tmp_path / 'run'}\n")
     assert run(["train", "--config", cfg]) == 0
 
@@ -622,15 +627,15 @@ class TestLimit:
     @pytest.mark.parametrize("command, keys", [
         (["train"], ""),
         (["bench"], "bits_list = 16\nrepeats = 1\n"),
-        (["figures", "bitscale"], "bits_list = 16\ntest_per_class = 5\n"),
-        (["figures", "losses"], "bits_list = 16\n"),
+        (["figures", "bitscale"], "bits_list = 16\ntest_per_class = 5\niters = 1\n"),
+        (["figures", "losses"], "bits_list = 16\niters = 1\n"),
     ], ids=["train", "bench", "figures bitscale", "figures losses"])
     def test_training_split_missing_a_class_is_a_dataset_error(self, tmp_path, capsys,
                                                               command, keys):
         # The blobs are class-ordered, so the first 30 samples are all class 0.
         # `bench`, `bitscale` and `losses` used to train on class 0 alone.
         cfg = write_cfg(tmp_path / "c.cfg",
-                        SYNTH_KEYS + f"limit = 30\niters = 1\n{keys}"
+                        SYNTH_KEYS + f"limit = 30\n{keys}"
                         f"outdir = {tmp_path / 'run'}\n")
         assert run(command + ["--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -659,13 +664,22 @@ class TestLimit:
 
 
 class TestConfigValidation:
-    def test_sdh_defaults_match_the_library(self):
-        # Each config default, typed by its own parser and mapped as `train`
-        # maps it, must be `train_sdh`'s default, so the two cannot drift.
+    def test_sdh_defaults_match_the_library(self, monkeypatch):
+        # Each config default, typed by its own parser and passed as every
+        # sdh run passes it, must be `train_sdh`'s default, so the two cannot
+        # drift.
         keys = ("lambda", "nu", "iters", "sweeps", "seed", "solver")
         cfg = {key: cli.SCHEMA[key][1](cli.SCHEMA[key][0]) for key in keys}
         parameters = inspect.signature(sdh.train_sdh).parameters
-        options = cli._sdh_options(cfg)
+        options = {}
+
+        def record(*args, **kwargs):
+            options.update(kwargs)
+            raise StopIteration
+
+        monkeypatch.setattr(sdh, "train_sdh", record)
+        with pytest.raises(StopIteration):
+            cli._train_model("sdh", None, None, dataset.synth_blobs(2, 3, 4, 0.2, seed=1), 4, cfg)
         assert len(options) == len(keys)
         for name, value in options.items():
             assert parameters[name].default == value, name
@@ -782,46 +796,155 @@ class TestConfigValidation:
         assert repr(reader) in err and f"not by {command[-1]!r}" in err
         assert not out.exists()
 
+    # `settings` first give the deciding settings, if any, then the keys
+    # they leave unread.
+    @pytest.mark.parametrize("command, settings, unread, rule", [
+        (["train"], ["method=fsdh"], ["nu=1", "solver=branch_and_bound", "sweeps=7"],
+         "under method = sdh, not method = fsdh"),
+        (["bench"], [], ["iters=2"], "under method = sdh, not method = fsdh"),
+        (["train"], [], ["images=/nonexistent.idx"], "under source = mnist, not source = synth"),
+        (["train"], [], ["features=/nope.csv"], "under source = csv, not source = synth"),
+        (["figures", "biasmap"], [], ["labels=/nope.csv"],
+         "under source = mnist or csv, not source = synth"),
+        (["figures", "bitscale"], ["bitscale_methods=fsdh"], ["nu=3", "iters=9"],
+         "under bitscale_methods holding sdh, not bitscale_methods = fsdh"),
+        (["figures", "losses"], ["source=csv"], ["per_class=20"],
+         "under source = synth, not source = csv"),
+        (["eval"], ["source=mnist", "query_source=csv"], ["classes=4"],
+         "under db_source or query_source = synth, not db_source = mnist, query_source = csv"),
+        (["eval"], ["db_source=csv"], ["db_images=/nonexistent.idx"],
+         "under db_source = mnist, not db_source = csv"),
+        (["eval"], ["query_source=mnist"], ["features=/nope.csv"],
+         "under db_source or query_source = csv, not db_source = synth, query_source = mnist"),
+    ], ids=["train-fsdh-sdh-keys", "bench-fsdh-iters", "train-synth-images",
+            "train-synth-features", "biasmap-synth-labels", "bitscale-fsdh-sdh-keys",
+            "losses-csv-blob", "eval-no-synth-blob", "eval-db-csv-db_images",
+            "eval-query-mnist-features"])
+    def test_keys_the_settings_leave_unread_fail(self, tmp_path, capsys, command, settings,
+                                                 unread, rule):
+        # Each exited 0 and recorded its keys in config.txt: fsdh never reads
+        # SDH's keys, and a synth run never opened the files it was given.
+        out = tmp_path / "run"
+        assert run(command + set_flags(settings + unread) + ["--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ")
+        for key in (setting.split("=")[0] for setting in unread):
+            assert f"key {key!r} is read {rule}" in err, key
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, settings", [
+        (["train"], ["method=sdh", "nu=1", "iters=1"]),
+        (["bench"], ["method=sdh", "solver=branch_and_bound", "bits_list=4", "repeats=1"]),
+        (["figures", "losses"], ["nu=1", "iters=1", "bits_list=16"]),
+        (["figures", "bitscale"], ["bitscale_methods=sdh", "nu=1", "iters=1", "bits_list=16",
+                                   "test_per_class=1"]),
+    ], ids=["train-sdh", "bench-sdh", "losses", "bitscale-sdh"])
+    def test_keys_read_at_the_runs_settings_are_accepted(self, tmp_path, command, settings):
+        out = tmp_path / "run"
+        assert run(command + set_flags(["per_class=4", "anchors=20", *settings])
+                   + ["--outdir", str(out)]) == 0
+        recorded = set((out / "config.txt").read_text().splitlines())
+        assert {setting.replace("=", " = ") for setting in settings} <= recorded
+
+    @pytest.mark.parametrize("command, settings", [
+        (["train"], []),
+        (["bench"], ["bits_list=16", "repeats=1"]),
+        (["figures", "bitscale"], ["bits_list=16", "bitscale_methods=fsdh", "test_per_class=1"]),
+        (["figures", "losses"], ["bits_list=16", "iters=1"]),
+        (["figures", "biasmap"], ["bits=16"]),
+    ], ids=["train", "bench", "bitscale", "losses", "biasmap"])
+    def test_more_anchors_than_samples_is_a_kernel_error(self, tmp_path, capsys, command,
+                                                         settings):
+        # `bench --set per_class=20 --set anchors=5000` ran 200 anchors, and
+        # its config.txt said 5000; only `train` refused.
+        out = tmp_path / "run"
+        assert run(command + set_flags(["per_class=2", "anchors=50", *settings])
+                   + ["--outdir", str(out)]) == 2
+        assert "error [kernel]: anchor_count 50 exceeds sample count" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.txt"]
+        assert "anchors = 50" in (out / "config.txt").read_text().splitlines()
+
+    def test_default_bitscale_records_the_anchors_it_uses(self, tmp_path, capsys, monkeypatch):
+        # The default bundle ran 700 anchors, and its config.txt said 1000.
+        # The run stops at its first training.
+        used = []
+
+        def stop(method, kmap, *args):
+            used.append(kmap.anchor_count)
+            raise StopIteration
+
+        monkeypatch.setattr(cli, "_train_model", stop)
+        out = tmp_path / "bitscale"
+        assert run(["figures", "bitscale", "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error [figures]")
+        assert used == [700]
+        assert "anchors = 700" in (out / "config.txt").read_text().splitlines()
+
+    def test_key_set_twice_in_a_config_file_fails(self, tmp_path, capsys):
+        # The second value used to win: this file trained at 64 bits.
+        cfg = write_cfg(tmp_path / "train.cfg", SYNTH_KEYS + "bits = 16\nbits = 64\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--outdir", str(out)]) == 2
+        assert (f"error [config]: {cfg}: key 'bits' is set on line 9 and again on line 10"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(cli.READS))
-    def test_every_key_in_config_txt_is_read(self, tmp_path, monkeypatch, capsys, name):
-        # Each run at a small config, then at every other `source` (whose
-        # missing files stop it at error [dataset]) and `method`. Each run
-        # that completes reads every key of its config.txt, and together,
-        # with the reads of the runs that stop, they read every key the run
-        # declares. `_load_dataset` used to copy the config into a
-        # plain dict, which hid its reads.
+    def test_every_key_in_config_txt_is_read(self, tmp_path, monkeypatch, capsys, idx_pair,
+                                             name):
+        # Each run at every choice of the settings that decide which keys it
+        # reads: `method`, `bitscale_methods`, and each role's `source`, on a
+        # tiny IDX pair and CSV pair of 60 samples of 16 dimensions. Every
+        # variant completes and reads every key of its config.txt, and
+        # together they read every key the run declares. `_load_dataset`
+        # used to copy the config into a plain dict, which hid its reads.
         reads = cli.READS[name]
+        labels = np.repeat(np.arange(10), 6)
+        rng = np.random.default_rng(23)
+        images, idx_labels = idx_pair(rng.integers(1, 256, (60, 4, 4)), labels)
+        np.savetxt(tmp_path / "features.csv", rng.standard_normal((60, 16)), delimiter=",")
+        np.savetxt(tmp_path / "labels.csv", labels[:, None], fmt="%d")
+        files = {"mnist": {"images": images, "labels": idx_labels},
+                 "csv": {"features": tmp_path / "features.csv",
+                         "labels": tmp_path / "labels.csv"}}
+
+        def source(role, value):
+            if value == "synth":
+                return {role + "source": value, "per_class": "6"}
+            return {role + "source": value,
+                    **{role + key: str(path) for key, path in files[value].items()}}
+
+        # One list of choices per deciding setting; sdh runs one iteration.
+        choices = []
+        if "method" in reads:
+            choices.append([{"method": "fsdh"}, {"method": "sdh", "iters": "1"}])
+        if "bitscale_methods" in reads:
+            choices.append([{"bitscale_methods": methods,
+                             **({"iters": "1"} if "sdh" in methods.split(",") else {})}
+                            for methods in ("fsdh", "sdh", "fsdh,sdh")])
+        if "source" in reads:
+            for role in ("db_", "query_") if name == "eval" else ("",):
+                choices.append([source(role, value) for value in ("synth", "mnist", "csv")])
         argv = ["figures", name] if name in cli.FIGURES else [name]
         argv += set_flags(SMALL_RUNS[name])
         if name == "eval":
             model = tmp_path / "model"
-            assert run(["train", *set_flags(SMALL_RUNS["train"]), "--outdir", str(model)]) == 0
+            assert run(["train", *set_flags(SMALL_RUNS["train"]), "--set", "per_class=6",
+                        "--outdir", str(model)]) == 0
             argv += ["--set", f"model={model / 'model.fsdh'}"]
-        # (settings, whether the run completes)
-        variants = [([], True)]
-        if "method" in reads:
-            variants.append((["method=sdh"], True))
-        if "source" in reads:
-            for role in ("db_", "query_") if name == "eval" else ("",):
-                for source, files in (("mnist", ("images", "labels")),
-                                      ("csv", ("features", "labels"))):
-                    variants.append(([f"{role}source={source}",
-                                      *(f"{role}{f}={tmp_path / f}" for f in files)], False))
         resolve = cli.resolve_config
         read_by_any = set()
-        for i, (settings, completes) in enumerate(variants):
+        for i, combination in enumerate(itertools.product(*choices)):
+            settings = {key: value for choice in combination for key, value in choice.items()}
             out = tmp_path / f"run{i}"
             read = set()
             with monkeypatch.context() as patch:
                 patch.setattr(cli, "resolve_config",
                               lambda raw, name: RecordedConfig(resolve(raw, name), read))
-                code = run([*argv, *set_flags(settings), "--outdir", str(out)])
-            err = capsys.readouterr().err
+                code = run([*argv, *set_flags(f"{key}={value}" for key, value in settings.items()),
+                            "--outdir", str(out)])
+            assert (code, capsys.readouterr().err) == (0, ""), settings
             read_by_any |= read
-            if not completes:
-                assert (code, err[:17]) == (2, "error [dataset]: "), settings
-                continue
-            assert (code, err) == (0, ""), settings
             written = {line.split(" = ")[0]
                        for line in (out / "config.txt").read_text().splitlines()}
             assert written <= read, (settings, written - read)
