@@ -5,8 +5,10 @@ key = value config file (flags override file values), types and checks every
 key against `SCHEMA` and accepts only the keys that the run reads at its
 settings (`read_keys`) before any output exists, writes each key the run read,
 with its value as given or defaulted, into its output directory so runs are
-replayable, and exits nonzero with a stage-tagged message on failure. See the
-README for the config keys.
+replayable, and exits nonzero with a stage-tagged message on failure. Every
+setting has one key: `eval` reads its database and its queries only through
+the `db_` and `query_` forms of the dataset keys. See the README for the
+config keys.
 """
 from __future__ import annotations
 
@@ -135,12 +137,12 @@ SCHEMA = {
     "outdir": (None, str),
     "model": (None, str),
 }
-# The keys that describe one dataset; `eval` reads one such block per role,
-# with the `db_` and `query_` prefixes, each key falling back to its
-# unprefixed form.
+# The keys that describe one dataset. `eval` reads them only in their `db_`
+# and `query_` forms, one block per role, each with its unprefixed key's
+# default and parser.
 DATASET_KEYS = ("source", "limit", "images", "labels", "features")
 _ROLES = ("db_", "query_")
-_ROLE_KEYS = {role + key: (None, SCHEMA[key][1]) for role in _ROLES for key in DATASET_KEYS}
+_ROLE_KEYS = {role + key: SCHEMA[key] for role in _ROLES for key in DATASET_KEYS}
 SCHEMA.update(_ROLE_KEYS)
 # Read only when some dataset's source is `synth`.
 _BLOBS = ("classes", "per_class", "dim", "spread", "data_seed")
@@ -158,7 +160,7 @@ _TRAINER = (*_KERNEL, "lambda", *_SDH)
 # holds only keys the run read.
 READS = {name: frozenset(("outdir", *keys)) for name, keys in {
     "train": (*_TRAINER, "method", "bits"),
-    "eval": ("model", *_ROLE_KEYS, *DATASET_KEYS, *_BLOBS, "radius", "zero_retrieval"),
+    "eval": ("model", *_ROLE_KEYS, *_BLOBS, "radius", "zero_retrieval"),
     "bench": (*_TRAINER, "method", "bits_list", "repeats"),
     "synth": _BLOBS,
     "fig1": ("bits", "classes", "lambda", "iters", "data_seed", "fig1_seeds"),
@@ -223,8 +225,9 @@ def read_keys(name: str, raw: dict[str, str]) -> tuple[frozenset[str], dict[str,
 
     A setting absent from `raw` takes its default. SDH's keys are read only
     by a run that trains sdh, the blob keys only when some dataset's source
-    is `synth`, and each file key only under the sources that open it; for
-    `eval`, each role's source falls back to `source`.
+    is `synth`, and each file key only under its own dataset's sources that
+    open it. A run's datasets are the prefixes among "", `db_` and `query_`
+    whose `source` it reads.
     """
     def setting(key):
         return raw.get(key, SCHEMA[key][0])
@@ -243,16 +246,13 @@ def read_keys(name: str, raw: dict[str, str]) -> tuple[frozenset[str], dict[str,
     if name == "bitscale":
         gate(_SDH, {"bitscale_methods": setting("bitscale_methods")}, ("sdh",),
              "bitscale_methods holding sdh")
-    if "source" in READS[name]:
-        roles = _ROLES if name == "eval" else ("",)
-        sources = {role + "source": raw.get(role + "source") or setting("source")
-                   for role in roles}
+    roles = [role for role in ("", *_ROLES) if role + "source" in READS[name]]
+    sources = {role + "source": setting(role + "source") for role in roles}
+    if roles:
         gate(_BLOBS, sources, ("synth",))
+    for role in roles:
         for key, wanted in _FILE_SOURCES.items():
-            for role in roles:
-                gate((role + key,), {role + "source": sources[role + "source"]}, wanted)
-            if name == "eval":
-                gate((key,), sources, wanted)
+            gate((role + key,), {role + "source": sources[role + "source"]}, wanted)
     return READS[name] - skipped.keys(), skipped
 
 
@@ -316,14 +316,10 @@ def _synth_blobs(cfg) -> dataset.RawDataset:
 
 
 def _load_dataset(cfg, prefix: str = "") -> dataset.RawDataset:
-    def read(k):
-        # A dataset key in its `prefix`ed form, or else in its unprefixed form.
-        return cfg.get(prefix + k, cfg.get(k, ""))
-
     def require(k):
-        return _require(read(k), prefix + k, "dataset")
+        return _require(cfg.get(prefix + k), prefix + k, "dataset")
 
-    source, limit = read("source"), read("limit")
+    source, limit = cfg[prefix + "source"], cfg[prefix + "limit"]
     with stage("dataset"):
         if source == "mnist":
             # The loader truncates the raw pixels before the float conversion.

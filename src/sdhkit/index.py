@@ -282,5 +282,8 @@ def radius_search(index: CodeIndex, query: np.ndarray, radius: int) -> Hits:
 
 
 def rank_all(index: CodeIndex, query: np.ndarray) -> np.ndarray:
-    """All database ids sorted ascending by distance, ties by ascending id."""
+    """All database ids sorted ascending by distance, ties by ascending id.
+
+    Each call returns a fresh N-length intp array by contract: the caller
+    owns it, and no buffer is reused between calls."""
     return _query_distances(index, query)[index._buckets.of_item].argsort(kind="stable")

@@ -608,21 +608,38 @@ class TestLimit:
         assert "error [config]: key 'limit' must be a positive integer, got 0" in err
         assert not (tmp_path / "run").exists()
 
-    def test_eval_falls_back_to_unprefixed_limit(self, tmp_path):
-        # Every dataset key resolves one way: its db_/query_ form, or else
-        # the unprefixed key. `limit` used to be read in its prefixed form only.
+    def test_eval_limits_each_role_by_its_own_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "train.cfg",
                         SYNTH_KEYS + f"method = fsdh\nbits = 16\noutdir = {tmp_path / 'run'}\n")
         assert run(["train", "--config", cfg]) == 0
-        cfg = write_cfg(tmp_path / "eval.cfg", "source = synth\nclasses = 4\nper_class = 30\n"
+        cfg = write_cfg(tmp_path / "eval.cfg", "classes = 4\nper_class = 30\n"
                         "dim = 8\nspread = 0.2\ndata_seed = 3\n")
+        out = tmp_path / "eval"
         assert run(["eval", "--config", cfg, "--set", f"model={tmp_path / 'run' / 'model.fsdh'}",
-                    "--set", "limit=50", "--set", "db_limit=100",
-                    "--outdir", str(tmp_path / "eval")]) == 0
+                    "--set", "db_limit=100", "--set", "query_limit=50",
+                    "--outdir", str(out)]) == 0
         summary = dict(line.split("=", 1) for line in
-                       (tmp_path / "eval" / "summary.txt").read_text().splitlines())
+                       (out / "summary.txt").read_text().splitlines())
         assert summary["database_size"] == "100"
         assert summary["query_count"] == "50"
+        recorded = (out / "config.txt").read_text().splitlines()
+        assert {"db_limit = 100", "query_limit = 50", "db_source = synth",
+                "query_source = synth"} <= set(recorded)
+
+    def test_eval_refuses_unprefixed_dataset_keys_that_the_roles_override(self, tmp_path,
+                                                                           capsys):
+        # This run exited 0 and recorded `source = mnist` and `limit = 7` in
+        # config.txt, while it evaluated 20 synth database items and 10
+        # synth queries.
+        out = tmp_path / "eval"
+        assert run(["eval", "--set", "db_source=synth", "--set", "query_source=synth",
+                    "--set", "source=mnist", "--set", "limit=7", "--set", "db_limit=20",
+                    "--set", "query_limit=10", "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ")
+        for key in ("limit", "source"):
+            assert f"key {key!r} is read by 'train'" in err, key
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, keys", [
         (["train"], ""),
@@ -781,6 +798,9 @@ class TestConfigValidation:
         (["figures", "fig1"], "dim", "3", "train"),
         (["figures", "bitscale"], "zero_retrieval", "skip", "eval"),
         (["eval"], "bits", "64", "train"),
+        (["eval"], "source", "synth", "train"),
+        (["eval"], "limit", "5", "train"),
+        (["eval"], "features", "/nope.csv", "train"),
         (["synth"], "anchors", "5", "train"),
     ])
     def test_keys_the_run_does_not_read_fail(self, tmp_path, capsys, command, key, value,
@@ -810,12 +830,12 @@ class TestConfigValidation:
          "under bitscale_methods holding sdh, not bitscale_methods = fsdh"),
         (["figures", "losses"], ["source=csv"], ["per_class=20"],
          "under source = synth, not source = csv"),
-        (["eval"], ["source=mnist", "query_source=csv"], ["classes=4"],
+        (["eval"], ["db_source=mnist", "query_source=csv"], ["classes=4"],
          "under db_source or query_source = synth, not db_source = mnist, query_source = csv"),
         (["eval"], ["db_source=csv"], ["db_images=/nonexistent.idx"],
          "under db_source = mnist, not db_source = csv"),
-        (["eval"], ["query_source=mnist"], ["features=/nope.csv"],
-         "under db_source or query_source = csv, not db_source = synth, query_source = mnist"),
+        (["eval"], ["query_source=mnist"], ["query_features=/nope.csv"],
+         "under query_source = csv, not query_source = mnist"),
     ], ids=["train-fsdh-sdh-keys", "bench-fsdh-iters", "train-synth-images",
             "train-synth-features", "biasmap-synth-labels", "bitscale-fsdh-sdh-keys",
             "losses-csv-blob", "eval-no-synth-blob", "eval-db-csv-db_images",
@@ -895,9 +915,11 @@ class TestConfigValidation:
         # Each run at every choice of the settings that decide which keys it
         # reads: `method`, `bitscale_methods`, and each role's `source`, on a
         # tiny IDX pair and CSV pair of 60 samples of 16 dimensions. Every
-        # variant completes and reads every key of its config.txt, and
-        # together they read every key the run declares. `_load_dataset`
-        # used to copy the config into a plain dict, which hid its reads.
+        # variant completes and reads exactly the keys of its config.txt,
+        # and together they read every key the run declares. `_load_dataset`
+        # used to copy the config into a plain dict, which hid its reads,
+        # and then read each unprefixed dataset key for `eval` as a fallback
+        # that config.txt did not hold.
         reads = cli.READS[name]
         labels = np.repeat(np.arange(10), 6)
         rng = np.random.default_rng(23)
@@ -922,8 +944,8 @@ class TestConfigValidation:
             choices.append([{"bitscale_methods": methods,
                              **({"iters": "1"} if "sdh" in methods.split(",") else {})}
                             for methods in ("fsdh", "sdh", "fsdh,sdh")])
-        if "source" in reads:
-            for role in ("db_", "query_") if name == "eval" else ("",):
+        for role in ("", "db_", "query_"):
+            if role + "source" in reads:
                 choices.append([source(role, value) for value in ("synth", "mnist", "csv")])
         argv = ["figures", name] if name in cli.FIGURES else [name]
         argv += set_flags(SMALL_RUNS[name])
@@ -947,7 +969,7 @@ class TestConfigValidation:
             read_by_any |= read
             written = {line.split(" = ")[0]
                        for line in (out / "config.txt").read_text().splitlines()}
-            assert written <= read, (settings, written - read)
+            assert written == read, (settings, written ^ read)
         assert reads <= read_by_any, reads - read_by_any
 
     @pytest.mark.parametrize("key", ["normalize", "db_normalize", "query_normalize"])
